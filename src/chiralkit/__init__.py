@@ -8,7 +8,6 @@ from .chirality import (
     OptimizationResult,
     chiral_log_distance,
     gamma_integral,
-    gamma_integral_detail,
     gamma_s,
     j2,
     j3,

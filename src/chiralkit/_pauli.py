@@ -13,6 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
+# Largest qubit count for which the 4^n-string tables are enumerated.
+PAULI_ENUM_MAX_QUBITS = 7
+
 
 @lru_cache(maxsize=None)
 def _walsh_hadamard(n: int) -> np.ndarray:

@@ -24,9 +24,7 @@ from .qmat import (
     Partition,
     eig_hermitian,
     embed_operator,
-    hermitize,
     matrix_log_on_support,
-    imaginary_power,
     partial_trace,
 )
 from .sampling import haar_unitary, split_rng
@@ -50,60 +48,6 @@ def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def _acomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
-
-
-@dataclass(frozen=True)
-class ModularSet:
-    """Modular Hamiltonians of a bipartite state: -log of the joint state and
-    of both marginals, all embedded on the full space."""
-
-    rho: DensityMatrix
-    partition: Partition
-    k_ab: np.ndarray
-    k_a: np.ndarray
-    k_b: np.ndarray
-
-
-def modular_set(rho: DensityMatrix, split: Partition) -> ModularSet:
-    split.validate(rho.nsub)
-    if split.ngroups != 2:
-        raise ValueError(f"expected a bipartition, got {split.ngroups} groups")
-    k_ab = -matrix_log_on_support(rho)
-    embedded = []
-    for group in split.groups:
-        marg = partial_trace(rho, group)
-        k = -matrix_log_on_support(marg)
-        embedded.append(embed_operator(k, rho.dims, group))
-    return ModularSet(rho, split, k_ab, embedded[0], embedded[1])
-
-
-def j2(rho: DensityMatrix, split: Partition) -> float:
-    """i Tr(rho {[K_AB, K_A], K_B}): the lowest-degree additive odd measure."""
-    ms = modular_set(rho, split)
-    x = _comm(ms.k_ab, ms.k_a)
-    val = 1j * np.trace(rho.data @ _acomm(x, ms.k_b))
-    return _real_part(val, "J2")
-
-
-def j3(rho: DensityMatrix, split: Partition) -> float:
-    """i Tr(rho [[K_AB, [K_AB, K_A]], K_B])."""
-    ms = modular_set(rho, split)
-    x = _comm(ms.k_ab, _comm(ms.k_ab, ms.k_a))
-    val = 1j * np.trace(rho.data @ _comm(x, ms.k_b))
-    return _real_part(val, "J3")
-
-
-def j3_prime(rho: DensityMatrix, split: Partition) -> float:
-    """i Tr(rho [[[K_AB, K_B], K_B], K_B]): not symmetric under swapping the
-    two groups, which lets it see states the symmetric measures miss."""
-    ms = modular_set(rho, split)
-    x = _comm(_comm(_comm(ms.k_ab, ms.k_b), ms.k_b), ms.k_b)
-    val = 1j * np.trace(rho.data @ x)
-    return _real_part(val, "J3'")
-
-
 def _party_index(party) -> int:
     if party in (0, 1):
         return int(party)
@@ -111,6 +55,118 @@ def _party_index(party) -> int:
     if name in ("A", "B"):
         return 0 if name == "A" else 1
     raise ValueError(f"party must be 'A', 'B', 0 or 1, got {party!r}")
+
+
+@dataclass(frozen=True)
+class ModularSet:
+    """A bipartite state in its own eigenbasis, the one spectral form that
+    every bipartite measure contracts.
+
+    p holds the eigenvalues of rho (clipped at zero, ascending) and
+    eigenvectors the matching columns V. kappa is -log p on the support and 0
+    on the kernel, so the joint modular Hamiltonian is K_AB = V diag(kappa) V†
+    and the modular flow acts on eigenbasis entry (i, j) as the phase
+    exp(i s (kappa_i - kappa_j)). k_a_eigbasis and k_b_eigbasis are the
+    marginal modular Hamiltonians -log(rho_A) (x) I and I (x) -log(rho_B),
+    embedded on the full space and rotated into that basis (V† K V).
+    """
+
+    p: np.ndarray
+    kappa: np.ndarray
+    eigenvectors: np.ndarray
+    k_a_eigbasis: np.ndarray
+    k_b_eigbasis: np.ndarray
+
+    def k_eigbasis(self, party) -> np.ndarray:
+        """The rotated marginal modular Hamiltonian of party A/0 or B/1."""
+        return self.k_b_eigbasis if _party_index(party) else self.k_a_eigbasis
+
+
+def modular_set(rho: DensityMatrix, split: Partition) -> ModularSet:
+    """Diagonalize rho once and rotate both marginal modular Hamiltonians
+    into its eigenbasis: one eigendecomposition of rho plus one per marginal."""
+    split.validate(rho.nsub)
+    if split.ngroups != 2:
+        raise ValueError(f"expected a bipartition, got {split.ngroups} groups")
+    dec = eig_hermitian(rho.data)
+    p = np.clip(dec.eigenvalues, 0.0, None)
+    keep = p > SUPPORT_CUTOFF * p[-1]
+    kappa = np.where(keep, -np.log(np.where(keep, p, 1.0)), 0.0)
+    v = dec.eigenvectors
+    rotated = []
+    for group in split.groups:
+        k = -matrix_log_on_support(partial_trace(rho, group))
+        rotated.append(v.conj().T @ embed_operator(k, rho.dims, group) @ v)
+    return ModularSet(p, kappa, v, rotated[0], rotated[1])
+
+
+def _minus(x: np.ndarray) -> np.ndarray:
+    """x_i - x_j."""
+    return x[:, None] - x[None, :]
+
+
+def _plus(x: np.ndarray) -> np.ndarray:
+    """x_i + x_j."""
+    return x[:, None] + x[None, :]
+
+
+def _contract(ms: ModularSet, w: np.ndarray, label: str) -> float:
+    """i sum_ij w_ij (K_A)_ij (K_B)_ji in the eigenbasis of rho. Every
+    nested-commutator measure is this sum for its own real antisymmetric
+    kernel w, which makes the value real up to rounding."""
+    return _real_part(1j * np.sum(w * ms.k_a_eigbasis * ms.k_b_eigbasis.T), label)
+
+
+def _j2(ms: ModularSet) -> float:
+    return _contract(ms, _minus(ms.kappa) * _plus(ms.p), "J2")
+
+
+def _j3(ms: ModularSet) -> float:
+    return _contract(ms, _minus(ms.kappa) ** 2 * _minus(ms.p), "J3")
+
+
+def _j3_prime(ms: ModularSet) -> float:
+    # i Tr(rho [Y, K_B]) = i sum_ij (p_i - p_j) Y_ij (K_B)_ji with
+    # Y = [[K_AB, K_B], K_B] and K_AB = diag(kappa) in this basis
+    kb = ms.k_b_eigbasis
+    y = _comm(_minus(ms.kappa) * kb, kb)
+    return _real_part(1j * np.sum(_minus(ms.p) * y * kb.T), "J3'")
+
+
+def _gamma_s(ms: ModularSet, s: float) -> float:
+    return _contract(ms, np.cos(s * _minus(ms.kappa)) * _minus(ms.p), f"gamma_s(s={s})")
+
+
+def _phi_s(ms: ModularSet, s: float) -> float:
+    return _contract(ms, -np.sin(s * _minus(ms.kappa)) * _plus(ms.p), f"phi_s(s={s})")
+
+
+def _gamma(ms: ModularSet) -> float:
+    p = ms.p
+    if p[0] <= SUPPORT_CUTOFF * p[-1]:
+        raise ValueError(
+            f"state is rank-deficient (min/max eigenvalue ratio {p[0] / p[-1]:.3e}); "
+            "the flow-integrated measure requires full rank"
+        )
+    return _contract(ms, 2.0 * np.sqrt(np.outer(p, p)) * _minus(p) / _plus(p), "gamma")
+
+
+def j2(rho: DensityMatrix, split: Partition) -> float:
+    """i Tr(rho {[K_AB, K_A], K_B}): the lowest-degree additive odd measure.
+    Eigenbasis kernel (kappa_i - kappa_j)(p_i + p_j)."""
+    return _j2(modular_set(rho, split))
+
+
+def j3(rho: DensityMatrix, split: Partition) -> float:
+    """i Tr(rho [[K_AB, [K_AB, K_A]], K_B]).
+    Eigenbasis kernel (kappa_i - kappa_j)^2 (p_i - p_j)."""
+    return _j3(modular_set(rho, split))
+
+
+def j3_prime(rho: DensityMatrix, split: Partition) -> float:
+    """i Tr(rho [[[K_AB, K_B], K_B], K_B]): not symmetric under swapping the
+    two groups, which lets it see states the symmetric measures miss."""
+    return _j3_prime(modular_set(rho, split))
 
 
 def modular_flowed_k(
@@ -121,48 +177,30 @@ def modular_flowed_k(
     Returns (K_plus, K_minus) with K_plus = (K_P(s) + K_P(-s))/2 and
     K_minus = i (K_P(s) - K_P(-s))/2, where the flow conjugates by
     exp(i s K_AB), i.e. K_P(s) = K_P + is[K_AB, K_P] + (is)^2/2! [...] + ...
-    K_plus is Hermitian; K_minus is anti-Hermitian (its expansion starts at
-    -s [K_AB, K_P]) and Tr(rho K_minus) vanishes identically.
+    In the eigenbasis of rho the flow is the phase exp(i s (kappa_i - kappa_j)),
+    so K_plus and K_minus scale entry (i, j) of K_P by cos and -sin of
+    s (kappa_i - kappa_j). K_plus is Hermitian; K_minus is anti-Hermitian (its
+    expansion starts at -s [K_AB, K_P]) and Tr(rho K_minus) vanishes
+    identically.
     """
     ms = modular_set(rho, split)
-    k_p = ms.k_a if _party_index(party) == 0 else ms.k_b
-    # exp(is K_AB) = rho^{-is} on the support (identity on the kernel)
-    u = imaginary_power(rho, -s)
-    ud = u.conj().T
-    k_fwd = u @ k_p @ ud
-    k_bwd = ud @ k_p @ u
-    k_plus = hermitize(0.5 * (k_fwd + k_bwd))
-    raw = 0.5j * (k_fwd - k_bwd)
-    k_minus = 0.5 * (raw - raw.conj().T)  # scrub to exactly anti-Hermitian
-    return k_plus, k_minus
+    k = ms.k_eigbasis(party)
+    phase = s * _minus(ms.kappa)
+    v = ms.eigenvectors
+    vd = v.conj().T
+    return v @ (np.cos(phase) * k) @ vd, v @ (-np.sin(phase) * k) @ vd
 
 
 def gamma_s(rho: DensityMatrix, split: Partition, s: float) -> float:
-    """i Tr(rho [K_plus_A(s), K_B]), the even-flow nested-commutator measure."""
-    ms = modular_set(rho, split)
-    k_plus, _ = modular_flowed_k(rho, split, 0, s)
-    val = 1j * np.trace(rho.data @ _comm(k_plus, ms.k_b))
-    return _real_part(val, f"gamma_s(s={s})")
+    """i Tr(rho [K_plus_A(s), K_B]), the even-flow nested-commutator measure.
+    Eigenbasis kernel cos(s (kappa_i - kappa_j)) (p_i - p_j)."""
+    return _gamma_s(modular_set(rho, split), s)
 
 
 def phi_s(rho: DensityMatrix, split: Partition, s: float) -> float:
-    """i Tr(rho {K_minus_A(s), K_B}), the odd-flow anticommutator measure."""
-    ms = modular_set(rho, split)
-    _, k_minus = modular_flowed_k(rho, split, 0, s)
-    val = 1j * np.trace(rho.data @ _acomm(k_minus, ms.k_b))
-    return _real_part(val, f"phi_s(s={s})")
-
-
-def _flow_eigenbasis(rho: DensityMatrix, split: Partition):
-    """Eigenvalues of rho plus both marginal modular Hamiltonians rotated to
-    the eigenbasis of rho, where the modular flow is a pure phase."""
-    ms = modular_set(rho, split)
-    dec = eig_hermitian(rho.data)
-    p = np.clip(dec.eigenvalues, 0.0, None)
-    v = dec.eigenvectors
-    ka = v.conj().T @ ms.k_a @ v
-    kb = v.conj().T @ ms.k_b @ v
-    return p, ka, kb
+    """i Tr(rho {K_minus_A(s), K_B}), the odd-flow anticommutator measure.
+    Eigenbasis kernel -sin(s (kappa_i - kappa_j)) (p_i + p_j)."""
+    return _phi_s(modular_set(rho, split), s)
 
 
 def gamma_s_second_difference(rho: DensityMatrix, split: Partition, step: float = 1e-3) -> float:
@@ -173,86 +211,29 @@ def gamma_s_second_difference(rho: DensityMatrix, split: Partition, step: float 
     catastrophic cancellation of differencing three separately rounded trace
     values and leaves only genuine truncation error. Converges to -J3.
     """
-    p, ka, kb = _flow_eigenbasis(rho, split)
-    keep = p > SUPPORT_CUTOFF * p[-1]
-    kappa = np.where(keep, -np.log(np.where(keep, p, 1.0)), 0.0)
-    d = kappa[:, None] - kappa[None, :]
-    c = kb * p[None, :] - p[:, None] * kb  # [K_B, rho]
-    g = ka * c.T
-    term = -4.0 * np.sin(0.5 * step * d) ** 2 / step**2
-    return _real_part(1j * np.sum(term * g), "gamma second difference")
+    ms = modular_set(rho, split)
+    w = -4.0 * np.sin(0.5 * step * _minus(ms.kappa)) ** 2 / step**2 * _minus(ms.p)
+    return _contract(ms, w, "gamma second difference")
 
 
 def phi_s_first_difference(rho: DensityMatrix, split: Partition, step: float = 1e-3) -> float:
     """Central first difference (phi_{h} - phi_{-h})/(2h), evaluated in the
     eigenbasis as the exactly equivalent -sin(h D)/h form. Converges to -J2."""
-    p, ka, kb = _flow_eigenbasis(rho, split)
-    keep = p > SUPPORT_CUTOFF * p[-1]
-    kappa = np.where(keep, -np.log(np.where(keep, p, 1.0)), 0.0)
-    d = kappa[:, None] - kappa[None, :]
-    m = (p[:, None] + p[None, :]) * kb  # {rho, K_B}
-    term = -np.sin(step * d) / step
-    return _real_part(1j * np.sum(term * ka * m.T), "phi first difference")
+    ms = modular_set(rho, split)
+    w = -np.sin(step * _minus(ms.kappa)) / step * _plus(ms.p)
+    return _contract(ms, w, "phi first difference")
 
 
-def gauss_legendre_panels(s_max: float, panels: int, order: int = 8):
-    """Composite Gauss-Legendre nodes/weights on [-s_max, s_max]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(-s_max, s_max, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+def gamma_integral(rho: DensityMatrix, split: Partition) -> float:
+    """Integral of gamma_s against the sech(pi s) weight over the real line.
 
-
-@dataclass(frozen=True)
-class GammaIntegralResult:
-    value: float
-    truncation_bound: float
-    s_max: float
-    panels: int
-
-
-def gamma_integral_detail(
-    rho: DensityMatrix,
-    split: Partition,
-    s_max: float = 8.0,
-    panels: int = 64,
-) -> GammaIntegralResult:
-    """Integral of gamma_s against the sech(pi s) weight over [-s_max, s_max].
-
-    Requires a full-rank state (the integrand involves the full modular flow).
-    The sech tail beyond s_max is reported as the truncation bound
-    2 max|gamma_s| e^{-pi s_max} / pi. The integrand is evaluated in the
-    eigenbasis of the state, where the flow is a pure phase, so all quadrature
-    nodes are handled in one vectorized pass.
+    The sech transform of cos(s delta) is sech(delta / 2), so with
+    delta_ij = log p_i - log p_j the integral is the eigenbasis contraction
+    with kernel 2 sqrt(p_i p_j) (p_i - p_j) / (p_i + p_j): a closed form with
+    no truncation. Requires a full-rank state (the integrand involves the
+    full modular flow).
     """
-    if s_max < 6.0 or panels < 64:
-        raise ValueError("need s_max >= 6 and panels >= 64 for the quoted accuracy")
-    p, ka, kb = _flow_eigenbasis(rho, split)
-    if p[0] <= SUPPORT_CUTOFF * p[-1]:
-        raise ValueError(
-            f"state is rank-deficient (min/max eigenvalue ratio {p[0] / p[-1]:.3e}); "
-            "the flow-integrated measure requires full rank"
-        )
-    # [K_B, rho] in the eigenbasis of rho
-    c = kb * p[None, :] - p[:, None] * kb
-    g = ka * c.T
-    delta = np.log(p)[:, None] - np.log(p)[None, :]
-    nodes, weights = gauss_legendre_panels(s_max, panels)
-    phases = np.cos(nodes[:, None, None] * delta[None, :, :])
-    vals = np.real(1j * np.tensordot(phases, g, axes=([1, 2], [0, 1])))
-    sech = 1.0 / np.cosh(np.pi * nodes)
-    value = float(np.sum(weights * sech * vals))
-    bound = 2.0 * float(np.max(np.abs(vals))) * np.exp(-np.pi * s_max) / np.pi
-    return GammaIntegralResult(value, bound, s_max, panels)
-
-
-def gamma_integral(
-    rho: DensityMatrix, split: Partition, s_max: float = 8.0, panels: int = 64
-) -> float:
-    return gamma_integral_detail(rho, split, s_max, panels).value
+    return _gamma(modular_set(rho, split))
 
 
 def modular_commutator(rho: DensityMatrix, split: Partition) -> float:
@@ -431,9 +412,11 @@ def chiral_log_distance(
     fid, overlaps, us, iters, converged, best = alternating_orbit_overlap(
         base, inits, max_iters, tol, target_fidelity
     )
-    if not converged.all():
+    # a target_fidelity stop leaves restarts unconverged before max_iters
+    stalled = int(np.sum(iters[~converged] >= max_iters))
+    if stalled:
         warnings.warn(
-            f"{int((~converged).sum())} of {len(inits)} restarts hit max_iters={max_iters}",
+            f"{stalled} of {len(inits)} restarts hit max_iters={max_iters}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -447,7 +430,8 @@ def chiral_log_distance(
         best_restart=best,
         fidelities=fid,
     )
-    value = -float(np.log(max(result.best_fidelity, 1e-300)))
+    # the fidelity can round above 1; a distance is never negative
+    value = max(0.0, -float(np.log(max(result.best_fidelity, 1e-300))))
     return value, result
 
 
@@ -495,8 +479,6 @@ def pure_state_log_distance(
 # Pauli-restricted log-distance
 # ---------------------------------------------------------------------------
 
-PAULI_ENUM_MAX_QUBITS = 7
-
 
 def pauli_log_distance_detail(psi: np.ndarray, n_qubits: int):
     """(value, (z, x)) where value = -log max_P |<psi*|P|psi>|^2 over all
@@ -504,12 +486,14 @@ def pauli_log_distance_detail(psi: np.ndarray, n_qubits: int):
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != 1 << n_qubits:
         raise ValueError(f"state dimension {psi.size} is not 2^{n_qubits}; qudits are not supported")
-    if n_qubits > PAULI_ENUM_MAX_QUBITS:
-        raise ValueError(f"enumeration of 4^{n_qubits} strings refused (max {PAULI_ENUM_MAX_QUBITS} qubits)")
+    if n_qubits > _pauli.PAULI_ENUM_MAX_QUBITS:
+        raise ValueError(
+            f"enumeration of 4^{n_qubits} strings refused (max {_pauli.PAULI_ENUM_MAX_QUBITS} qubits)"
+        )
     table = np.abs(_pauli.pauli_conjugation_overlaps(psi)) ** 2
     z, x = np.unravel_index(int(np.argmax(table)), table.shape)
     best = float(table[z, x])
-    return -float(np.log(max(best, 1e-300))), (int(z), int(x))
+    return max(0.0, -float(np.log(max(best, 1e-300)))), (int(z), int(x))
 
 
 def pauli_log_distance(psi: np.ndarray, n_qubits: int) -> float:
@@ -530,34 +514,22 @@ class MeasureReport:
     notes: dict[str, str]
 
 
-def measure_report(
-    rho: DensityMatrix,
-    split: Partition,
-    s_values=(0.7,),
-    s_max: float = 8.0,
-    panels: int = 64,
-) -> MeasureReport:
-    """All nested-commutator measures of a bipartite state in one report.
+def measure_report(rho: DensityMatrix, split: Partition, s_values=(0.7,)) -> MeasureReport:
+    """All nested-commutator measures of a bipartite state in one report,
+    every one contracted from a single modular_set.
 
     The flow-integrated measure is skipped (with a note) when the state is
     rank-deficient.
     """
-    entries: dict[str, float] = {
-        "J2": j2(rho, split),
-        "J3": j3(rho, split),
-        "J3_prime": j3_prime(rho, split),
-    }
-    tolerances = {k: IMAG_RESIDUE_TOL for k in entries}
-    notes: dict[str, str] = {}
+    ms = modular_set(rho, split)
+    entries: dict[str, float] = {"J2": _j2(ms), "J3": _j3(ms), "J3_prime": _j3_prime(ms)}
     for s in s_values:
-        entries[f"gamma_s[{s:g}]"] = gamma_s(rho, split, s)
-        entries[f"phi_s[{s:g}]"] = phi_s(rho, split, s)
-        tolerances[f"gamma_s[{s:g}]"] = IMAG_RESIDUE_TOL
-        tolerances[f"phi_s[{s:g}]"] = IMAG_RESIDUE_TOL
+        entries[f"gamma_s[{s:g}]"] = _gamma_s(ms, s)
+        entries[f"phi_s[{s:g}]"] = _phi_s(ms, s)
+    notes: dict[str, str] = {}
     try:
-        res = gamma_integral_detail(rho, split, s_max=s_max, panels=panels)
-        entries["gamma"] = res.value
-        tolerances["gamma"] = IMAG_RESIDUE_TOL + res.truncation_bound
+        entries["gamma"] = _gamma(ms)
     except ValueError as exc:
         notes["gamma"] = str(exc)
+    tolerances = {k: IMAG_RESIDUE_TOL for k in entries}
     return MeasureReport(entries, tolerances, notes)

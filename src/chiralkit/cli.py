@@ -55,7 +55,7 @@ def _load(path: str, atol: float):
 def _cmd_measure(args) -> int:
     rho = _load(args.state, args.atol)
     split = Partition.parse(args.split)
-    report = ch.measure_report(rho, split, s_values=tuple(args.s), panels=args.panels)
+    report = ch.measure_report(rho, split, s_values=tuple(args.s))
     doc = {"state": args.state, "split": args.split, "measures": {}}
     for name, value in report.entries.items():
         doc["measures"][name] = _qty(value, report.tolerances[name])
@@ -177,7 +177,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    rows, summary = ex.run_chirality_entanglement_scan(args.n, args.seed, threads=args.threads)
+    rows, summary = ex.run_chirality_entanglement_scan(args.n, args.seed)
     Path(args.out).write_text(ex.scan_to_csv(rows))
     print(ex.summary_to_json(summary))
     return EXIT_OK
@@ -203,7 +203,6 @@ def build_parser() -> _Parser:
     add_state_args(p)
     p.add_argument("--s", type=float, action="append", default=None,
                    help="flow parameter(s) for gamma_s/phi_s (default 0.7)")
-    p.add_argument("--panels", type=int, default=64, help="quadrature panels for gamma")
     p.set_defaults(fn=_cmd_measure, post=lambda a: setattr(a, "s", a.s or [0.7]))
 
     p = sub.add_parser("logdist", help="chiral log-distance by orbit optimization")
@@ -232,8 +231,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default CHIRALKIT_THREADS or 1)")
     p.set_defaults(fn=_cmd_scan)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

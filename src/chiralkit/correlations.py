@@ -13,16 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chirality import gamma_integral_detail, gauss_legendre_panels, modular_set
+from .chirality import ModularSet, _gamma, _party_index, modular_set
 from .qmat import (
     DensityMatrix,
     Partition,
     eig_hermitian,
     embed_operator,
     hermitize,
-    matrix_log_on_support,
     partial_trace,
 )
+from .sampling import _PAULIS
 
 # Max of sum_i x_i (log x_i)^2 over the 2-simplex, attained near (0.839, 0.161);
 # for d >= 3 the max is (log d)^2 at the uniform point.
@@ -49,6 +49,17 @@ def sld_apply(rho: DensityMatrix, op: np.ndarray, cutoff: float = 1e-12) -> np.n
     psum = p[:, None] + p[None, :]
     scale = np.where(psum > cutoff, 2.0 / np.where(psum > cutoff, psum, 1.0), 0.0)
     return v @ (scale * ob) @ v.conj().T
+
+
+def gauss_legendre_panels(s_max: float, panels: int, order: int = 8):
+    """Composite Gauss-Legendre nodes/weights on [-s_max, s_max]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(-s_max, s_max, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
 
 
 def sld_integral_form(
@@ -96,6 +107,16 @@ def qfi(rho: DensityMatrix, ham: np.ndarray, cutoff: float = 1e-12) -> float:
     return float(val.real)
 
 
+def _intrinsic_ip(ms: ModularSet, party) -> float:
+    # qfi in the eigenbasis of rho: sum_ij 2 (p_i - p_j)^2 / (p_i + p_j) |(K_P)_ij|^2
+    # over the pairs that sld_apply keeps at its default cutoff
+    p = ms.p
+    psum = p[:, None] + p[None, :]
+    good = psum > 1e-12
+    w = np.where(good, 2.0 * (p[:, None] - p[None, :]) ** 2 / np.where(good, psum, 1.0), 0.0)
+    return float(np.sum(w * np.abs(ms.k_eigbasis(party)) ** 2))
+
+
 def intrinsic_ip(rho: DensityMatrix, split: Partition, party) -> float:
     """QFI with the chosen party's marginal modular Hamiltonian as generator.
 
@@ -103,19 +124,7 @@ def intrinsic_ip(rho: DensityMatrix, split: Partition, party) -> float:
     reduces (up to the factor-4 convention of qfi) to the variance of the
     marginal modular Hamiltonian on pure states.
     """
-    ms = modular_set(rho, split)
-    idx = _party_index(party)
-    k = ms.k_a if idx == 0 else ms.k_b
-    return qfi(rho, k)
-
-
-def _party_index(party) -> int:
-    if party in (0, 1):
-        return int(party)
-    name = str(party).upper()
-    if name in ("A", "B"):
-        return 0 if name == "A" else 1
-    raise ValueError(f"party must be 'A', 'B', 0 or 1, got {party!r}")
+    return _intrinsic_ip(modular_set(rho, split), party)
 
 
 @dataclass(frozen=True)
@@ -153,7 +162,6 @@ def is_classical_quantum(
     split.validate(rho.nsub)
     idx = _party_index(party)
     group = split.groups[idx]
-    other = split.groups[1 - idx]
     marg = partial_trace(rho, group)
     embedded = embed_operator(marg.data, rho.dims, group)
     comm = np.linalg.norm(embedded @ rho.data - rho.data @ embedded)
@@ -177,7 +185,6 @@ def is_classical_quantum(
         p_i = float(np.trace(block).real)
         probs.append(p_i)
         conds.append(hermitize(block / p_i) if p_i > 1e-12 else np.eye(d_r) / d_r)
-    _ = other
     return (
         CQDecomposition(dec.eigenvectors, np.array(probs), tuple(conds)),
         "classical-quantum",
@@ -191,13 +198,6 @@ def _party_front_permutation(dims, group) -> np.ndarray:
     order = list(group) + rest
     idx = np.arange(int(np.prod(dims))).reshape(dims)
     return idx.transpose(order).ravel()
-
-
-_PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 def makhlin_invariants(rho: DensityMatrix, tol: float = 1e-8) -> tuple[float, float, float]:
@@ -307,23 +307,22 @@ def check_gamma_qfi_bound(
     rho: DensityMatrix,
     split: Partition,
     tolerance: float = 1e-8,
-    s_max: float = 8.0,
-    panels: int = 64,
 ) -> GammaQfiReport:
     """Assert gamma^2 <= Tr(rho_P K_P^2) * F^(other) for both parties, plus
     the dimension-only form with c(d). Full-rank states only.
 
-    Raises CorrelationBoundViolation with a state dump if any slack drops
-    below -tolerance.
+    gamma, both intrinsic IPs and both log-moments come from one
+    modular_set; the log-moment is Tr(rho_P K_P^2) = sum_ij p_i |(K_P)_ij|^2
+    in the eigenbasis of rho. Raises CorrelationBoundViolation with a state
+    dump if any slack drops below -tolerance.
     """
-    gamma = gamma_integral_detail(rho, split, s_max=s_max, panels=panels).value
-    f_a = intrinsic_ip(rho, split, 0)
-    f_b = intrinsic_ip(rho, split, 1)
-    moments = []
-    for group in split.groups:
-        marg = partial_trace(rho, group)
-        k = -matrix_log_on_support(marg)
-        moments.append(float(np.real(np.trace(marg.data @ k @ k))))
+    ms = modular_set(rho, split)
+    gamma = _gamma(ms)
+    f_a = _intrinsic_ip(ms, 0)
+    f_b = _intrinsic_ip(ms, 1)
+    moments = [
+        float(np.sum(ms.p[:, None] * np.abs(ms.k_eigbasis(party)) ** 2)) for party in (0, 1)
+    ]
     g2 = gamma**2
     report = GammaQfiReport(
         gamma=gamma,

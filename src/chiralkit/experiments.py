@@ -7,9 +7,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +52,6 @@ class ScanRow:
     seed: int
 
 
-def _max_workers() -> int:
-    env = os.environ.get("CHIRALKIT_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _scan_sample(master_seed: int, index: int) -> ScanRow:
     seed = derive_seed(master_seed, index)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -78,28 +68,20 @@ def _scan_sample(master_seed: int, index: int) -> ScanRow:
 def run_chirality_entanglement_scan(
     n_samples: int,
     master_seed: int,
-    threads: int | None = None,
     pearson_threshold: float = 0.3,
 ) -> tuple[list[ScanRow], dict]:
     """Sample random two-qubit mixed states and record entanglement versus
     chirality per sample.
 
-    Each sample's generator is keyed by (master_seed, index), so the rows are
-    identical whatever the worker count. The summary records the correlation
+    Each sample's generator is keyed by (master_seed, index), so every row
+    depends only on its own index. The summary records the correlation
     coefficients between log negativity and |J2|, the fraction of barely
     entangled but strongly chiral samples, and the pilot-calibrated threshold
     the Pearson coefficient is compared against.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    workers = threads if threads is not None else _max_workers()
-    indices = range(n_samples)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda i: _scan_sample(master_seed, i), indices))
-    else:
-        rows = [_scan_sample(master_seed, i) for i in indices]
-    rows.sort(key=lambda r: r.sample_index)
+    rows = [_scan_sample(master_seed, i) for i in range(n_samples)]
     e_n = np.array([r.e_n for r in rows])
     aj2 = np.array([r.abs_j2 for r in rows])
     median_j2 = float(np.median(aj2))

@@ -96,11 +96,6 @@ class DensityMatrix:
         return self.rank(cutoff) == self.dim
 
 
-def density_matrix(dims, data, atol: float = HERMITICITY_ATOL) -> DensityMatrix:
-    """Convenience constructor accepting any array-like."""
-    return DensityMatrix(tuple(dims), np.asarray(data, dtype=complex), atol)
-
-
 def pure_state_density(dims, psi: np.ndarray) -> DensityMatrix:
     """|psi><psi| as a DensityMatrix; psi is normalized first."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -277,10 +272,6 @@ def purify(rho: DensityMatrix, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     # columns of (d x r): sqrt(p_i) |phi_i>, ancilla index = position in `keep`
     mat = dec.eigenvectors[:, keep] * np.sqrt(p[keep])
     return mat.reshape(-1)
-
-
-def purification_rank(rho: DensityMatrix, cutoff: float = SUPPORT_CUTOFF) -> int:
-    return rho.rank(cutoff)
 
 
 def embed_operator(op: np.ndarray, dims, subsystems) -> np.ndarray:

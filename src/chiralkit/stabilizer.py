@@ -325,7 +325,6 @@ def conjugation_pauli(group: StabilizerGroup) -> PauliString:
 # Magic monotones for pure states
 # ---------------------------------------------------------------------------
 
-PAULI_ENUM_MAX_QUBITS = 7
 FIDELITY_ENUM_MAX_QUBITS = 4
 
 
@@ -338,8 +337,8 @@ def stabilizer_nullity(psi: np.ndarray, n: int, tol: float = 1e-8) -> int:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != 1 << n:
         raise ValueError(f"state dimension {psi.size} is not 2^{n}")
-    if n > PAULI_ENUM_MAX_QUBITS:
-        raise ValueError(f"enumeration of 4^{n} strings refused (max {PAULI_ENUM_MAX_QUBITS})")
+    if n > _pauli.PAULI_ENUM_MAX_QUBITS:
+        raise ValueError(f"enumeration of 4^{n} strings refused (max {_pauli.PAULI_ENUM_MAX_QUBITS})")
     table = np.abs(_pauli.pauli_expectations(psi))
     count = int(np.sum(table > 1.0 - tol))
     k = count.bit_length() - 1
@@ -477,7 +476,7 @@ def verify_magic_bounds(
     )
     nullity = stabilizer_nullity(psi, n)
     fid = stabilizer_fidelity(psi, n)
-    minus2logf = -2.0 * float(np.log(max(fid, 1e-300)))
+    minus2logf = max(0.0, -2.0 * float(np.log(max(fid, 1e-300))))
     report = MagicBoundsReport(c, c_p, nullity, fid, minus2logf, tolerance)
     checks = [
         ("C <= C_P", c, c_p),

@@ -1,6 +1,10 @@
 """Chirality-measure tests: worked examples against independent oracles,
 structural invariants, and the orbit optimizer."""
 
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,10 +16,19 @@ from chiralkit.qmat import (
     bipartition,
     conjugate,
     eig_hermitian,
+    embed_operator,
+    imaginary_power,
+    matrix_log_on_support,
+    partial_trace,
     pure_state_density,
     tensor_product,
 )
-from chiralkit.sampling import random_mixed_state, random_pure_state, split_rng
+from chiralkit.sampling import (
+    random_mixed_state,
+    random_pure_state,
+    random_two_qubit_maximally_mixed,
+    split_rng,
+)
 from chiralkit.states import chiral_qutrit_qubit, t_state_vector
 
 SPLIT = bipartition([0], [1])
@@ -35,12 +48,37 @@ def classical_state(seed):
 # --- independent eigenbasis oracles (explicit index sums, no matrix algebra)
 
 
+def modular_hamiltonians(rho, split):
+    """(K_AB, K_A (x) I, I (x) K_B) built densely, independent of modular_set."""
+    ks = [-matrix_log_on_support(rho)]
+    for group in split.groups:
+        k = -matrix_log_on_support(partial_trace(rho, group))
+        ks.append(embed_operator(k, rho.dims, group))
+    return tuple(ks)
+
+
 def _modular_pieces(rho, split):
-    ms = ch.modular_set(rho, split)
+    k_ab, k_a, k_b = modular_hamiltonians(rho, split)
     dec = eig_hermitian(rho.data)
     v = dec.eigenvectors
     rot = lambda m: v.conj().T @ m @ v
-    return dec.eigenvalues, rot(ms.k_ab), rot(ms.k_a), rot(ms.k_b), rot(rho.data)
+    return dec.eigenvalues, rot(k_ab), rot(k_a), rot(k_b), rot(rho.data)
+
+
+def quadrature_gamma(rho, split, s_max=8.0, panels=64, order=8):
+    """gamma_s integrated against sech(pi s) by composite Gauss-Legendre
+    quadrature on [-s_max, s_max] (512 nodes), with the dense flow oracle."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(-s_max, s_max, panels + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    p, k, ka, kb, r = _modular_pieces(rho, split)
+    g = ka * (kb * p[None, :] - p[:, None] * kb).T  # K_A entrywise [K_B, rho]^T
+    kappa = np.diag(k).real
+    delta = kappa[:, None] - kappa[None, :]
+    vals = [np.real(1j * np.sum(np.cos(s * delta) * g)) for s in nodes]
+    return float(np.sum(weights / np.cosh(np.pi * nodes) * np.array(vals)))
 
 
 def oracle_j2(rho, split):
@@ -134,25 +172,48 @@ def oracle_modular_commutator(rho, split):
 class TestModularSet:
     def test_maximally_mixed(self):
         ms = ch.modular_set(DensityMatrix((2, 2), np.eye(4) / 4), SPLIT)
-        assert np.allclose(ms.k_ab, np.log(4) * np.eye(4))
-        assert np.allclose(ms.k_a, np.log(2) * np.eye(4))
+        assert np.allclose(ms.p, 0.25) and np.allclose(ms.kappa, np.log(4))
+        assert np.allclose(ms.k_a_eigbasis, np.log(2) * np.eye(4))
+        assert np.allclose(ms.k_b_eigbasis, np.log(2) * np.eye(4))
 
     def test_product_additivity_of_logs(self):
         a, b = rho_rand((2,), 20), rho_rand((2,), 20, 1)
         ms = ch.modular_set(tensor_product(a, b), SPLIT)
-        assert np.max(np.abs(ms.k_ab - ms.k_a - ms.k_b)) < 1e-9
+        assert np.max(np.abs(np.diag(ms.kappa) - ms.k_a_eigbasis - ms.k_b_eigbasis)) < 1e-9
 
     def test_round_trip(self):
         rho = rho_rand((2, 2), 21)
         ms = ch.modular_set(rho, SPLIT)
-        dec = eig_hermitian(-ms.k_ab)
-        back = (dec.eigenvectors * np.exp(dec.eigenvalues)) @ dec.eigenvectors.conj().T
+        v = ms.eigenvectors
+        back = (v * np.exp(-ms.kappa)) @ v.conj().T
         assert np.max(np.abs(back - rho.data)) < 1e-9
+        _, k_a, k_b = modular_hamiltonians(rho, SPLIT)
+        assert np.max(np.abs(v @ ms.k_a_eigbasis @ v.conj().T - k_a)) < 1e-10
+        assert np.max(np.abs(v @ ms.k_b_eigbasis @ v.conj().T - k_b)) < 1e-10
 
     def test_marginal_hamiltonians_commute(self):
         rho = rho_rand((2, 3), 22)
         ms = ch.modular_set(rho, SPLIT)
-        assert np.max(np.abs(ms.k_a @ ms.k_b - ms.k_b @ ms.k_a)) < 1e-10
+        ka, kb = ms.k_a_eigbasis, ms.k_b_eigbasis
+        assert np.max(np.abs(ka @ kb - kb @ ka)) < 1e-10
+
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 8)])
+    @pytest.mark.parametrize("call", ["measure_report", "intrinsic_ip", "check_gamma_qfi_bound"])
+    def test_diagonalises_once(self, monkeypatch, call, dims):
+        # one eigendecomposition of rho plus one per marginal
+        from chiralkit import correlations as co
+
+        fn = {
+            "measure_report": lambda rho: ch.measure_report(rho, SPLIT),
+            "intrinsic_ip": lambda rho: co.intrinsic_ip(rho, SPLIT, "A"),
+            "check_gamma_qfi_bound": lambda rho: co.check_gamma_qfi_bound(rho, SPLIT),
+        }[call]
+        rho = rho_rand(dims, 19)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        fn(rho)
+        assert len(calls) == 3
 
 
 class TestNestedCommutatorMeasures:
@@ -202,25 +263,36 @@ class TestNestedCommutatorMeasures:
 class TestModularFlow:
     def test_s_zero(self):
         rho = rho_rand((2, 2), 30)
-        ms = ch.modular_set(rho, SPLIT)
+        _, k_a, _ = modular_hamiltonians(rho, SPLIT)
         kp, km = ch.modular_flowed_k(rho, SPLIT, "A", 0.0)
-        assert np.allclose(kp, ms.k_a, atol=1e-12)
+        assert np.allclose(kp, k_a, atol=1e-12)
         assert np.max(np.abs(km)) < 1e-12
 
     def test_product_state_flow_is_trivial(self):
         prod = tensor_product(rho_rand((2,), 31), rho_rand((2,), 31, 1))
-        ms = ch.modular_set(prod, SPLIT)
+        _, _, k_b = modular_hamiltonians(prod, SPLIT)
         kp, km = ch.modular_flowed_k(prod, SPLIT, "B", 1.3)
-        assert np.max(np.abs(kp - ms.k_b)) < 1e-9
+        assert np.max(np.abs(kp - k_b)) < 1e-9
         assert np.max(np.abs(km)) < 1e-9
 
     def test_series_leading_term(self):
         rho = rho_rand((2, 2), 32)
-        ms = ch.modular_set(rho, SPLIT)
+        k_ab, k_a, _ = modular_hamiltonians(rho, SPLIT)
         s = 1e-4
         _, km = ch.modular_flowed_k(rho, SPLIT, "A", s)
-        lead = -s * (ms.k_ab @ ms.k_a - ms.k_a @ ms.k_ab)
+        lead = -s * (k_ab @ k_a - k_a @ k_ab)
         assert np.max(np.abs(km - lead)) < 1e-10
+
+    def test_phase_form_equals_dense_flow(self):
+        # K_P(s) = u K_P u† with u = exp(i s K_AB) = rho^{-is}
+        rho = rho_rand((2, 3), 39)
+        _, k_a, _ = modular_hamiltonians(rho, SPLIT)
+        s = 0.9
+        u = imaginary_power(rho, -s)
+        ud = u.conj().T
+        kp, km = ch.modular_flowed_k(rho, SPLIT, "A", s)
+        assert np.max(np.abs(kp - 0.5 * (u @ k_a @ ud + ud @ k_a @ u))) < 1e-12
+        assert np.max(np.abs(km - 0.5j * (u @ k_a @ ud - ud @ k_a @ u))) < 1e-12
 
     def test_trace_against_state_vanishes(self):
         rho = rho_rand((2, 3), 33)
@@ -284,21 +356,32 @@ class TestGammaIntegral:
         from chiralkit.correlations import sld_apply
 
         rho = rho_rand((2, 2), 42)
-        ms = ch.modular_set(rho, SPLIT)
+        _, k_a, k_b = modular_hamiltonians(rho, SPLIT)
         dec = eig_hermitian(rho.data)
         sq = (dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0, None))) @ dec.eigenvectors.conj().T
-        c = rho.data @ ms.k_b - ms.k_b @ rho.data
-        oracle = np.real(-1j * np.trace(ms.k_a @ sq @ sld_apply(rho, c) @ sq))
+        c = rho.data @ k_b - k_b @ rho.data
+        oracle = np.real(-1j * np.trace(k_a @ sq @ sld_apply(rho, c) @ sq))
         assert ch.gamma_integral(rho, SPLIT) == pytest.approx(oracle, abs=1e-8)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError, match="rank-deficient"):
             ch.gamma_integral(chiral_qutrit_qubit(), SPLIT)
 
-    def test_truncation_bound_reported(self):
-        res = ch.gamma_integral_detail(rho_rand((2, 2), 43), SPLIT)
-        assert res.truncation_bound >= 0
-        assert res.truncation_bound < 1e-9
+    def test_closed_form_matches_quadrature(self):
+        for dims in ((2, 2), (2, 3), (4, 8)):
+            rho = rho_rand(dims, 43)
+            assert abs(ch.gamma_integral(rho, SPLIT) - quadrature_gamma(rho, SPLIT)) < 1e-10
+
+    def test_d1024_memory(self):
+        rho = rho_rand((32, 32), 43)
+        tracemalloc.start()
+        try:
+            value = ch.gamma_integral(rho, SPLIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        assert peak < 256 * 2**20
 
 
 class TestModularCommutator:
@@ -370,6 +453,21 @@ class TestLogDistanceOptimizer:
             rho, part, restarts=1, extra_inits=[[x]], seed=0
         )
         assert res.best_fidelity == pytest.approx(1.0, abs=1e-12)
+
+    def test_real_states_give_nonnegative_zero(self):
+        # the best fidelity of a real state can round above 1
+        for i in range(30):
+            rho = rho_rand((2, 2), 58, i)
+            real = DensityMatrix((2, 2), 0.5 * (rho.data + rho.data.conj()))
+            val, _ = ch.chiral_log_distance(real, SPLIT, restarts=2, seed=i)
+            assert val >= 0.0 and math.copysign(1, val) == 1
+
+    def test_target_stop_does_not_report_max_iters(self):
+        rho = random_two_qubit_maximally_mixed(split_rng(1212, 0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ch.chiral_log_distance(rho, SPLIT, restarts=100, seed=3_000_000, target_fidelity=1.0 - 1e-4)
+        assert not [w for w in caught if "max_iters" in str(w.message)]
 
     def test_requires_at_least_one_restart(self):
         with pytest.raises(ValueError, match="restarts"):

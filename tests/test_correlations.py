@@ -86,9 +86,7 @@ class TestSLD:
 
     def test_sech_weight_normalization(self):
         # the quadrature machinery integrates sech(pi s) to 1
-        from chiralkit.chirality import gauss_legendre_panels
-
-        nodes, weights = gauss_legendre_panels(8.0, 64)
+        nodes, weights = co.gauss_legendre_panels(8.0, 64)
         assert np.sum(weights / np.cosh(np.pi * nodes)) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -169,11 +167,11 @@ class TestIntrinsicIP:
         # the calibration, not assumed. The step is chosen large enough that
         # the ~1e-8 accuracy floor of the fidelity does not drown the signal.
         def fd_estimate(rho, split, h=1e-2):
-            from chiralkit.chirality import modular_set
-            from chiralkit.qmat import eig_hermitian
+            from chiralkit.qmat import eig_hermitian, embed_operator
 
-            ms = modular_set(rho, split)
-            dec = eig_hermitian(ms.k_a)
+            group = split.groups[0]
+            k_a = embed_operator(-matrix_log_on_support(partial_trace(rho, group)), rho.dims, group)
+            dec = eig_hermitian(k_a)
             u = (dec.eigenvectors * np.exp(1j * h * dec.eigenvalues)) @ dec.eigenvectors.conj().T
             plus = DensityMatrix(rho.dims, u @ rho.data @ u.conj().T)
             minus = DensityMatrix(rho.dims, u.conj().T @ rho.data @ u)

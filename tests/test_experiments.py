@@ -94,18 +94,6 @@ class TestScan:
         assert rows1 == rows2
         assert rows1[0].seed == derive_seed(4242, 0)
 
-    def test_csv_bytes_identical_across_workers(self):
-        rows1, _ = ex.run_chirality_entanglement_scan(200, 777, threads=1)
-        rows2, _ = ex.run_chirality_entanglement_scan(200, 777, threads=3)
-        assert ex.scan_to_csv(rows1) == ex.scan_to_csv(rows2)
-
-    def test_env_var_controls_workers(self, monkeypatch):
-        monkeypatch.setenv("CHIRALKIT_THREADS", "2")
-        rows_env, _ = ex.run_chirality_entanglement_scan(50, 888)
-        monkeypatch.delenv("CHIRALKIT_THREADS")
-        rows_one, _ = ex.run_chirality_entanglement_scan(50, 888)
-        assert rows_env == rows_one
-
     def test_row_invariants(self):
         rows, summary = ex.run_chirality_entanglement_scan(300, 999)
         for r in rows:

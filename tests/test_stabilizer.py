@@ -1,6 +1,8 @@
 """Stabilizer machinery tests: GF(2) solver against brute force, group
 construction, conjugation solutions, monotone enumeration, magic bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,15 @@ class TestMagicBounds:
         psi = st.random_stabilizer_vector(2, rng)
         rep = st.verify_magic_bounds(psi, 2, restarts=5, seed=69)
         assert max(abs(v) for v in rep.chain) < 1e-7
+
+    def test_stabilizer_chain_is_nonnegative_zero(self):
+        # fidelities of stabilizer states can round above 1
+        rng = split_rng(72, 0)
+        for i in range(10):
+            psi = st.random_stabilizer_vector(3, rng)
+            rep = st.verify_magic_bounds(psi, 3, restarts=2, seed=i)
+            for v in (rep.log_distance, rep.pauli_log_distance, rep.minus_two_log_fidelity):
+                assert v >= 0.0 and math.copysign(1, v) == 1
 
     def test_t_tensor_t(self):
         psi = np.kron(t_state_vector(), t_state_vector())
