@@ -263,6 +263,9 @@ class OptimizationResult:
     a lower bound on the true maximal fidelity, so -log(best_fidelity) is an
     upper estimate of the log-distance. Fidelity 1 (within certificate_tol)
     certifies nonchirality; a value below 1 witnesses nothing by itself.
+    stationarity holds, per restart, the largest over parties of the
+    Frobenius norm of the skew-Hermitian part of M_t U_t at the returned
+    unitaries: 0 at a stationary point, whatever the stop rule reported.
     """
 
     best_fidelity: float
@@ -273,6 +276,7 @@ class OptimizationResult:
     converged: list[bool]
     best_restart: int
     fidelities: np.ndarray = field(repr=False)
+    stationarity: np.ndarray = field(repr=False)
     certificate_tol: float = 1e-8
 
     @property
@@ -298,13 +302,87 @@ def _fused_purification(rho: DensityMatrix, split: Partition, cutoff: float):
     return tens.reshape(gdims), gdims
 
 
-def _apply_batched(u: np.ndarray, tens: np.ndarray, axis: int) -> np.ndarray:
-    """Apply per-restart unitaries u (R, d, d) to axis `axis` of tens (R, ...)."""
-    moved = np.moveaxis(tens, axis, -1)
-    shape = moved.shape
-    flat = moved.reshape(shape[0], -1, shape[-1])
-    out = np.einsum("rxb,rab->rxa", flat, u)
-    return np.moveaxis(out.reshape(shape), -1, axis)
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _polar_max(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of square matrices m (..., d, d): the unitaries U that
+    maximize |Tr(U M)|, and the trace norms of M.
+
+    U = V W^dagger for M = W S V^dagger, so U M = V S V^dagger is positive and
+    Tr(U M) is the trace norm. At d = 2 the polar factor of M has the closed
+    form (M + e^{i arg det M} adj(M)^dagger) / (s_1 + s_2) with
+    s_1 + s_2 = sqrt(||M||_F^2 + 2 |det M|) (Higham 1986); a singular M takes
+    the phase 1, which still gives a unitary, and M = 0 gives the identity, as
+    the SVD does. Larger d uses the SVD.
+    """
+    if m.shape[-1] != 2:
+        w, s, vh = np.linalg.svd(m)
+        return np.conj(np.swapaxes(w @ vh, -1, -2)), s.sum(axis=-1)
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    absdet = np.abs(det)
+    phase = np.divide(det.conj(), absdet, out=np.ones_like(det), where=absdet > 0.0)
+    parts = np.ascontiguousarray(m).view(np.float64)
+    norm = np.sqrt((parts * parts).sum(axis=(-2, -1)) + 2.0 * absdet)
+    # (M^dagger + e^{-i arg det M} adj M)^T, as adj M is the transposed
+    # reversal of M with the off-diagonal signs flipped
+    u = np.conj(m) + (phase[..., None, None] * _ADJ_SIGNS) * m[..., ::-1, ::-1]
+    scale = norm
+    zero = norm == 0.0
+    if zero.any():
+        scale = np.where(zero, 1.0, norm)
+        u[zero] = np.eye(2)
+    return np.swapaxes(u / scale[..., None, None], -1, -2), norm
+
+
+class _OrbitContraction:
+    """The purification tensor laid out once per party, so that applying a
+    stack of party unitaries and forming the data matrices M_t are reshapes
+    and batched products on a flat (restarts, dim) state."""
+
+    def __init__(self, base: np.ndarray):
+        self.base = base.reshape(-1)
+        dims = base.shape
+        self.active = [t for t, d in enumerate(dims) if d > 1]
+        self.shapes = {}
+        self.env = {}
+        for t in self.active:
+            a, b = int(np.prod(dims[:t])), int(np.prod(dims[t + 1:]))
+            self.shapes[t] = (a, dims[t], b)
+            # (a b, d_t): the base with party t as its column index
+            env = base.reshape(a, dims[t], b).transpose(0, 2, 1).reshape(a * b, dims[t])
+            self.env[t] = np.ascontiguousarray(env)
+
+    def apply(self, us, skip: int | None = None) -> np.ndarray:
+        """(R, dim) stack of (x)_k U_k |base> over the active parties k != skip."""
+        theta = self.base[None]
+        for k in self.active:
+            if k != skip:
+                theta = us[k][:, None] @ theta.reshape(len(theta), *self.shapes[k])
+        nres = len(us[0])
+        if len(theta) < nres:
+            return np.broadcast_to(self.base, (nres, self.base.size))
+        return theta.reshape(nres, -1)
+
+    def data_matrix(self, us, t: int) -> np.ndarray:
+        """M_t (R, d_t, d_t), with the overlap equal to Tr(U_t M_t)."""
+        a, d, b = self.shapes[t]
+        theta = self.apply(us, skip=t).reshape(-1, a, d, b).swapaxes(1, 2)
+        return theta.reshape(-1, d, a * b) @ self.env[t]
+
+    def overlaps(self, us) -> np.ndarray:
+        return self.apply(us) @ self.base
+
+    def stationarity(self, us) -> np.ndarray:
+        """Per restart, the largest over parties of ||skew(M_t U_t)||_F. Every
+        sweep leaves the overlap real and positive, and there this vanishes
+        exactly at the stationary points of the overlap modulus."""
+        out = np.zeros(len(us[0]))
+        for t in self.active:
+            mu = self.data_matrix(us, t) @ us[t]
+            skew = 0.5 * (mu - np.conj(np.swapaxes(mu, 1, 2)))
+            out = np.maximum(out, np.linalg.norm(skew, axis=(1, 2)))
+        return out
 
 
 def alternating_orbit_overlap(
@@ -318,51 +396,48 @@ def alternating_orbit_overlap(
     single-party updates, batched over restarts.
 
     Fixing every party but t makes the objective |Tr(U_t M_t)| for a data
-    matrix M_t, maximized by U_t = V W† from the SVD M_t = W S V†; each update
-    is therefore monotone in the overlap. Returns per-restart fidelities,
-    unitaries, sweep counts and convergence flags.
+    matrix M_t, maximized by the adjoint polar factor of M_t (_polar_max); each
+    update is therefore monotone in the overlap. A restart whose gain per
+    sweep falls below tol keeps the unitaries and fidelity of that sweep and
+    leaves the batch. Returns per-restart fidelities, overlaps, unitaries,
+    sweep counts and convergence flags, and the best restart.
     """
-    party_dims = base.shape
-    m = len(party_dims)
+    orbit = _OrbitContraction(base)
     nres = len(inits)
-    us = [np.stack([np.asarray(init[t], dtype=complex) for init in inits]) for t in range(m)]
-    active = [t for t in range(m) if party_dims[t] > 1]
-    base_flat = {t: np.moveaxis(base, t, -1).reshape(-1, party_dims[t]) for t in active}
-
-    def overlap_all() -> np.ndarray:
-        theta = np.broadcast_to(base, (nres,) + base.shape)
-        for t in active:
-            theta = _apply_batched(us[t], theta, t + 1)
-        return theta.reshape(nres, -1) @ base.reshape(-1)
-
-    fid = np.abs(overlap_all()) ** 2
+    us = [np.stack([np.asarray(init[t], dtype=complex) for init in inits]) for t in range(base.ndim)]
+    fid = np.abs(orbit.overlaps(us)) ** 2
     iters = np.zeros(nres, dtype=int)
     converged = np.zeros(nres, dtype=bool)
+    live = np.arange(nres)
+    live_us = list(us)
+    live_fid = fid
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
-        for t in active:
-            theta = np.broadcast_to(base, (nres,) + base.shape)
-            for k in active:
-                if k != t:
-                    theta = _apply_batched(us[k], theta, k + 1)
-            tm = np.moveaxis(theta, t + 1, -1).reshape(nres, -1, party_dims[t])
-            o = np.einsum("xa,rxb->rab", base_flat[t], tm)
-            w, s, vh = np.linalg.svd(np.swapaxes(o, 1, 2))
-            us[t] = np.conj(np.swapaxes(w @ vh, 1, 2))
-            new_fid = np.sum(s, axis=1) ** 2
-        gained = new_fid - fid
-        fid = new_fid
-        just_done = (~converged) & (gained < tol)
-        iters[just_done] = sweeps
-        converged |= just_done
-        if converged.all():
-            break
+        new_fid = live_fid
+        for t in orbit.active:
+            live_us[t], norm = _polar_max(orbit.data_matrix(live_us, t))
+            new_fid = norm**2
+        done = new_fid - live_fid < tol
+        live_fid = new_fid
+        fid[live] = live_fid
+        if done.any():
+            finished = live[done]
+            for t in orbit.active:
+                us[t][finished] = live_us[t][done]
+            iters[finished] = sweeps
+            converged[finished] = True
+            keep = ~done
+            live, live_fid = live[keep], live_fid[keep]
+            live_us = [u[keep] for u in live_us]
+            if not live.size:
+                break
         if target_fidelity is not None and fid.max() >= target_fidelity:
             break
-    iters[~converged] = sweeps
+    for t in orbit.active:
+        us[t][live] = live_us[t]
+    iters[live] = sweeps
     best = int(np.argmax(fid))  # argmax takes the lowest index on ties
-    overlap_final = overlap_all()
-    return fid, overlap_final, us, iters, converged, best
+    return fid, orbit.overlaps(us), us, iters, converged, best
 
 
 def _identity_inits(party_dims) -> list[np.ndarray]:
@@ -412,6 +487,7 @@ def chiral_log_distance(
     fid, overlaps, us, iters, converged, best = alternating_orbit_overlap(
         base, inits, max_iters, tol, target_fidelity
     )
+    stationarity = _OrbitContraction(base).stationarity(us)
     # a target_fidelity stop leaves restarts unconverged before max_iters
     stalled = int(np.sum(iters[~converged] >= max_iters))
     if stalled:
@@ -429,6 +505,7 @@ def chiral_log_distance(
         converged=converged.tolist(),
         best_restart=best,
         fidelities=fid,
+        stationarity=stationarity,
     )
     # the fidelity can round above 1; a distance is never negative
     value = max(0.0, -float(np.log(max(result.best_fidelity, 1e-300))))

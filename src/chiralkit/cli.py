@@ -118,12 +118,13 @@ def _cmd_qfi(args) -> int:
     split = Partition.parse(args.split)
     dec, reason = co.is_classical_quantum(rho, split, args.party)
     verdict = co.noncommutativity_verdict(rho, split)
+    ms = ch.modular_set(rho, split)  # one spectrum serves both parties
     _emit(
         {
             "state": args.state,
             "split": args.split,
-            "intrinsic_ip_A": _qty(co.intrinsic_ip(rho, split, "A"), 1e-9),
-            "intrinsic_ip_B": _qty(co.intrinsic_ip(rho, split, "B"), 1e-9),
+            "intrinsic_ip_A": _qty(co._intrinsic_ip(ms, "A"), 1e-9),
+            "intrinsic_ip_B": _qty(co._intrinsic_ip(ms, "B"), 1e-9),
             "classical_quantum": {
                 "party": args.party,
                 "detected": dec is not None,

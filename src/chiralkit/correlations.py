@@ -85,7 +85,10 @@ def sld_integral_form(
     delta = logp[:, None] - logp[None, :]
     nodes, weights = gauss_legendre_panels(s_max, panels, order=8)
     sech = 1.0 / np.cosh(np.pi * nodes)
-    kernel = np.tensordot(weights * sech, np.exp(1j * np.outer(nodes, delta.ravel())), axes=(0, 0))
+    kernel = np.zeros(delta.size, dtype=complex)
+    # one panel of nodes at a time, so the phase block is (8, d^2) at any panel count
+    for s, w in zip(nodes.reshape(panels, -1), (weights * sech).reshape(panels, -1)):
+        kernel += w @ np.exp(1j * np.outer(s, delta.ravel()))
     kernel = kernel.reshape(delta.shape)
     scaled = ob * kernel / np.sqrt(np.outer(p, p))
     return v @ scaled @ v.conj().T

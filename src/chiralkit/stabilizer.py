@@ -424,7 +424,8 @@ def stabilizer_fidelity(psi: np.ndarray, n: int) -> float:
     if psi.size != 1 << n:
         raise ValueError(f"state dimension {psi.size} is not 2^{n}")
     states = pure_stabilizer_states(n)
-    return float(np.max(np.abs(states.conj() @ psi) ** 2))
+    # |<s|psi>| = |<psi*|s*>|: conjugate the state, not the cached enumeration
+    return float(np.max(np.abs(states @ psi.conj()) ** 2))
 
 
 # ---------------------------------------------------------------------------

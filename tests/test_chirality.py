@@ -29,7 +29,7 @@ from chiralkit.sampling import (
     random_two_qubit_maximally_mixed,
     split_rng,
 )
-from chiralkit.states import chiral_qutrit_qubit, t_state_vector
+from chiralkit.states import chiral_qutrit_qubit, commuting_chiral_qudit_qubit, t_state_vector
 
 SPLIT = bipartition([0], [1])
 
@@ -167,6 +167,54 @@ def oracle_modular_commutator(rho, split):
             for c in range(d):
                 tot += rho.data[a, b] * (kab[b, c] * kbc[c, a] - kbc[b, c] * kab[c, a])
     return (1j * tot).real
+
+
+def _oracle_apply(u, tens, axis):
+    moved = np.moveaxis(tens, axis, -1)
+    shape = moved.shape
+    flat = moved.reshape(shape[0], -1, shape[-1])
+    out = np.einsum("rxb,rab->rxa", flat, u)
+    return np.moveaxis(out.reshape(shape), -1, axis)
+
+
+def oracle_orbit_overlap(base, inits, max_iters, tol, target_fidelity=None):
+    """The moveaxis + einsum + SVD sweep: every restart is swept until all
+    have met tol, and the maximizer of |Tr(U M)| is V W^dagger from the SVD."""
+    party_dims = base.shape
+    nres = len(inits)
+    us = [np.stack([np.asarray(init[t], dtype=complex) for init in inits]) for t in range(len(party_dims))]
+    active = [t for t in range(len(party_dims)) if party_dims[t] > 1]
+    base_flat = {t: np.moveaxis(base, t, -1).reshape(-1, party_dims[t]) for t in active}
+
+    def overlap_all():
+        theta = np.broadcast_to(base, (nres,) + base.shape)
+        for t in active:
+            theta = _oracle_apply(us[t], theta, t + 1)
+        return theta.reshape(nres, -1) @ base.reshape(-1)
+
+    fid = np.abs(overlap_all()) ** 2
+    converged = np.zeros(nres, dtype=bool)
+    for _ in range(max_iters):
+        for t in active:
+            theta = np.broadcast_to(base, (nres,) + base.shape)
+            for k in active:
+                if k != t:
+                    theta = _oracle_apply(us[k], theta, k + 1)
+            tm = np.moveaxis(theta, t + 1, -1).reshape(nres, -1, party_dims[t])
+            o = np.einsum("xa,rxb->rab", base_flat[t], tm)
+            w, s, vh = np.linalg.svd(np.swapaxes(o, 1, 2))
+            us[t] = np.conj(np.swapaxes(w @ vh, 1, 2))
+            new_fid = np.sum(s, axis=1) ** 2
+        converged |= new_fid - fid < tol
+        fid = new_fid
+        if converged.all() or (target_fidelity is not None and fid.max() >= target_fidelity):
+            break
+    return fid, overlap_all(), us
+
+
+def unitarity_defect(u):
+    eye = np.eye(u.shape[-1])
+    return float(np.max(np.abs(np.conj(np.swapaxes(u, -1, -2)) @ u - eye)))
 
 
 class TestModularSet:
@@ -472,6 +520,93 @@ class TestLogDistanceOptimizer:
     def test_requires_at_least_one_restart(self):
         with pytest.raises(ValueError, match="restarts"):
             ch.chiral_log_distance(rho_rand((2, 2), 53), SPLIT, restarts=0)
+
+    def test_parties_of_dimension_one(self):
+        # no party has a unitary to optimize; every restart converges at once
+        rho = DensityMatrix((1,), np.eye(1, dtype=complex))
+        val, res = ch.chiral_log_distance(rho, Partition(((0,),)), restarts=2)
+        assert val == 0.0 and res.best_fidelity == pytest.approx(1.0, abs=1e-15)
+        assert res.iterations_per_restart == [1, 1] and all(res.converged)
+
+    def test_stationarity_reported_per_restart(self):
+        psi = random_pure_state(4, split_rng(47, 0))
+        rho = pure_state_density((2, 2), psi)
+        _, res = ch.chiral_log_distance(rho, SPLIT, restarts=5, seed=47)
+        assert len(res.stationarity) == res.restarts
+        done = np.asarray(res.converged)
+        assert done.any() and np.all(res.stationarity[done] <= 1e-6)
+
+
+def _orbit_cases():
+    cases = [(f"mixed{i}", rho_rand((2, 2), 90, i), SPLIT) for i in range(10)]
+    three = Partition(((0,), (1,), (2,)))
+    for i in range(5):
+        psi = random_pure_state(8, split_rng(91, i))
+        cases.append((f"pure3q{i}", pure_state_density((2, 2, 2), psi), three))
+    cases.append(("C10", commuting_chiral_qudit_qubit((0.05, 0.06, 0.07, 0.82)), SPLIT))
+    return cases
+
+
+ORBIT_CASES = _orbit_cases()
+
+
+class TestOrbitKernel:
+    @pytest.mark.parametrize("rho,part", [c[1:] for c in ORBIT_CASES], ids=[c[0] for c in ORBIT_CASES])
+    def test_matches_einsum_oracle(self, monkeypatch, rho, part):
+        # record the kernel's inputs and outputs inside the public call
+        seen = {}
+        kernel = ch.alternating_orbit_overlap
+
+        def recording(*args):
+            seen["args"], seen["out"] = args, kernel(*args)
+            return seen["out"]
+
+        monkeypatch.setattr(ch, "alternating_orbit_overlap", recording)
+        _, res = ch.chiral_log_distance(rho, part, restarts=20, seed=92)
+        fid, _, us = seen["out"][:3]
+        oracle_fid = oracle_orbit_overlap(*seen["args"])[0]
+        assert abs(fid.max() - oracle_fid.max()) <= 1e-10
+        assert max(unitarity_defect(u) for u in us) <= 1e-12
+        assert abs(abs(ch.orbit_overlap(rho, part, res.unitaries)) ** 2 - res.best_fidelity) <= 1e-12
+
+
+class TestPolarMax:
+    @staticmethod
+    def svd_maximizer(m):
+        w, _, vh = np.linalg.svd(m)
+        return np.conj(np.swapaxes(w @ vh, -1, -2))
+
+    def test_random_matches_svd(self):
+        rng = split_rng(93, 0)
+        m = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+        u, norm = ch._polar_max(m)
+        assert np.max(np.abs(u - self.svd_maximizer(m))) <= 1e-13
+        assert np.max(np.abs(norm - np.linalg.svd(m, compute_uv=False).sum(axis=1))) <= 1e-13
+
+    def test_rank_one_is_unitary_maximizer(self):
+        # the polar factor is not unique here; any unitary with U M >= 0 maximizes
+        rng = split_rng(94, 0)
+        x = rng.standard_normal((20, 2, 2)) + 1j * rng.standard_normal((20, 2, 2))
+        m = x[:, :, :1] @ x[:, :1, :]  # outer products, det exactly 0 or rounding
+        u, norm = ch._polar_max(m)
+        s1 = np.linalg.svd(m, compute_uv=False)[:, 0]
+        assert unitarity_defect(u) <= 1e-14
+        assert np.max(np.abs(norm - s1)) <= 1e-13 * np.max(s1)
+        traces = np.trace(u @ m, axis1=1, axis2=2)
+        assert np.max(np.abs(traces - s1)) <= 1e-13 * np.max(s1)
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+        u, norm = ch._polar_max(singular)
+        assert unitarity_defect(u) <= 1e-15 and norm == pytest.approx(5.0, abs=1e-14)
+        assert np.trace(u @ singular) == pytest.approx(5.0, abs=1e-14)
+
+    def test_zero_gives_identity(self):
+        m = np.zeros((3, 2, 2), dtype=complex)
+        m[1] = [[0.0, 1j], [2.0, 0.0]]
+        u, norm = ch._polar_max(m)
+        assert np.array_equal(u[0], np.eye(2)) and np.array_equal(u[2], np.eye(2))
+        assert norm[0] == 0.0 and norm[2] == 0.0
+        assert np.max(np.abs(u[1] - self.svd_maximizer(m[1]))) <= 1e-15
+        assert np.array_equal(self.svd_maximizer(np.zeros((2, 2))), np.eye(2))
 
 
 class TestPauliLogDistance:

@@ -146,6 +146,24 @@ class TestQfiCommand:
         assert doc["classical_quantum"]["detected"] is True
         assert doc["nonchirality"]["verdict"] == "undecided"
 
+    def test_one_spectrum_for_both_ips(self, example_file, capsys, monkeypatch):
+        # both intrinsic IPs together cost one modular spectrum: 3 eigh calls
+        from chiralkit import correlations as co
+        from chiralkit.qmat import Partition
+
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        rho = parse_state_file(example_file)
+        split = Partition.parse("0|1")
+        co.is_classical_quantum(rho, split, "A")
+        co.noncommutativity_verdict(rho, split)
+        rest = len(calls)
+        calls.clear()
+        assert main(["qfi", "--state", example_file, "--split", "0|1", "--party", "A"]) == 0
+        capsys.readouterr()
+        assert len(calls) - rest == 3
+
 
 class TestBoundsCommand:
     def test_small_suite_passes(self, capsys):

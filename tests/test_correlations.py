@@ -1,6 +1,8 @@
 """Quantum-Fisher machinery tests: SLD forms, intrinsic interferometric
 power, classical-quantum detection, two-qubit invariants, bound checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,31 @@ class TestSLD:
     def test_integral_rejects_rank_deficient(self):
         with pytest.raises(ValueError, match="full-rank"):
             co.sld_integral_form(chiral_qutrit_qubit(), np.eye(6))
+
+    def test_integral_form_matches_one_shot_kernel(self):
+        # the panel-by-panel kernel equals the whole (nodes, d^2) phase tensor
+        rho = rho_rand((2, 3), 84)
+        op = random_hermitian(6, split_rng(84, 1))
+        p, v = np.linalg.eigh(rho.data)
+        delta = np.log(p)[:, None] - np.log(p)[None, :]
+        nodes, weights = co.gauss_legendre_panels(8.0, 256, order=8)
+        sech = 1.0 / np.cosh(np.pi * nodes)
+        kernel = np.tensordot(weights * sech, np.exp(1j * np.outer(nodes, delta.ravel())), axes=(0, 0))
+        ob = v.conj().T @ op @ v
+        oracle = v @ (ob * kernel.reshape(delta.shape) / np.sqrt(np.outer(p, p))) @ v.conj().T
+        assert np.max(np.abs(co.sld_integral_form(rho, op) - oracle)) <= 1e-13
+
+    def test_integral_form_memory(self):
+        # the one-shot phase tensor would be (2048, 64^2) complex, 128 MiB
+        rho = rho_rand((8, 8), 85)
+        op = random_hermitian(64, split_rng(85, 1))
+        tracemalloc.start()
+        try:
+            co.sld_integral_form(rho, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_sech_weight_normalization(self):
         # the quadrature machinery integrates sech(pi s) to 1

@@ -143,6 +143,48 @@ class TestScan:
         assert ks < critical
 
 
+def mpmath_j2(data, dps=50):
+    """i Tr(rho {[K_AB, K_A], K_B}) for a two-qubit matrix, at dps digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        rho = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in data])
+        rho = (rho + rho.H) / 2
+
+        def minus_log(m):
+            e, q = mpmath.eighe(m)
+            return -(q * mpmath.diag([mpmath.log(x) for x in e]) * q.H)
+
+        rho_a, rho_b = mpmath.matrix(2, 2), mpmath.matrix(2, 2)
+        for i in range(2):
+            for j in range(2):
+                rho_a[i, j] = rho[2 * i, 2 * j] + rho[2 * i + 1, 2 * j + 1]
+                rho_b[i, j] = rho[i, j] + rho[2 + i, 2 + j]
+        k_ab, k_a, k_b = minus_log(rho), minus_log(rho_a), minus_log(rho_b)
+        k_a_full, k_b_full = mpmath.zeros(4, 4), mpmath.zeros(4, 4)
+        for i in range(4):
+            for j in range(4):
+                if i % 2 == j % 2:
+                    k_a_full[i, j] = k_a[i // 2, j // 2]
+                if i // 2 == j // 2:
+                    k_b_full[i, j] = k_b[i % 2, j % 2]
+        comm = k_ab * k_a_full - k_a_full * k_ab
+        x = rho * (comm * k_b_full + k_b_full * comm)
+        return float((1j * sum(x[i, i] for i in range(4))).real)
+
+
+class TestScanTail:
+    def test_small_j2_samples_are_real(self):
+        # C13 clause (a) fails because ~8% of |J2| lie below 1e-6; the 15
+        # smallest agree with a 50-digit evaluation, so the tail is not rounding
+        pytest.importorskip("mpmath")
+        rows, _ = ex.run_chirality_entanglement_scan(5000, master_seed=13131313)
+        for row in sorted(rows, key=lambda r: r.abs_j2)[:15]:
+            rho = random_mixed_state((2, 2), np.random.Generator(np.random.Philox(key=row.seed)))
+            ref = mpmath_j2(rho.data)
+            assert abs(ref) < 1e-6
+            assert abs(j2(rho, SPLIT) - ref) <= 1e-16
+
+
 class TestNonmonotonicity:
     def test_standard_weights(self):
         rep = ex.nonmonotonicity_demo((0.5, 0.3, 0.2), restarts=20, seed=7)

@@ -219,6 +219,16 @@ class TestEnumerationAndFidelity:
         psi = np.kron(np.array([1, 0], dtype=complex), t_state_vector())
         assert st.stabilizer_fidelity(psi, 2) == pytest.approx(np.cos(np.pi / 8) ** 2, abs=1e-9)
 
+    def test_matches_conjugated_enumeration(self):
+        # the value conjugates psi; the oracle conjugates the enumeration
+        from chiralkit.sampling import random_pure_state
+
+        states = st.pure_stabilizer_states(4)
+        for i in range(20):
+            psi = random_pure_state(16, split_rng(67, i))
+            oracle = float(np.max(np.abs(states.conj() @ psi) ** 2))
+            assert abs(st.stabilizer_fidelity(psi, 4) - oracle) <= 1e-15
+
     def test_large_n_rejected_with_guidance(self):
         with pytest.raises(ValueError, match="max 4"):
             st.stabilizer_fidelity(np.ones(32) / np.sqrt(32), 5)
