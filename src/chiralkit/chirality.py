@@ -26,6 +26,7 @@ from .qmat import (
     embed_operator,
     matrix_log_on_support,
     partial_trace,
+    purify,
 )
 from .sampling import haar_unitary, split_rng
 
@@ -289,16 +290,10 @@ def _fused_purification(rho: DensityMatrix, split: Partition, cutoff: float):
     ancilla axis. Both the state and its conjugate purify to conjugate
     vectors under the ascending-eigenbasis convention, so the orbit overlap
     is the bilinear form sum_ab psi_a ((x)U)_ab psi_b with no conjugations."""
-    dec = eig_hermitian(rho.data)
-    p = np.clip(dec.eigenvalues, 0.0, None)
-    keep = np.nonzero(p > cutoff * p[-1])[0]
-    mat = dec.eigenvectors[:, keep] * np.sqrt(p[keep])
-    rank = len(keep)
-    n = rho.nsub
-    tens = mat.reshape(rho.dims + (rank,))
-    order = [i for g in split.groups for i in g] + [n]
+    tens = purify(rho, cutoff).reshape(rho.dims + (-1,))
+    order = [i for g in split.groups for i in g] + [rho.nsub]
+    gdims = [int(np.prod([rho.dims[i] for i in g])) for g in split.groups] + [tens.shape[-1]]
     tens = np.ascontiguousarray(tens.transpose(order))
-    gdims = [int(np.prod([rho.dims[i] for i in g])) for g in split.groups] + [rank]
     return tens.reshape(gdims), gdims
 
 
@@ -560,14 +555,7 @@ def pure_state_log_distance(
 def pauli_log_distance_detail(psi: np.ndarray, n_qubits: int):
     """(value, (z, x)) where value = -log max_P |<psi*|P|psi>|^2 over all
     phase-free Pauli strings and (z, x) encode an achieving string."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != 1 << n_qubits:
-        raise ValueError(f"state dimension {psi.size} is not 2^{n_qubits}; qudits are not supported")
-    if n_qubits > _pauli.PAULI_ENUM_MAX_QUBITS:
-        raise ValueError(
-            f"enumeration of 4^{n_qubits} strings refused (max {_pauli.PAULI_ENUM_MAX_QUBITS} qubits)"
-        )
-    table = np.abs(_pauli.pauli_conjugation_overlaps(psi)) ** 2
+    table = np.abs(_pauli.pauli_conjugation_overlaps(psi, n_qubits)) ** 2
     z, x = np.unravel_index(int(np.argmax(table)), table.shape)
     best = float(table[z, x])
     return max(0.0, -float(np.log(max(best, 1e-300)))), (int(z), int(x))

@@ -334,12 +334,7 @@ def stabilizer_nullity(psi: np.ndarray, n: int, tol: float = 1e-8) -> int:
     The definite strings form a group, so the count must be a power of two;
     a non-power count means the tolerance sliced through borderline
     expectations and is reported as an error."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != 1 << n:
-        raise ValueError(f"state dimension {psi.size} is not 2^{n}")
-    if n > _pauli.PAULI_ENUM_MAX_QUBITS:
-        raise ValueError(f"enumeration of 4^{n} strings refused (max {_pauli.PAULI_ENUM_MAX_QUBITS})")
-    table = np.abs(_pauli.pauli_expectations(psi))
+    table = np.abs(_pauli.pauli_expectations(psi, n))
     count = int(np.sum(table > 1.0 - tol))
     k = count.bit_length() - 1
     if count != 1 << k:
@@ -351,78 +346,60 @@ def stabilizer_nullity(psi: np.ndarray, n: int, tol: float = 1e-8) -> int:
 
 
 @lru_cache(maxsize=None)
-def _maximal_isotropic_tableaux(n: int) -> tuple[tuple[int, ...], ...]:
-    """All rank-n reduced-row-echelon n x 2n GF(2) matrices whose rows
-    mutually commute under the symplectic form (one canonical tableau per
-    maximal stabilizer group). Rows are returned bit-packed [z | x << n]."""
-    ncols = 2 * n
-    out = []
-    for pivots in itertools.combinations(range(ncols), n):
-        free_pos = [
-            (i, j)
-            for i in range(n)
-            for j in range(pivots[i] + 1, ncols)
-            if j not in pivots
-        ]
-        nfree = len(free_pos)
-        count = 1 << nfree
-        mats = np.zeros((count, n, ncols), dtype=np.uint8)
-        for i, c in enumerate(pivots):
-            mats[:, i, c] = 1
-        assignments = np.arange(count, dtype=np.uint64)
-        for b, (i, j) in enumerate(free_pos):
-            mats[:, i, j] = (assignments >> np.uint64(b)) & np.uint64(1)
-        mz = mats[:, :, :n].astype(np.int16)
-        mx = mats[:, :, n:].astype(np.int16)
-        sym = (mz @ mx.transpose(0, 2, 1) + mx @ mz.transpose(0, 2, 1)) % 2
-        good = ~np.any(sym, axis=(1, 2))
-        weights = (np.uint64(1) << np.arange(ncols, dtype=np.uint64))
-        packed = (mats[good].astype(np.uint64) * weights).sum(axis=2)
-        out.extend(tuple(int(v) for v in row) for row in packed)
-    return tuple(out)
+def _phase_block(k: int) -> np.ndarray:
+    """Rows i^{l.y} (-1)^{q(y)} over y in GF(2)^k, l.y summed as integers:
+    one row per l in GF(2)^k and per upper-triangular quadratic form q
+    (diagonal included), q major."""
+    y = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    iu, ju = np.triu_indices(k)
+    monomials = y[:, iu] * y[:, ju]
+    q = (np.arange(1 << len(iu))[:, None] >> np.arange(len(iu))) & 1
+    power = 2 * (q @ monomials.T)[:, None, :] + (y @ y.T)[None, :, :]
+    return (1j ** (power % 4)).reshape(-1, 1 << k)
 
 
 @lru_cache(maxsize=None)
 def pure_stabilizer_states(n: int) -> np.ndarray:
     """All pure stabilizer state vectors on n qubits, one per row.
 
-    Built from every canonical maximal tableau with every sign pattern: the
-    n commuting generators are simultaneously diagonalized by one Hermitian
-    eigendecomposition of sum_i 3^i P_i (eigenvalues sum_i +-3^i are all
-    distinct), whose eigenvectors are exactly the 2^n sign-pattern states.
-    Deduplicated by a fingerprint of the rounded projector as a safety net;
-    canonical tableaux should already be duplicate-free."""
+    Built from the normal form of Dehaene & De Moor, PRA 68, 042318 (2003):
+    every pure stabilizer state is 2^{-k/2} sum_{x in A} i^{l(x)} (-1)^{q(x)}
+    |x> with A an affine subspace of dimension k, q quadratic and l linear.
+    A = c + span(B) runs over every reduced-row-echelon basis B and every
+    offset c that is zero at B's pivot bits; x = c ^ (y B) for y in GF(2)^k,
+    and the phases over y are the rows of one block per k. Each state is
+    listed once, with amplitude 2^{-k/2} at x = c. Rows are ordered by k,
+    then basis, then offset, then phase row."""
     if n > FIDELITY_ENUM_MAX_QUBITS:
         raise ValueError(
             f"stabilizer-state enumeration grows like 2^(n^2/2); max {FIDELITY_ENUM_MAX_QUBITS} "
             "qubits supported. Use stabilizer_nullity or the Pauli-restricted "
             "log-distance for larger systems."
         )
-    dim = 1 << n
-    mask = (1 << n) - 1
-    seen: dict[bytes, np.ndarray] = {}
-    for rows in _maximal_isotropic_tableaux(n):
-        m = np.zeros((dim, dim), dtype=complex)
-        for i, row in enumerate(rows):
-            z_lsb, x_lsb = row & mask, row >> n
-            # repack to the basis-index (qubit 0 = MSB) convention
-            z = sum(((z_lsb >> j) & 1) << (n - 1 - j) for j in range(n))
-            x = sum(((x_lsb >> j) & 1) << (n - 1 - j) for j in range(n))
-            m += (3**i) * _pauli.pauli_matrix(z, x, n)
-        _, vecs = np.linalg.eigh(m)
-        for col in range(dim):
-            v = vecs[:, col]
-            proj = np.outer(v, v.conj())
-            key = np.round(proj, 8).tobytes()
-            seen.setdefault(key, v)
-    return np.array(list(seen.values()))
+    idx = np.arange(1 << n)
+    blocks = []
+    for k in range(n + 1):
+        phases = _phase_block(k) / np.sqrt(1 << k)
+        for pivots in itertools.combinations(range(n), k):
+            offsets = idx[(idx & sum(1 << p for p in pivots)) == 0]
+            free = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots]
+            for bits in itertools.product((0, 1), repeat=len(free)):
+                rows = [1 << p for p in pivots]
+                for (i, j), b in zip(free, bits):
+                    rows[i] |= b << j
+                span = np.zeros(1 << k, dtype=int)  # span[y] = y B
+                for i, row in enumerate(rows):
+                    span[1 << i : 2 << i] = span[: 1 << i] ^ row
+                linear = np.zeros((len(phases), 1 << n), dtype=complex)
+                linear[:, span] = phases
+                # the state on c + span(B) is the one on span(B) read at x ^ c
+                blocks.append(linear[:, offsets[:, None] ^ idx].swapaxes(0, 1).reshape(-1, 1 << n))
+    return np.concatenate(blocks)
 
 
 def stabilizer_fidelity(psi: np.ndarray, n: int) -> float:
     """Maximal squared overlap of psi with any pure stabilizer state."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != 1 << n:
-        raise ValueError(f"state dimension {psi.size} is not 2^{n}")
+    psi = _pauli.qubit_vector(psi, n)
     states = pure_stabilizer_states(n)
     # |<s|psi>| = |<psi*|s*>|: conjugate the state, not the cached enumeration
     return float(np.max(np.abs(states @ psi.conj()) ** 2))

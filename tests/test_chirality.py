@@ -299,6 +299,28 @@ class TestNestedCommutatorMeasures:
         rho = rho_rand((2, 2), 28)
         assert fn(rho, bipartition([1], [0])) == pytest.approx(-fn(rho, SPLIT), abs=1e-9)
 
+    @pytest.mark.parametrize("dims", [(1, 4), (3, 1)])
+    def test_party_of_dimension_one(self, dims):
+        # a one-dimensional party carries no correlation: every measure, the
+        # report and both intrinsic IPs vanish (they read 1e-30 and below)
+        from chiralkit.correlations import intrinsic_ip
+
+        rho = DensityMatrix(dims, rho_rand((int(np.prod(dims)),), 30).data)
+        values = [
+            ch.j2(rho, SPLIT),
+            ch.j3(rho, SPLIT),
+            ch.j3_prime(rho, SPLIT),
+            ch.gamma_s(rho, SPLIT, 0.7),
+            ch.phi_s(rho, SPLIT, 0.7),
+            ch.gamma_integral(rho, SPLIT),
+            intrinsic_ip(rho, SPLIT, "A"),
+            intrinsic_ip(rho, SPLIT, "B"),
+        ]
+        report = ch.measure_report(rho, SPLIT)
+        assert len(report.entries) == 6 and not report.notes
+        values += list(report.entries.values())
+        assert max(abs(v) for v in values) <= 1e-12
+
     def test_oddness_and_additivity(self):
         rho, sig = rho_rand((2, 2), 29), rho_rand((2, 2), 29, 1)
         comp = bipartition([0, 2], [1, 3])

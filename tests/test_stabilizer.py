@@ -1,16 +1,92 @@
 """Stabilizer machinery tests: GF(2) solver against brute force, group
 construction, conjugation solutions, monotone enumeration, magic bounds."""
 
+import itertools
 import math
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from chiralkit import _pauli
 from chiralkit import stabilizer as st
 from chiralkit.chirality import chiral_log_distance, pauli_log_distance
 from chiralkit.qmat import Partition
 from chiralkit.sampling import split_rng
 from chiralkit.states import bell_state, ghz_vector, t_state_vector
+
+
+def oracle_maximal_isotropic_tableaux(n):
+    """All rank-n reduced-row-echelon n x 2n GF(2) matrices whose rows
+    mutually commute under the symplectic form (one canonical tableau per
+    maximal stabilizer group). Rows are returned bit-packed [z | x << n]."""
+    ncols = 2 * n
+    out = []
+    for pivots in itertools.combinations(range(ncols), n):
+        free_pos = [(i, j) for i in range(n) for j in range(pivots[i] + 1, ncols) if j not in pivots]
+        count = 1 << len(free_pos)
+        mats = np.zeros((count, n, ncols), dtype=np.uint8)
+        for i, c in enumerate(pivots):
+            mats[:, i, c] = 1
+        assignments = np.arange(count, dtype=np.uint64)
+        for b, (i, j) in enumerate(free_pos):
+            mats[:, i, j] = (assignments >> np.uint64(b)) & np.uint64(1)
+        mz = mats[:, :, :n].astype(np.int16)
+        mx = mats[:, :, n:].astype(np.int16)
+        sym = (mz @ mx.transpose(0, 2, 1) + mx @ mz.transpose(0, 2, 1)) % 2
+        good = ~np.any(sym, axis=(1, 2))
+        weights = np.uint64(1) << np.arange(ncols, dtype=np.uint64)
+        packed = (mats[good].astype(np.uint64) * weights).sum(axis=2)
+        out.extend(tuple(int(v) for v in row) for row in packed)
+    return out
+
+
+@lru_cache(maxsize=None)
+def oracle_pure_stabilizer_states(n):
+    """Every canonical maximal tableau with every sign pattern: the n
+    commuting generators are diagonalized together by one eigendecomposition
+    of sum_i 3^i P_i (eigenvalues sum_i +-3^i are distinct); duplicates are
+    dropped by the rounded projector."""
+    dim = 1 << n
+    mask = dim - 1
+    seen = {}
+    for rows in oracle_maximal_isotropic_tableaux(n):
+        m = np.zeros((dim, dim), dtype=complex)
+        for i, row in enumerate(rows):
+            z_lsb, x_lsb = row & mask, row >> n
+            # repack to the basis-index (qubit 0 = MSB) convention
+            z = sum(((z_lsb >> j) & 1) << (n - 1 - j) for j in range(n))
+            x = sum(((x_lsb >> j) & 1) << (n - 1 - j) for j in range(n))
+            m += (3**i) * _pauli.pauli_matrix(z, x, n)
+        _, vecs = np.linalg.eigh(m)
+        for v in vecs.T:
+            seen.setdefault(np.round(np.outer(v, v.conj()), 8).tobytes(), v)
+    return np.array(list(seen.values()))
+
+
+def phase_free_keys(states):
+    """Sorted bytes of each row divided by the phase of its first nonzero
+    entry: equal key lists mean equal sets of states up to global phase."""
+    first = np.argmax(np.abs(states) > 1e-6, axis=1)
+    lead = states[np.arange(len(states)), first]
+    w = states * (np.abs(lead) / lead)[:, None]
+    return sorted(row.tobytes() for row in np.round(w, 8) + 0j)
+
+
+def oracle_value_table(psi, conjugate_bra):
+    """The Pauli table one x column at a time: out[:, x] = H (bra[b ^ x] psi)."""
+    dim = psi.size
+    n = dim.bit_length() - 1
+    h = _pauli._walsh_hadamard(n)
+    idx = np.arange(dim)
+    out = np.empty((dim, dim), dtype=complex)
+    for x in range(dim):
+        bra = psi[idx ^ x]
+        if conjugate_bra:
+            bra = bra.conj()
+        out[:, x] = h @ (bra * psi)
+    return out * _pauli._i_power_table(n)
 
 
 class TestF2Solve:
@@ -179,6 +255,32 @@ class TestNullity:
         psi = np.kron(t_state_vector(), np.array([1, 0], dtype=complex))
         assert st.stabilizer_nullity(psi, 2) == 1
 
+    def test_ghz_ten_qubits(self):
+        assert st.stabilizer_nullity(ghz_vector(10), 10) == 0
+
+    def test_t_tensor_ten_qubits(self):
+        psi = np.array([1.0], dtype=complex)
+        for _ in range(10):
+            psi = np.kron(psi, t_state_vector())
+        assert st.stabilizer_nullity(psi, 10) == 10
+        assert pauli_log_distance(psi, 10) < 1e-9
+
+    def test_eleven_qubits_refused_before_allocation(self):
+        psi = np.zeros(1 << 11, dtype=complex)
+        psi[0] = 1.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="refused"):
+                st.stabilizer_nullity(psi, 11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one 4^11 table is 64 MiB
+
+    def test_dimension_must_be_two_to_the_n(self):
+        with pytest.raises(ValueError, match="not 2"):
+            st.stabilizer_nullity(np.ones(8) / np.sqrt(8), 2)
+
     def test_tolerance_failure_reported(self):
         # weights tuned so one generator of the near-definite group falls
         # outside the tolerance while two stay inside: count = 3
@@ -196,6 +298,11 @@ class TestEnumerationAndFidelity:
 
     def test_state_count_n4(self):
         assert len(st.pure_stabilizer_states(4)) == 36720
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_tableau_oracle(self, n):
+        states = st.pure_stabilizer_states(n)
+        assert phase_free_keys(states) == phase_free_keys(oracle_pure_stabilizer_states(n))
 
     def test_states_are_normalized_and_distinct(self):
         states = st.pure_stabilizer_states(2)
@@ -229,6 +336,38 @@ class TestEnumerationAndFidelity:
             oracle = float(np.max(np.abs(states.conj() @ psi) ** 2))
             assert abs(st.stabilizer_fidelity(psi, 4) - oracle) <= 1e-15
 
+    def test_matches_tableau_oracle_fidelity(self):
+        # the oracle's eigh vectors are off by up to 1.1e-15 in F on these
+        # states (against 50 digits), so 2e-15 is the oracle's own precision
+        from chiralkit.sampling import random_pure_state
+
+        states = oracle_pure_stabilizer_states(4)
+        for i in range(20):
+            psi = random_pure_state(16, split_rng(67, i))
+            oracle = float(np.max(np.abs(states.conj() @ psi) ** 2))
+            assert abs(st.stabilizer_fidelity(psi, 4) - oracle) <= 2e-15
+
+    def test_fidelity_against_50_digits(self):
+        # normal-form amplitudes are exactly {1, i, -1, -i} / sqrt(support)
+        mpmath = pytest.importorskip("mpmath")
+        from chiralkit.sampling import random_pure_state
+
+        states = st.pure_stabilizer_states(4)
+        for i in range(20):
+            psi = random_pure_state(16, split_rng(67, i))
+            value = st.stabilizer_fidelity(psi, 4)
+            overlaps = np.abs(states @ psi.conj()) ** 2
+            exact = 0.0
+            with mpmath.workdps(50):
+                for row in states[overlaps >= overlaps.max() - 1e-12]:
+                    size = int(np.count_nonzero(row))
+                    units = np.rint(row * np.sqrt(size))
+                    amp = mpmath.fsum(
+                        mpmath.mpc(u.real, u.imag) * mpmath.mpc(p.real, -p.imag) for u, p in zip(units, psi)
+                    )
+                    exact = max(exact, float(abs(amp) ** 2 / size))
+            assert abs(value - exact) <= 5e-16
+
     def test_large_n_rejected_with_guidance(self):
         with pytest.raises(ValueError, match="max 4"):
             st.stabilizer_fidelity(np.ones(32) / np.sqrt(32), 5)
@@ -246,6 +385,32 @@ class TestEnumerationAndFidelity:
             rotated = _pauli.pauli_matrix(z, x, 2) @ psi
             assert st.stabilizer_fidelity(rotated, 2) == pytest.approx(f0, abs=1e-10)
             assert st.stabilizer_nullity(rotated, 2) == nu0
+
+
+class TestPauliTables:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_match_loop_oracle(self, n):
+        from chiralkit.sampling import random_pure_state
+
+        psi = random_pure_state(1 << n, split_rng(73, n))
+        for table, conjugate_bra in (
+            (_pauli.pauli_expectations, True),
+            (_pauli.pauli_conjugation_overlaps, False),
+        ):
+            assert np.max(np.abs(table(psi, n) - oracle_value_table(psi, conjugate_bra))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_match_dense_strings(self, n):
+        from chiralkit.sampling import random_pure_state
+
+        psi = random_pure_state(1 << n, split_rng(74, n))
+        expect = _pauli.pauli_expectations(psi, n)
+        overlap = _pauli.pauli_conjugation_overlaps(psi, n)
+        for z in range(1 << n):
+            for x in range(1 << n):
+                p_psi = _pauli.pauli_matrix(z, x, n) @ psi
+                assert abs(expect[z, x] - psi.conj() @ p_psi) <= 1e-14
+                assert abs(overlap[z, x] - psi @ p_psi) <= 1e-14
 
 
 class TestStabilizerNonchirality:
