@@ -22,10 +22,10 @@ from .qmat import (
     SUPPORT_CUTOFF,
     DensityMatrix,
     Partition,
+    dagger,
     eig_hermitian,
     embed_operator,
-    matrix_log_on_support,
-    partial_trace,
+    marginal_log,
     purify,
 )
 from .sampling import haar_unitary, split_rng
@@ -35,14 +35,29 @@ from .sampling import haar_unitary, split_rng
 IMAG_RESIDUE_TOL = 1e-8
 
 
-def _real_part(value: complex, label: str, tol: float = IMAG_RESIDUE_TOL) -> float:
-    if abs(value.imag) > tol:
+def _scalar(x: np.ndarray):
+    """A float for a single state, the array of values for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _real_part(value, label: str, tol: float = IMAG_RESIDUE_TOL):
+    """Real part of a value, or of a stack of values, warning with the
+    largest imaginary residue when it exceeds tol."""
+    value = np.asarray(value)
+    imag = value.imag.reshape(-1)
+    worst = imag[np.argmax(np.abs(imag))] if imag.size else 0.0
+    if abs(worst) > tol:
         warnings.warn(
-            f"{label}: imaginary residue {value.imag:.3e} exceeds {tol:.1e}",
+            f"{label}: imaginary residue {worst:.3e} exceeds {tol:.1e}",
             RuntimeWarning,
             stacklevel=3,
         )
-    return float(value.real)
+    return _scalar(value.real)
+
+
+def _sum2(x: np.ndarray) -> np.ndarray:
+    """Sum over the two matrix axes, one value per member."""
+    return np.sum(x, axis=(-2, -1))
 
 
 def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -70,6 +85,8 @@ class ModularSet:
     exp(i s (kappa_i - kappa_j)). k_a_eigbasis and k_b_eigbasis are the
     marginal modular Hamiltonians -log(rho_A) (x) I and I (x) -log(rho_B),
     embedded on the full space and rotated into that basis (V† K V).
+    For a stack of states every field carries the same leading axes, and the
+    measures contracted from it return one value per member.
     """
 
     p: np.ndarray
@@ -85,37 +102,39 @@ class ModularSet:
 
 def modular_set(rho: DensityMatrix, split: Partition) -> ModularSet:
     """Diagonalize rho once and rotate both marginal modular Hamiltonians
-    into its eigenbasis: one eigendecomposition of rho plus one per marginal."""
+    into its eigenbasis: one eigendecomposition of rho plus one per marginal,
+    each a single batched call on a stack of states."""
     split.validate(rho.nsub)
     if split.ngroups != 2:
         raise ValueError(f"expected a bipartition, got {split.ngroups} groups")
     dec = eig_hermitian(rho.data)
     p = np.clip(dec.eigenvalues, 0.0, None)
-    keep = p > SUPPORT_CUTOFF * p[-1]
+    keep = p > SUPPORT_CUTOFF * p[..., -1:]
     kappa = np.where(keep, -np.log(np.where(keep, p, 1.0)), 0.0)
     v = dec.eigenvectors
     rotated = []
     for group in split.groups:
-        k = -matrix_log_on_support(partial_trace(rho, group))
-        rotated.append(v.conj().T @ embed_operator(k, rho.dims, group) @ v)
+        k = -marginal_log(rho, group)
+        rotated.append(dagger(v) @ embed_operator(k, rho.dims, group) @ v)
     return ModularSet(p, kappa, v, rotated[0], rotated[1])
 
 
 def _minus(x: np.ndarray) -> np.ndarray:
     """x_i - x_j."""
-    return x[:, None] - x[None, :]
+    return x[..., :, None] - x[..., None, :]
 
 
 def _plus(x: np.ndarray) -> np.ndarray:
     """x_i + x_j."""
-    return x[:, None] + x[None, :]
+    return x[..., :, None] + x[..., None, :]
 
 
-def _contract(ms: ModularSet, w: np.ndarray, label: str) -> float:
+def _contract(ms: ModularSet, w: np.ndarray, label: str):
     """i sum_ij w_ij (K_A)_ij (K_B)_ji in the eigenbasis of rho. Every
     nested-commutator measure is this sum for its own real antisymmetric
     kernel w, which makes the value real up to rounding."""
-    return _real_part(1j * np.sum(w * ms.k_a_eigbasis * ms.k_b_eigbasis.T), label)
+    kb_t = np.swapaxes(ms.k_b_eigbasis, -1, -2)
+    return _real_part(1j * _sum2(w * ms.k_a_eigbasis * kb_t), label)
 
 
 def _j2(ms: ModularSet) -> float:
@@ -131,7 +150,7 @@ def _j3_prime(ms: ModularSet) -> float:
     # Y = [[K_AB, K_B], K_B] and K_AB = diag(kappa) in this basis
     kb = ms.k_b_eigbasis
     y = _comm(_minus(ms.kappa) * kb, kb)
-    return _real_part(1j * np.sum(_minus(ms.p) * y * kb.T), "J3'")
+    return _real_part(1j * _sum2(_minus(ms.p) * y * np.swapaxes(kb, -1, -2)), "J3'")
 
 
 def _gamma_s(ms: ModularSet, s: float) -> float:
@@ -142,14 +161,16 @@ def _phi_s(ms: ModularSet, s: float) -> float:
     return _contract(ms, -np.sin(s * _minus(ms.kappa)) * _plus(ms.p), f"phi_s(s={s})")
 
 
-def _gamma(ms: ModularSet) -> float:
+def _gamma(ms: ModularSet):
     p = ms.p
-    if p[0] <= SUPPORT_CUTOFF * p[-1]:
+    if np.any(p[..., 0] <= SUPPORT_CUTOFF * p[..., -1]):
+        ratio = np.min(p[..., 0] / p[..., -1])
         raise ValueError(
-            f"state is rank-deficient (min/max eigenvalue ratio {p[0] / p[-1]:.3e}); "
+            f"state is rank-deficient (min/max eigenvalue ratio {ratio:.3e}); "
             "the flow-integrated measure requires full rank"
         )
-    return _contract(ms, 2.0 * np.sqrt(np.outer(p, p)) * _minus(p) / _plus(p), "gamma")
+    outer = p[..., :, None] * p[..., None, :]
+    return _contract(ms, 2.0 * np.sqrt(outer) * _minus(p) / _plus(p), "gamma")
 
 
 def j2(rho: DensityMatrix, split: Partition) -> float:
@@ -188,7 +209,7 @@ def modular_flowed_k(
     k = ms.k_eigbasis(party)
     phase = s * _minus(ms.kappa)
     v = ms.eigenvectors
-    vd = v.conj().T
+    vd = dagger(v)
     return v @ (np.cos(phase) * k) @ vd, v @ (-np.sin(phase) * k) @ vd
 
 
@@ -244,8 +265,8 @@ def modular_commutator(rho: DensityMatrix, split: Partition) -> float:
     if split.ngroups != 3:
         raise ValueError(f"expected a tripartition, got {split.ngroups} groups")
     ga, gb, gc = split.groups
-    k_ab = embed_operator(-matrix_log_on_support(partial_trace(rho, ga + gb)), rho.dims, ga + gb)
-    k_bc = embed_operator(-matrix_log_on_support(partial_trace(rho, gb + gc)), rho.dims, gb + gc)
+    k_ab = embed_operator(-marginal_log(rho, ga + gb), rho.dims, ga + gb)
+    k_bc = embed_operator(-marginal_log(rho, gb + gc), rho.dims, gb + gc)
     val = 1j * np.trace(rho.data @ _comm(k_ab, k_bc))
     return _real_part(val, "modular commutator")
 

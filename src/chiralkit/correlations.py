@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chirality import ModularSet, _gamma, _party_index, modular_set
+from .chirality import ModularSet, _gamma, _minus, _party_index, _plus, _scalar, _sum2, modular_set
 from .qmat import (
     DensityMatrix,
     Partition,
@@ -62,6 +62,10 @@ def gauss_legendre_panels(s_max: float, panels: int, order: int = 8):
     return nodes, weights
 
 
+# complex entries of one block of sld_integral_form's phase tensor (4 MiB)
+_PHASE_BLOCK_ENTRIES = 1 << 18
+
+
 def sld_integral_form(
     rho: DensityMatrix,
     op: np.ndarray,
@@ -84,11 +88,13 @@ def sld_integral_form(
     logp = np.log(p)
     delta = logp[:, None] - logp[None, :]
     nodes, weights = gauss_legendre_panels(s_max, panels, order=8)
-    sech = 1.0 / np.cosh(np.pi * nodes)
+    weights = weights * (1.0 / np.cosh(np.pi * nodes))
     kernel = np.zeros(delta.size, dtype=complex)
-    # one panel of nodes at a time, so the phase block is (8, d^2) at any panel count
-    for s, w in zip(nodes.reshape(panels, -1), (weights * sech).reshape(panels, -1)):
-        kernel += w @ np.exp(1j * np.outer(s, delta.ravel()))
+    # whole panels of nodes per block, as many as keep the (nodes, d^2) phase
+    # block within _PHASE_BLOCK_ENTRIES (one panel at least)
+    step = 8 * max(1, _PHASE_BLOCK_ENTRIES // (8 * delta.size))
+    for lo in range(0, nodes.size, step):
+        kernel += weights[lo:lo + step] @ np.exp(1j * np.outer(nodes[lo:lo + step], delta.ravel()))
     kernel = kernel.reshape(delta.shape)
     scaled = ob * kernel / np.sqrt(np.outer(p, p))
     return v @ scaled @ v.conj().T
@@ -110,14 +116,14 @@ def qfi(rho: DensityMatrix, ham: np.ndarray, cutoff: float = 1e-12) -> float:
     return float(val.real)
 
 
-def _intrinsic_ip(ms: ModularSet, party) -> float:
+def _intrinsic_ip(ms: ModularSet, party):
     # qfi in the eigenbasis of rho: sum_ij 2 (p_i - p_j)^2 / (p_i + p_j) |(K_P)_ij|^2
     # over the pairs that sld_apply keeps at its default cutoff
     p = ms.p
-    psum = p[:, None] + p[None, :]
+    psum = _plus(p)
     good = psum > 1e-12
-    w = np.where(good, 2.0 * (p[:, None] - p[None, :]) ** 2 / np.where(good, psum, 1.0), 0.0)
-    return float(np.sum(w * np.abs(ms.k_eigbasis(party)) ** 2))
+    w = np.where(good, 2.0 * _minus(p) ** 2 / np.where(good, psum, 1.0), 0.0)
+    return _scalar(_sum2(w * np.abs(ms.k_eigbasis(party)) ** 2))
 
 
 def intrinsic_ip(rho: DensityMatrix, split: Partition, party) -> float:
@@ -357,38 +363,43 @@ def simplex_entropy_max(
     """Numerical maximum of f(x) = sum_i x_i (log x_i)^2 over the probability
     simplex by projected gradient ascent from random interior starts.
 
-    Lands on 0.563 for d = 2 (asymmetric maximizer near (0.839, 0.161)) and
-    on (log d)^2 at the uniform point for d >= 3. With return_argmax, returns
+    All starts climb together as the rows of one (starts, d) array; the best
+    is the first start whose value beats every earlier one. Lands on 0.563
+    for d = 2 (asymmetric maximizer near (0.839, 0.161)) and on (log d)^2 at
+    the uniform point for d >= 3. With return_argmax, returns
     (max, maximizer).
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     rng = np.random.Generator(np.random.Philox(key=seed))
     floor = 1e-15
+    x = np.stack([rng.dirichlet(np.ones(d)) for _ in range(starts)])
+    step = 0.05
+    for it in range(iters):
+        if it == iters // 2:
+            step = 0.005
+        lx = np.log(np.clip(x, floor, 1.0))
+        grad = lx**2 + 2.0 * lx
+        x = _project_simplex(x + step * grad)
+        x = np.clip(x, floor, 1.0)
+        x /= x.sum(axis=-1, keepdims=True)
+    lx = np.log(np.clip(x, floor, 1.0))
+    vals = np.sum(x * lx**2, axis=-1)
     best = 0.0
     best_x = np.ones(d) / d
-    for _ in range(starts):
-        x = rng.dirichlet(np.ones(d))
-        step = 0.05
-        for it in range(iters):
-            if it == iters // 2:
-                step = 0.005
-            lx = np.log(np.clip(x, floor, 1.0))
-            grad = lx**2 + 2.0 * lx
-            x = _project_simplex(x + step * grad)
-            x = np.clip(x, floor, 1.0)
-            x /= x.sum()
-        lx = np.log(np.clip(x, floor, 1.0))
-        val = float(np.sum(x * lx**2))
+    for val, row in zip(vals.tolist(), x):
         if val > best:
-            best, best_x = val, x
+            best, best_x = val, row
     return (best, best_x) if return_argmax else best
 
 
 def _project_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho_idx = np.nonzero(u - css / np.arange(1, len(y) + 1) > 0)[0][-1]
-    theta = css[rho_idx] / (rho_idx + 1.0)
+    """Euclidean projection onto the probability simplex (sort-based), row
+    by row on a (..., d) array."""
+    u = np.sort(y, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    positive = u - css / np.arange(1, y.shape[-1] + 1) > 0
+    # the last positive position, found as the first one from the end
+    rho_idx = y.shape[-1] - 1 - np.argmax(positive[..., ::-1], axis=-1)
+    theta = np.take_along_axis(css, rho_idx[..., None], axis=-1) / (rho_idx[..., None] + 1.0)
     return np.clip(y - theta, 0.0, None)

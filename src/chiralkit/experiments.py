@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chirality import chiral_log_distance, j2
+from .chirality import _scalar, chiral_log_distance, j2
 from .qmat import DensityMatrix, Partition, bipartition, partial_trace, partial_transpose, pure_state_density
 from .sampling import derive_seed, haar_unitary, random_mixed_state
 from .states import purified_chiral_qutrit_qubit
@@ -31,7 +31,8 @@ sample_mixed_state.__doc__ = random_mixed_state.__doc__
 
 
 def log_negativity(rho: DensityMatrix, split: Partition) -> float:
-    """log of the trace norm of the partial transpose on the second group.
+    """log of the trace norm of the partial transpose on the second group,
+    one value per member for a stack of states.
 
     Zero exactly on separable two-qubit states (positivity of the partial
     transpose is decisive there).
@@ -40,8 +41,8 @@ def log_negativity(rho: DensityMatrix, split: Partition) -> float:
     if split.ngroups != 2:
         raise ValueError("log negativity needs a bipartition")
     pt = partial_transpose(rho, split.groups[1])
-    tn = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
-    return float(np.log(tn))
+    tn = np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=-1)
+    return _scalar(np.log(tn))
 
 
 @dataclass(frozen=True)
@@ -52,17 +53,18 @@ class ScanRow:
     seed: int
 
 
-def _scan_sample(master_seed: int, index: int) -> ScanRow:
-    seed = derive_seed(master_seed, index)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    rho = random_mixed_state((2, 2), rng)
+# samples per stacked chunk of the scan; it bounds memory and nothing else,
+# as every row depends only on its own index
+_SCAN_CHUNK = 1024
+
+
+def _scan_chunk(master_seed: int, start: int, stop: int) -> list[ScanRow]:
+    seeds = [derive_seed(master_seed, i) for i in range(start, stop)]
+    rho = random_mixed_state((2, 2), [np.random.Generator(np.random.Philox(key=k)) for k in seeds])
     split = bipartition([0], [1])
-    return ScanRow(
-        sample_index=index,
-        e_n=log_negativity(rho, split),
-        abs_j2=abs(j2(rho, split)),
-        seed=seed,
-    )
+    e_n = log_negativity(rho, split).tolist()
+    abs_j2 = np.abs(j2(rho, split)).tolist()
+    return [ScanRow(*row) for row in zip(range(start, stop), e_n, abs_j2, seeds)]
 
 
 def run_chirality_entanglement_scan(
@@ -74,14 +76,19 @@ def run_chirality_entanglement_scan(
     chirality per sample.
 
     Each sample's generator is keyed by (master_seed, index), so every row
-    depends only on its own index. The summary records the correlation
-    coefficients between log negativity and |J2|, the fraction of barely
-    entangled but strongly chiral samples, and the pilot-calibrated threshold
-    the Pearson coefficient is compared against.
+    depends only on its own index. The states of a chunk of samples are drawn
+    one generator at a time and then go through log_negativity and j2 as one
+    stack, so a row does not depend on the chunk it falls in either. The
+    summary records the correlation coefficients between log negativity and
+    |J2|, the fraction of barely entangled but strongly chiral samples, and
+    the pilot-calibrated threshold the Pearson coefficient is compared
+    against.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rows = [_scan_sample(master_seed, i) for i in range(n_samples)]
+    rows = []
+    for start in range(0, n_samples, _SCAN_CHUNK):
+        rows += _scan_chunk(master_seed, start, min(start + _SCAN_CHUNK, n_samples))
     e_n = np.array([r.e_n for r in rows])
     aj2 = np.array([r.abs_j2 for r in rows])
     median_j2 = float(np.median(aj2))

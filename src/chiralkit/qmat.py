@@ -3,7 +3,10 @@ Hermitian decompositions, matrix functions on the support, subsystem algebra
 (partial trace / transpose / embedding) and fidelities.
 
 Everything here is a pure function on immutable inputs; all heavy lifting is
-delegated to LAPACK through numpy.
+delegated to LAPACK through numpy. Matrices may carry leading batch axes: a
+(..., d, d) stack is validated, decomposed, reduced and transposed member by
+member in the same numpy calls, and a single (d, d) matrix is the stack with
+no batch axis.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ SUPPORT_CUTOFF = 1e-12
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
+# reduced states carry the rounding of the partial trace, so they are checked looser
+MARGINAL_ATOL = 1e-9
 
 
 class ShapeMismatchError(ValueError):
@@ -29,17 +34,41 @@ class StateInvariantError(ValueError):
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of the last two axes."""
+    return m.swapaxes(-1, -2).conj()
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Hermitian part (M + M†)/2, used to scrub rounding noise."""
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + dagger(m))
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max absolute entry of M - M†."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    """Max absolute entry of M - M† over the whole stack."""
+    return float(abs(m - dagger(m)).max()) if m.size else 0.0
+
+
+def check_density(data: np.ndarray, atol: float = HERMITICITY_ATOL, eigenvalues=None) -> None:
+    """Raise StateInvariantError unless every member of the (..., d, d) stack
+    is Hermitian within atol, has unit trace and no eigenvalue below -atol
+    (the trace and PSD tolerances never drop below TRACE_ATOL and PSD_ATOL).
+    Each message quotes the worst member. eigenvalues, if given, are the
+    ascending eigenvalues of hermitize(data) from a decomposition the caller
+    has already made.
+    """
+    defect = hermiticity_defect(data)
+    if defect > atol:
+        raise StateInvariantError(f"not Hermitian: max |M - M†| = {defect:.3e}")
+    tr = data.trace(axis1=-2, axis2=-1)
+    off = abs(tr - 1.0)
+    if off.max(initial=0.0) > max(atol, TRACE_ATOL):
+        worst = np.reshape(tr, -1)[np.argmax(off)]
+        raise StateInvariantError(f"trace {complex(worst)} differs from 1")
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh(hermitize(data))
+    lowest = eigenvalues[..., 0].min(initial=np.inf)
+    if lowest < -max(atol, PSD_ATOL):
+        raise StateInvariantError(f"negative eigenvalue {lowest:.3e}")
 
 
 @dataclass(frozen=True)
@@ -47,9 +76,11 @@ class DensityMatrix:
     """Unit-trace Hermitian PSD matrix tagged with subsystem dimensions.
 
     dims lists the local dimensions in tensor order; data is the
-    (prod dims) x (prod dims) matrix in the computational product basis.
-    Construction validates hermiticity, positivity and trace; pass a larger
-    atol to accept sloppier input.
+    (prod dims) x (prod dims) matrix in the computational product basis, or a
+    (..., prod dims, prod dims) stack of such matrices, which makes a stack of
+    states on the same subsystems. Construction validates hermiticity,
+    positivity and trace of every member; pass a larger atol to accept
+    sloppier input.
     """
 
     dims: tuple[int, ...]
@@ -63,23 +94,15 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
         data = np.ascontiguousarray(self.data, dtype=complex)
         d = int(np.prod(dims))
-        if data.shape != (d, d):
+        if data.shape[-2:] != (d, d):
             raise ShapeMismatchError(f"matrix shape {data.shape} does not match dims {dims}")
-        defect = hermiticity_defect(data)
-        if defect > self.atol:
-            raise StateInvariantError(f"not Hermitian: max |M - M†| = {defect:.3e}")
-        tr = complex(np.trace(data))
-        if abs(tr - 1.0) > max(self.atol, TRACE_ATOL):
-            raise StateInvariantError(f"trace {tr} differs from 1")
-        evals = np.linalg.eigvalsh(hermitize(data))
-        if evals[0] < -max(self.atol, PSD_ATOL):
-            raise StateInvariantError(f"negative eigenvalue {evals[0]:.3e}")
+        check_density(data, self.atol)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-1]
 
     @property
     def nsub(self) -> int:
@@ -88,11 +111,14 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(hermitize(self.data))
 
-    def rank(self, cutoff: float = SUPPORT_CUTOFF) -> int:
+    def rank(self, cutoff: float = SUPPORT_CUTOFF):
+        """Number of eigenvalues above cutoff times the largest: an int, or
+        an array of them for a stack."""
         p = self.eigenvalues()
-        return int(np.sum(p > cutoff * p[-1]))
+        r = np.sum(p > cutoff * p[..., -1:], axis=-1)
+        return int(r) if r.ndim == 0 else r
 
-    def is_full_rank(self, cutoff: float = SUPPORT_CUTOFF) -> bool:
+    def is_full_rank(self, cutoff: float = SUPPORT_CUTOFF):
         return self.rank(cutoff) == self.dim
 
 
@@ -154,7 +180,8 @@ class EigenDecomposition:
 
 
 def eig_hermitian(m: np.ndarray, atol: float = 1e-8) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+    """Eigendecomposition of a Hermitian matrix or a (..., d, d) stack of
+    them, eigenvalues ascending along the last axis.
 
     Rejects input whose hermiticity defect exceeds atol, quoting the defect.
     """
@@ -167,20 +194,35 @@ def eig_hermitian(m: np.ndarray, atol: float = 1e-8) -> EigenDecomposition:
 
 
 def _support_mask(p: np.ndarray, cutoff: float) -> np.ndarray:
-    # cutoff is relative to the largest eigenvalue
-    top = p[-1] if p.size else 0.0
-    return p > cutoff * max(top, 0.0)
+    # cutoff is relative to the largest eigenvalue of each member
+    return p > cutoff * np.maximum(p[..., -1:], 0.0)
+
+
+def _log_on_support(dec: EigenDecomposition, cutoff: float) -> np.ndarray:
+    p = np.clip(dec.eigenvalues, 0.0, None)
+    keep = _support_mask(p, cutoff)
+    logp = np.where(keep, np.log(np.where(keep, p, 1.0)), 0.0)
+    v = dec.eigenvectors
+    return hermitize((v * logp[..., None, :]) @ dagger(v))
 
 
 def matrix_log_on_support(rho: DensityMatrix, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     """log(rho) restricted to the support: eigenvalues below the relative
     cutoff contribute nothing (the kernel projector is simply excluded)."""
-    dec = eig_hermitian(rho.data)
-    p = np.clip(dec.eigenvalues, 0.0, None)
-    keep = _support_mask(p, cutoff)
-    logp = np.where(keep, np.log(np.where(keep, p, 1.0)), 0.0)
-    v = dec.eigenvectors
-    return hermitize((v * logp) @ v.conj().T)
+    return _log_on_support(eig_hermitian(rho.data), cutoff)
+
+
+def marginal_log(rho: DensityMatrix, keep, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+    """matrix_log_on_support(partial_trace(rho, keep)) with one
+    eigendecomposition per member: the marginal's density-matrix checks run
+    at partial_trace's atol, the PSD check reading the eigenvalues of the
+    decomposition that the log uses."""
+    _, reduced = _reduced_data(rho, keep)
+    # hermitize left the reduced matrices Hermitian to the bit, so eigh reads
+    # them as they are: eig_hermitian would hermitize them to the same bits
+    dec = EigenDecomposition(*np.linalg.eigh(reduced))
+    check_density(reduced, MARGINAL_ATOL, eigenvalues=dec.eigenvalues)
+    return _log_on_support(dec, cutoff)
 
 
 def imaginary_power(rho: DensityMatrix, s: float, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
@@ -197,9 +239,9 @@ def tensor_product(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(rho.dims + sigma.dims, np.kron(rho.data, sigma.data))
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix on the listed subsystems (output dims follow
-    the order of ``keep``). Tracing out everything is rejected."""
+def _reduced_data(rho: DensityMatrix, keep) -> tuple[tuple[int, ...], np.ndarray]:
+    """Kept dims and the hermitized (..., d_keep, d_keep) reduced matrices,
+    not yet validated."""
     keep = [int(i) for i in keep]
     if not keep:
         raise ValueError("empty keep list: the full trace is a scalar, not a state")
@@ -207,27 +249,37 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError(f"invalid keep list {keep} for {rho.nsub} subsystems")
     n = rho.nsub
     dims = rho.dims
-    tens = rho.data.reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
+    batch = rho.data.shape[:-2]
+    tens = rho.data.reshape(batch + dims + dims)
     row = list(range(n))
     col = [n + i if i in keep else i for i in range(n)]
     out = keep + [n + i for i in keep]
-    reduced = np.einsum(tens, row + col, out)
+    reduced = np.einsum(tens, [Ellipsis] + row + col, [Ellipsis] + out)
     kept_dims = tuple(dims[i] for i in keep)
     d = int(np.prod(kept_dims))
-    return DensityMatrix(kept_dims, hermitize(reduced.reshape(d, d)), atol=1e-9)
+    return kept_dims, hermitize(reduced.reshape(batch + (d, d)))
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Reduced density matrix on the listed subsystems (output dims follow
+    the order of ``keep``), member by member on a stack. Tracing out
+    everything is rejected."""
+    kept_dims, reduced = _reduced_data(rho, keep)
+    return DensityMatrix(kept_dims, reduced, atol=MARGINAL_ATOL)
 
 
 def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
-    """Transpose the listed subsystems; returns a plain Hermitian matrix
-    (the result need not be positive)."""
+    """Transpose the listed subsystems of every member; returns plain
+    Hermitian matrices (the result need not be positive)."""
     part = set(int(i) for i in part)
     n = rho.nsub
-    dims = rho.dims
-    tens = rho.data.reshape(dims + dims)
+    batch = rho.data.shape[:-2]
+    b = len(batch)
+    tens = rho.data.reshape(batch + rho.dims + rho.dims)
     perm = [n + i if i in part else i for i in range(n)]
     perm += [i if i in part else n + i for i in range(n)]
-    return tens.transpose(perm).reshape(rho.dim, rho.dim)
+    tens = tens.transpose(list(range(b)) + [b + i for i in perm])
+    return tens.reshape(batch + (rho.dim, rho.dim))
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -276,17 +328,19 @@ def purify(rho: DensityMatrix, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
 
 def embed_operator(op: np.ndarray, dims, subsystems) -> np.ndarray:
     """Embed an operator acting on the listed subsystems (in that order) into
-    the full space, tensoring identity on the rest."""
+    the full space, tensoring identity on the rest; a (..., d_sub, d_sub)
+    stack embeds member by member."""
     dims = tuple(int(d) for d in dims)
     subsystems = [int(i) for i in subsystems]
     n = len(dims)
     sub_dims = tuple(dims[i] for i in subsystems)
     ds = int(np.prod(sub_dims))
     op = np.asarray(op, dtype=complex)
-    if op.shape != (ds, ds):
+    if op.shape[-2:] != (ds, ds):
         raise ShapeMismatchError(f"operator shape {op.shape} does not match subsystems {subsystems}")
     rest = [i for i in range(n) if i not in subsystems]
-    optens = op.reshape(sub_dims + sub_dims)
+    batch = op.shape[:-2]
+    optens = op.reshape(batch + sub_dims + sub_dims)
     k = len(subsystems)
     # einsum indices: operator rows/cols on its subsystems, identity on the rest
     op_idx = [dims_axis for dims_axis in range(2 * k)]
@@ -295,7 +349,7 @@ def embed_operator(op: np.ndarray, dims, subsystems) -> np.ndarray:
     for pos, i in enumerate(subsystems):
         out_row[i] = op_idx[pos]
         out_col[i] = op_idx[k + pos]
-    operands = [optens, op_idx]
+    operands = [optens, [Ellipsis] + op_idx]
     next_idx = 2 * k
     for i in rest:
         eye = np.eye(dims[i])
@@ -303,6 +357,6 @@ def embed_operator(op: np.ndarray, dims, subsystems) -> np.ndarray:
         out_row[i] = next_idx
         out_col[i] = next_idx + 1
         next_idx += 2
-    full = np.einsum(*operands, out_row + out_col)
+    full = np.einsum(*operands, [Ellipsis] + out_row + out_col)
     d = int(np.prod(dims))
-    return full.reshape(d, d)
+    return full.reshape(batch + (d, d))

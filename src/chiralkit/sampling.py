@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qmat import DensityMatrix
+from .qmat import DensityMatrix, dagger
 
 _MASK64 = (1 << 64) - 1
 
@@ -30,13 +30,22 @@ def split_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_seed(master_seed, index)))
 
 
+def _ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
+    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+
+
+def _rephased_q(z: np.ndarray) -> np.ndarray:
+    """Q of z = QR with the R diagonal rephased to unit modulus, member by
+    member on a (..., d, d) stack."""
+    q, r = np.linalg.qr(z)
+    diag = r.diagonal(axis1=-2, axis2=-1)
+    return q * (diag / abs(diag))[..., None, :]
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary: QR of a complex Ginibre matrix with the R diagonal
     rephased to unit modulus."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return _rephased_q(_ginibre(d, rng))
 
 
 def simplex_point(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -45,13 +54,23 @@ def simplex_point(d: int, rng: np.random.Generator) -> np.ndarray:
     return e / e.sum()
 
 
-def random_mixed_state(dims, rng: np.random.Generator) -> DensityMatrix:
-    """U diag(p) U† with U Haar and p a flat-simplex spectrum."""
+def random_mixed_state(dims, rng) -> DensityMatrix:
+    """U diag(p) U† with U Haar and p a flat-simplex spectrum.
+
+    Given a sequence of generators instead of one, returns the stack of the
+    states that each generator alone would give: every generator draws p,
+    then U's Ginibre matrix, as for a single state, and the QR, the
+    rephasing and the products run once on the whole stack.
+    """
     dims = tuple(int(x) for x in dims)
     d = int(np.prod(dims))
-    p = simplex_point(d, rng)
-    u = haar_unitary(d, rng)
-    return DensityMatrix(dims, (u * p) @ u.conj().T)
+    if isinstance(rng, np.random.Generator):
+        p, z = simplex_point(d, rng), _ginibre(d, rng)
+    else:
+        draws = [(simplex_point(d, g), _ginibre(d, g)) for g in rng]
+        p, z = np.stack([pz[0] for pz in draws]), np.stack([pz[1] for pz in draws])
+    u = _rephased_q(z)
+    return DensityMatrix(dims, (u * p[..., None, :]) @ dagger(u))
 
 
 def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:

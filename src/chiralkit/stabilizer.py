@@ -355,7 +355,9 @@ def _phase_block(k: int) -> np.ndarray:
     monomials = y[:, iu] * y[:, ju]
     q = (np.arange(1 << len(iu))[:, None] >> np.arange(len(iu))) & 1
     power = 2 * (q @ monomials.T)[:, None, :] + (y @ y.T)[None, :, :]
-    return (1j ** (power % 4)).reshape(-1, 1 << k)
+    block = (1j ** (power % 4)).reshape(-1, 1 << k)
+    block.flags.writeable = False  # cached: every caller shares this array
+    return block
 
 
 @lru_cache(maxsize=None)
@@ -369,7 +371,8 @@ def pure_stabilizer_states(n: int) -> np.ndarray:
     offset c that is zero at B's pivot bits; x = c ^ (y B) for y in GF(2)^k,
     and the phases over y are the rows of one block per k. Each state is
     listed once, with amplitude 2^{-k/2} at x = c. Rows are ordered by k,
-    then basis, then offset, then phase row."""
+    then basis, then offset, then phase row. The array is cached and shared,
+    so it is read-only."""
     if n > FIDELITY_ENUM_MAX_QUBITS:
         raise ValueError(
             f"stabilizer-state enumeration grows like 2^(n^2/2); max {FIDELITY_ENUM_MAX_QUBITS} "
@@ -394,7 +397,9 @@ def pure_stabilizer_states(n: int) -> np.ndarray:
                 linear[:, span] = phases
                 # the state on c + span(B) is the one on span(B) read at x ^ c
                 blocks.append(linear[:, offsets[:, None] ^ idx].swapaxes(0, 1).reshape(-1, 1 << n))
-    return np.concatenate(blocks)
+    states = np.concatenate(blocks)
+    states.flags.writeable = False
+    return states
 
 
 def stabilizer_fidelity(psi: np.ndarray, n: int) -> float:
@@ -500,6 +505,7 @@ def random_stabilizer_group(
 
 
 def random_stabilizer_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random pure stabilizer state from the cached enumeration."""
+    """Uniformly random pure stabilizer state from the cached enumeration,
+    as a fresh array the caller may modify."""
     states = pure_stabilizer_states(n)
-    return states[int(rng.integers(0, len(states)))]
+    return states[int(rng.integers(0, len(states)))].copy()

@@ -264,6 +264,57 @@ class TestModularSet:
         assert len(calls) == 3
 
 
+def _rank_two(dims, seed):
+    """Equal mixture of two Haar pure states: rank 2, so a degenerate kernel."""
+    d = int(np.prod(dims))
+    u, v = random_pure_state(d, split_rng(seed, 0)), random_pure_state(d, split_rng(seed, 1))
+    return DensityMatrix(dims, 0.5 * (np.outer(u, u.conj()) + np.outer(v, v.conj())))
+
+
+class TestStackedModularSet:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 8)])
+    def test_stack_matches_stack_of_one(self, dims):
+        d = int(np.prod(dims))
+        members = [
+            rho_rand(dims, 30),
+            rho_rand(dims, 30, 1),
+            pure_state_density(dims, random_pure_state(d, split_rng(31, 0))),
+            _rank_two(dims, 32),
+        ]
+        stack = DensityMatrix(dims, np.stack([m.data for m in members]))
+        ms = ch.modular_set(stack, SPLIT)
+        values = {
+            "J2": ch._j2(ms),
+            "J3": ch._j3(ms),
+            "J3'": ch._j3_prime(ms),
+            "gamma_s": ch._gamma_s(ms, 0.7),
+            "phi_s": ch._phi_s(ms, 0.7),
+        }
+        for i, member in enumerate(members):
+            one = ch.modular_set(DensityMatrix(dims, member.data[None]), SPLIT)
+            single = ch.modular_set(member, SPLIT)
+            for field in ("p", "kappa", "eigenvectors", "k_a_eigbasis", "k_b_eigbasis"):
+                got = getattr(ms, field)[i]
+                assert np.max(np.abs(got - getattr(one, field)[0])) <= 1e-14, field
+                assert np.max(np.abs(got - getattr(single, field))) <= 1e-14, field
+            assert abs(values["J2"][i] - ch.j2(member, SPLIT)) <= 1e-14
+            assert abs(values["J3"][i] - ch.j3(member, SPLIT)) <= 1e-14
+            assert abs(values["J3'"][i] - ch.j3_prime(member, SPLIT)) <= 1e-14
+            assert abs(values["gamma_s"][i] - ch.gamma_s(member, SPLIT, 0.7)) <= 1e-14
+            assert abs(values["phi_s"][i] - ch.phi_s(member, SPLIT, 0.7)) <= 1e-14
+
+    def test_measures_return_one_value_per_member(self):
+        stack = DensityMatrix((2, 2), np.stack([rho_rand((2, 2), 33, i).data for i in range(5)]))
+        assert ch.j2(stack, SPLIT).shape == (5,)
+        assert ch.gamma_integral(stack, SPLIT).shape == (5,)
+        assert isinstance(ch.j2(rho_rand((2, 2), 33), SPLIT), float)
+
+    def test_rank_deficient_member_rejected_by_gamma(self):
+        stack = DensityMatrix((2, 3), np.stack([rho_rand((2, 3), 34).data, _rank_two((2, 3), 35).data]))
+        with pytest.raises(ValueError, match="rank-deficient"):
+            ch.gamma_integral(stack, SPLIT)
+
+
 class TestNestedCommutatorMeasures:
     def test_product_state_vanishes(self):
         prod = tensor_product(rho_rand((2,), 23), rho_rand((2,), 23, 1))

@@ -96,6 +96,25 @@ class TestMeasureCommand:
         assert capsys.readouterr().out == first
 
 
+    def test_d1024_classical_quantum_state(self, tmp_path, capsys):
+        # (32, 32) block state sum_a p_a |a><a| (x) sigma_a: K_A commutes with
+        # rho and K_AB, so every symmetric measure vanishes; J3' need not
+        from chiralkit.qmat import DensityMatrix
+
+        rng = split_rng(142, 0)
+        probs = rng.dirichlet(np.ones(32))
+        data = np.zeros((32, 32, 32, 32), dtype=complex)
+        for a in range(32):
+            data[a, :, a, :] = probs[a] * random_mixed_state((32,), rng).data
+        path = tmp_path / "cq1024.json"
+        write_state_file(path, DensityMatrix((32, 32), data.reshape(1024, 1024)))
+        assert main(["measure", "--state", str(path), "--split", "0|1"]) == 0
+        doc = json.loads(capsys.readouterr().out)["measures"]
+        for name in ("J2", "J3", "gamma_s[0.7]", "phi_s[0.7]", "gamma"):
+            assert abs(doc[name]["value"]) <= doc[name]["tolerance"], name
+        assert abs(doc["J3_prime"]["value"]) > 1e3 * doc["J3_prime"]["tolerance"]
+
+
 class TestLogdistCommand:
     def test_reports_expected_fields(self, example_file, capsys):
         code = main(

@@ -237,6 +237,22 @@ class TestClassicalQuantumDetection:
         dec, reason = co.is_classical_quantum(bell_state(), SPLIT, "A")
         assert dec is None and "degenerate" in reason
 
+    def test_maximally_mixed_undecided(self):
+        # every spectrum is flat: the state commutes, the marginal is degenerate
+        dec, reason = co.is_classical_quantum(DensityMatrix((2, 3), np.eye(6) / 6), SPLIT, "A")
+        assert dec is None and "degenerate marginal" in reason
+
+    def test_degenerate_joint_spectrum_nondegenerate_marginal(self):
+        # diag(0.3, 0.3, 0.2, 0.2): a doubly degenerate state whose A marginal
+        # (0.6, 0.4) is not, so the blocks are well defined
+        rho = DensityMatrix((2, 2), np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex))
+        dec, reason = co.is_classical_quantum(rho, SPLIT, "A")
+        assert reason == "classical-quantum"
+        assert sorted(np.round(dec.probabilities, 12)) == [0.4, 0.6]
+        assert np.max(np.abs(dec.reconstruct(2, 2) - rho.data)) < 1e-12
+        dec_b, reason_b = co.is_classical_quantum(rho, SPLIT, "B")
+        assert dec_b is None and "degenerate marginal" in reason_b
+
     def test_generic_state_noncommuting(self):
         dec, reason = co.is_classical_quantum(rho_rand((2, 2), 94), SPLIT, "A")
         assert dec is None and "noncommuting" in reason
@@ -303,6 +319,22 @@ class TestVerdicts:
         v = co.noncommutativity_verdict(rho, SPLIT)
         assert v.verdict == "undecided"
         assert "degenerate" in v.reason
+
+    def test_maximally_mixed_two_qubits_condition_three(self):
+        # both marginals are I/2, so only the two-qubit invariants decide
+        v = co.noncommutativity_verdict(DensityMatrix((2, 2), np.eye(4) / 4), SPLIT)
+        assert v.verdict == "nonchiral-certified" and v.condition == 3
+
+    def test_maximally_mixed_qutrits_undecided(self):
+        v = co.noncommutativity_verdict(DensityMatrix((3, 3), np.eye(9) / 9), SPLIT)
+        assert v.verdict == "undecided"
+        assert v.reason == "commutators vanish but marginals are degenerate"
+
+    def test_degenerate_state_with_one_nondegenerate_qubit(self):
+        # diag(0.3, 0.3, 0.2, 0.2): marginals (0.6, 0.4) and (0.5, 0.5)
+        rho = DensityMatrix((2, 2), np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex))
+        v = co.noncommutativity_verdict(rho, SPLIT)
+        assert v.verdict == "nonchiral-certified" and v.condition == 2
 
     def test_noncommuting_undecided(self):
         v = co.noncommutativity_verdict(rho_rand((2, 2), 100), SPLIT)

@@ -143,6 +143,32 @@ class TestScan:
         assert ks < critical
 
 
+def scan_sample_oracle(master_seed: int, index: int) -> ex.ScanRow:
+    """One scan row the way the scan computed it before it was stacked: one
+    generator, one state and one modular set per sample."""
+    seed = derive_seed(master_seed, index)
+    rho = random_mixed_state((2, 2), np.random.Generator(np.random.Philox(key=seed)))
+    return ex.ScanRow(index, ex.log_negativity(rho, SPLIT), abs(j2(rho, SPLIT)), seed)
+
+
+class TestStackedScan:
+    @pytest.mark.parametrize("n", [1, 10, 300])
+    def test_csv_bytes_match_per_sample_oracle(self, n):
+        rows, _ = ex.run_chirality_entanglement_scan(n, 4243)
+        oracle = [scan_sample_oracle(4243, i) for i in range(n)]
+        assert ex.scan_to_csv(rows) == ex.scan_to_csv(oracle)
+
+    def test_rows_do_not_depend_on_the_chunk(self, monkeypatch):
+        n = ex._SCAN_CHUNK + 76
+        rows, _ = ex.run_chirality_entanglement_scan(n, 808)
+        for m in (1, 700, ex._SCAN_CHUNK + 1):
+            head, _ = ex.run_chirality_entanglement_scan(m, 808)
+            assert rows[:m] == head
+        monkeypatch.setattr(ex, "_SCAN_CHUNK", 7)
+        small, _ = ex.run_chirality_entanglement_scan(n, 808)
+        assert ex.scan_to_csv(small) == ex.scan_to_csv(rows)
+
+
 def mpmath_j2(data, dps=50):
     """i Tr(rho {[K_AB, K_A], K_B}) for a two-qubit matrix, at dps digits."""
     mpmath = pytest.importorskip("mpmath")

@@ -290,6 +290,32 @@ class TestDensityMatrixInvariants:
         with pytest.raises(StateInvariantError, match="Hermitian"):
             DensityMatrix((2,), m)
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (np.array([[0.5, 0.5], [0, 0.5]], dtype=complex), "not Hermitian"),
+            (np.eye(2, dtype=complex), r"trace \(2\+0j\) differs from 1"),
+            (np.diag([1.5, -0.5]).astype(complex), "negative eigenvalue -5.000e-01"),
+        ],
+    )
+    def test_stack_rejects_one_bad_member(self, bad, message):
+        good = rho_rand((2,), 18).data
+        with pytest.raises(StateInvariantError, match=message):
+            DensityMatrix((2,), np.stack([good, bad, good]))
+        # the checks pass member by member on valid stacks
+        assert DensityMatrix((2,), np.stack([good, good])).data.shape == (2, 2, 2)
+
+    def test_stacked_partial_trace_and_transpose(self):
+        members = [rho_rand((2, 3), 18, i) for i in range(3)]
+        stack = DensityMatrix((2, 3), np.stack([m.data for m in members]))
+        for keep in ([0], [1], [1, 0]):
+            reduced = partial_trace(stack, keep)
+            for i, m in enumerate(members):
+                assert np.array_equal(reduced.data[i], partial_trace(m, keep).data)
+        pt = partial_transpose(stack, [1])
+        for i, m in enumerate(members):
+            assert np.array_equal(pt[i], partial_transpose(m, [1]))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             DensityMatrix((2, 2), np.eye(2, dtype=complex) / 2)

@@ -317,6 +317,15 @@ class TestEnumerationAndFidelity:
         psi = st.random_stabilizer_vector(3, rng)
         assert st.stabilizer_fidelity(psi, 3) == pytest.approx(1.0, abs=1e-10)
 
+    def test_cached_enumeration_cannot_be_changed_through_a_draw(self):
+        v = st.random_stabilizer_vector(2, split_rng(1, 0))
+        v *= 2
+        assert np.allclose(np.linalg.norm(st.pure_stabilizer_states(2), axis=1), 1, atol=1e-12)
+        with pytest.raises(ValueError):
+            st.pure_stabilizer_states(2)[0, 0] = 0
+        with pytest.raises(ValueError):
+            st._phase_block(1)[0, 0] = 0
+
     def test_t_state_value(self):
         assert st.stabilizer_fidelity(t_state_vector(), 1) == pytest.approx(
             np.cos(np.pi / 8) ** 2, abs=1e-9
