@@ -27,6 +27,7 @@ from .qmat import (
     embed_operator,
     marginal_log,
     purify,
+    require_single,
 )
 from .sampling import haar_unitary, split_rng
 
@@ -260,14 +261,15 @@ def gamma_integral(rho: DensityMatrix, split: Partition) -> float:
 
 def modular_commutator(rho: DensityMatrix, split: Partition) -> float:
     """Tripartite measure i Tr(rho [K_AB, K_BC]); vanishes on tripartite pure
-    states, so it cannot see their chirality (the bipartite measures can)."""
+    states, so it cannot see their chirality (the bipartite measures can).
+    One value per member of a stack."""
     split.validate(rho.nsub)
     if split.ngroups != 3:
         raise ValueError(f"expected a tripartition, got {split.ngroups} groups")
     ga, gb, gc = split.groups
     k_ab = embed_operator(-marginal_log(rho, ga + gb), rho.dims, ga + gb)
     k_bc = embed_operator(-marginal_log(rho, gb + gc), rho.dims, gb + gc)
-    val = 1j * np.trace(rho.data @ _comm(k_ab, k_bc))
+    val = 1j * np.trace(rho.data @ _comm(k_ab, k_bc), axis1=-2, axis2=-1)
     return _real_part(val, "modular commutator")
 
 
@@ -482,6 +484,7 @@ def chiral_log_distance(
     (-log best_fidelity, diagnostics); the value is an upper estimate of the
     true log-distance because stalls only lower the fidelity.
     """
+    require_single(rho, "chiral_log_distance")
     partition.validate(rho.nsub)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -537,6 +540,7 @@ def orbit_overlap(
     """Recompute <conj purification| ((x)U) |purification> for given unitaries
     (one per partition group, then the ancilla). Independent check of the
     overlap reported by the optimizer."""
+    require_single(rho, "orbit_overlap")
     base, party_dims = _fused_purification(rho, partition, cutoff)
     theta = base
     for t, u in enumerate(unitaries):
@@ -607,6 +611,7 @@ def measure_report(rho: DensityMatrix, split: Partition, s_values=(0.7,)) -> Mea
     The flow-integrated measure is skipped (with a note) when the state is
     rank-deficient.
     """
+    require_single(rho, "measure_report")
     ms = modular_set(rho, split)
     entries: dict[str, float] = {"J2": _j2(ms), "J3": _j3(ms), "J3_prime": _j3_prime(ms)}
     for s in s_values:

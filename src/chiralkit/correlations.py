@@ -21,6 +21,7 @@ from .qmat import (
     embed_operator,
     hermitize,
     partial_trace,
+    require_single,
 )
 from .sampling import _PAULIS
 
@@ -42,6 +43,7 @@ def sld_apply(rho: DensityMatrix, op: np.ndarray, cutoff: float = 1e-12) -> np.n
     In the eigenbasis the (j,k) entry is scaled by 2/(p_j + p_k); entries with
     p_j + p_k below the cutoff are zeroed.
     """
+    require_single(rho, "sld_apply")
     dec = eig_hermitian(rho.data)
     p = np.clip(dec.eigenvalues, 0.0, None)
     v = dec.eigenvectors
@@ -79,6 +81,7 @@ def sld_integral_form(
     sech-weighted Fourier transform at log(p_j/p_k); agrees with sld_apply to
     the quadrature truncation (the sech transform of e^{iks} is 1/cosh(k/2)).
     """
+    require_single(rho, "sld_integral_form")
     dec = eig_hermitian(rho.data)
     p = dec.eigenvalues
     if p[0] <= 1e-10:
@@ -106,6 +109,7 @@ def qfi(rho: DensityMatrix, ham: np.ndarray, cutoff: float = 1e-12) -> float:
 
     Evaluates to 4 (<H^2> - <H>^2) on pure states; nonnegative up to rounding.
     """
+    require_single(rho, "qfi")
     ham = np.asarray(ham, dtype=complex)
     c = ham @ rho.data - rho.data @ ham
     val = -np.trace(c @ sld_apply(rho, c, cutoff))
@@ -168,6 +172,7 @@ def is_classical_quantum(
     degenerate marginal is reported as undecided, since the blocks are then
     basis-dependent.
     """
+    require_single(rho, "is_classical_quantum")
     split.validate(rho.nsub)
     idx = _party_index(party)
     group = split.groups[idx]
@@ -218,6 +223,7 @@ def makhlin_invariants(rho: DensityMatrix, tol: float = 1e-8) -> tuple[float, fl
     maximally-mixed-marginal sector, and complex conjugation acts on beta by
     the orthogonal matrix diag(1, -1, 1), so they decide the orbit question.
     """
+    require_single(rho, "makhlin_invariants")
     if rho.dims != (2, 2):
         raise ValueError(f"two-qubit state required, got dims {rho.dims}")
     for group in ((0,), (1,)):
@@ -253,6 +259,7 @@ def noncommutativity_verdict(
     comparing the local-unitary invariants of the state and its conjugate).
     Everything else, including any nonvanishing commutator, is undecided.
     """
+    require_single(rho, "noncommutativity_verdict")
     split.validate(rho.nsub)
     comms = []
     margs = []
@@ -325,6 +332,7 @@ def check_gamma_qfi_bound(
     in the eigenbasis of rho. Raises CorrelationBoundViolation with a state
     dump if any slack drops below -tolerance.
     """
+    require_single(rho, "check_gamma_qfi_bound")
     ms = modular_set(rho, split)
     gamma = _gamma(ms)
     f_a = _intrinsic_ip(ms, 0)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qmat import DensityMatrix, ShapeMismatchError
+from .qmat import DensityMatrix, ShapeMismatchError, require_single
 
 
 class StateFileError(ValueError):
@@ -50,6 +50,7 @@ def parse_state_file(path, atol: float = 1e-8) -> DensityMatrix:
 
 
 def state_document(rho: DensityMatrix, label: str | None = None) -> dict:
+    require_single(rho, "state_document")
     doc = {
         "dims": list(rho.dims),
         "matrix": [[float(z.real), float(z.imag)] for z in rho.data.reshape(-1)],

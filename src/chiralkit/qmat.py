@@ -122,6 +122,15 @@ class DensityMatrix:
         return self.rank(cutoff) == self.dim
 
 
+def require_single(rho: DensityMatrix, name: str) -> None:
+    """Raise ShapeMismatchError naming the function when rho is a stack: for
+    the functions that take one state at a time."""
+    if rho.data.ndim != 2:
+        raise ShapeMismatchError(
+            f"{name} takes a single state, got a stack of shape {rho.data.shape}"
+        )
+
+
 def pure_state_density(dims, psi: np.ndarray) -> DensityMatrix:
     """|psi><psi| as a DensityMatrix; psi is normalized first."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -176,7 +185,7 @@ class EigenDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
 
 def eig_hermitian(m: np.ndarray, atol: float = 1e-8) -> EigenDecomposition:
@@ -226,16 +235,19 @@ def marginal_log(rho: DensityMatrix, keep, cutoff: float = SUPPORT_CUTOFF) -> np
 
 
 def imaginary_power(rho: DensityMatrix, s: float, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """rho^{is}, acting as the identity on the kernel so the result is unitary."""
+    """rho^{is}, acting as the identity on the kernel so the result is
+    unitary; one unitary per member of a stack."""
     dec = eig_hermitian(rho.data)
     p = np.clip(dec.eigenvalues, 0.0, None)
     keep = _support_mask(p, cutoff)
     phases = np.where(keep, np.exp(1j * s * np.log(np.where(keep, p, 1.0))), 1.0)
     v = dec.eigenvectors
-    return (v * phases) @ v.conj().T
+    return (v * phases[..., None, :]) @ dagger(v)
 
 
 def tensor_product(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
+    require_single(rho, "tensor_product")
+    require_single(sigma, "tensor_product")
     return DensityMatrix(rho.dims + sigma.dims, np.kron(rho.data, sigma.data))
 
 
@@ -298,6 +310,8 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     Tiny negative eigenvalues of the inner product matrix are clamped to zero
     before the square roots.
     """
+    require_single(rho, "uhlmann_fidelity")
+    require_single(sigma, "uhlmann_fidelity")
     if rho.dim != sigma.dim:
         raise ShapeMismatchError(f"dimension mismatch {rho.dim} vs {sigma.dim}")
     rs = _psd_sqrt(sigma.data)
@@ -318,6 +332,7 @@ def purify(rho: DensityMatrix, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     the output is deterministic up to LAPACK's eigenvector phases. The vector
     is returned flat with the system index major.
     """
+    require_single(rho, "purify")
     dec = eig_hermitian(rho.data)
     p = np.clip(dec.eigenvalues, 0.0, None)
     keep = np.nonzero(_support_mask(p, cutoff))[0]

@@ -13,6 +13,7 @@ from chiralkit import _pauli
 from chiralkit.qmat import (
     DensityMatrix,
     Partition,
+    ShapeMismatchError,
     bipartition,
     conjugate,
     eig_hermitian,
@@ -505,6 +506,20 @@ class TestGammaIntegral:
         assert peak < 256 * 2**20
 
 
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("chiral_log_distance", lambda rho: ch.chiral_log_distance(rho, SPLIT, restarts=1)),
+        ("orbit_overlap", lambda rho: ch.orbit_overlap(rho, SPLIT, [np.eye(2)] * 3)),
+        ("measure_report", lambda rho: ch.measure_report(rho, SPLIT)),
+    ],
+)
+def test_single_state_functions_reject_stacks(name, call):
+    rho = rho_rand((2, 2), 48)
+    with pytest.raises(ShapeMismatchError, match=f"{name} takes a single state"):
+        call(DensityMatrix((2, 2), np.stack([rho.data] * 4)))
+
+
 class TestModularCommutator:
     TRI = Partition(((0,), (1,), (2,)))
 
@@ -522,6 +537,17 @@ class TestModularCommutator:
         assert ch.modular_commutator(rho, self.TRI) == pytest.approx(
             oracle_modular_commutator(rho, self.TRI), abs=1e-11
         )
+
+    def test_stack_matches_single_states(self):
+        # eight members of dimension eight, so a trace over the wrong axes
+        # would run without an error
+        members = [rho_rand((2, 2, 2), 47, i) for i in range(7)]
+        members.append(pure_state_density((2, 2, 2), random_pure_state(8, split_rng(47, 7))))
+        stack = DensityMatrix((2, 2, 2), np.stack([m.data for m in members]))
+        values = ch.modular_commutator(stack, self.TRI)
+        assert values.shape == (8,)
+        for value, member in zip(values, members):
+            assert abs(value - ch.modular_commutator(member, self.TRI)) <= 1e-14
 
 
 class TestLogDistanceOptimizer:

@@ -9,6 +9,7 @@ import pytest
 from chiralkit import correlations as co
 from chiralkit.qmat import (
     DensityMatrix,
+    ShapeMismatchError,
     bipartition,
     conjugate,
     matrix_log_on_support,
@@ -384,7 +385,77 @@ class TestGammaQfiBound:
             co.log_moment_bound(1)
 
 
+def oracle_project_simplex(y):
+    """The per-vector sort-based projection onto the probability simplex."""
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho_idx = np.nonzero(u - css / np.arange(1, len(y) + 1) > 0)[0][-1]
+    theta = css[rho_idx] / (rho_idx + 1.0)
+    return np.clip(y - theta, 0.0, None)
+
+
+def oracle_simplex_entropy_max(d, starts, iters, seed):
+    """simplex_entropy_max one start at a time: each Dirichlet start climbs
+    on its own, and a start replaces the best only when its value is
+    strictly larger. Returns (max, maximizer)."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    floor = 1e-15
+    best = 0.0
+    best_x = np.ones(d) / d
+    for _ in range(starts):
+        x = rng.dirichlet(np.ones(d))
+        step = 0.05
+        for it in range(iters):
+            if it == iters // 2:
+                step = 0.005
+            lx = np.log(np.clip(x, floor, 1.0))
+            grad = lx**2 + 2.0 * lx
+            x = oracle_project_simplex(x + step * grad)
+            x = np.clip(x, floor, 1.0)
+            x /= x.sum()
+        lx = np.log(np.clip(x, floor, 1.0))
+        val = float(np.sum(x * lx**2))
+        if val > best:
+            best, best_x = val, x
+    return best, best_x
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("sld_apply", lambda rho: co.sld_apply(rho, np.eye(4))),
+        ("sld_integral_form", lambda rho: co.sld_integral_form(rho, np.eye(4))),
+        ("qfi", lambda rho: co.qfi(rho, np.eye(4))),
+        ("is_classical_quantum", lambda rho: co.is_classical_quantum(rho, SPLIT, "A")),
+        ("makhlin_invariants", lambda rho: co.makhlin_invariants(rho)),
+        ("noncommutativity_verdict", lambda rho: co.noncommutativity_verdict(rho, SPLIT)),
+        ("check_gamma_qfi_bound", lambda rho: co.check_gamma_qfi_bound(rho, SPLIT)),
+    ],
+)
+def test_single_state_functions_reject_stacks(name, call):
+    # four members of dimension four, so a broadcast over the wrong axis
+    # would run without an error
+    rho = rho_rand((2, 2), 390)
+    stack = DensityMatrix((2, 2), np.stack([rho.data] * 4))
+    with pytest.raises(ShapeMismatchError, match=f"{name} takes a single state"):
+        call(stack)
+
+
 class TestSimplexEntropyMax:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_per_start_oracle_bit_for_bit(self, d):
+        # the seed of selftest C8, fewer starts and steps to stay fast
+        got, got_x = co.simplex_entropy_max(d, starts=25, iters=400, seed=808, return_argmax=True)
+        want, want_x = oracle_simplex_entropy_max(d, starts=25, iters=400, seed=808)
+        assert got == want
+        assert np.array_equal(got_x, want_x)
+
+    def test_rows_project_like_single_vectors(self):
+        y = split_rng(809, 0).standard_normal((50, 6))
+        rows = co._project_simplex(y)
+        for got, row in zip(rows, y):
+            assert np.array_equal(got, oracle_project_simplex(row))
+
     def test_d2(self):
         val, x = co.simplex_entropy_max(2, starts=40, iters=1500, return_argmax=True)
         assert val == pytest.approx(0.563, abs=1e-3)

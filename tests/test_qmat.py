@@ -21,6 +21,7 @@ from chiralkit.qmat import (
     trace_norm,
     uhlmann_fidelity,
 )
+from chiralkit.io import state_document
 from chiralkit.sampling import haar_unitary, random_mixed_state, split_rng
 from chiralkit.states import bell_state, chiral_qutrit_qubit, purified_chiral_qutrit_qubit
 
@@ -315,6 +316,34 @@ class TestDensityMatrixInvariants:
         pt = partial_transpose(stack, [1])
         for i, m in enumerate(members):
             assert np.array_equal(pt[i], partial_transpose(m, [1]))
+
+    def test_stacked_reconstruct_and_imaginary_power(self):
+        # as many members as the dimension, so a broadcast over the wrong
+        # axis would run without an error
+        members = [rho_rand((2,), 18, i) for i in range(2)]
+        stack = DensityMatrix((2,), np.stack([m.data for m in members]))
+        dec = eig_hermitian(stack.data)
+        u = imaginary_power(stack, 0.3)
+        for i, m in enumerate(members):
+            assert np.array_equal(dec.reconstruct()[i], eig_hermitian(m.data).reconstruct())
+            assert np.array_equal(u[i], imaginary_power(m, 0.3))
+
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("purify", lambda s, r: purify(s)),
+            ("uhlmann_fidelity", lambda s, r: uhlmann_fidelity(s, r)),
+            ("uhlmann_fidelity", lambda s, r: uhlmann_fidelity(r, s)),
+            ("tensor_product", lambda s, r: tensor_product(s, r)),
+            ("tensor_product", lambda s, r: tensor_product(r, s)),
+            ("state_document", lambda s, r: state_document(s)),
+        ],
+    )
+    def test_single_state_functions_reject_stacks(self, name, call):
+        single = rho_rand((2,), 18)
+        stack = DensityMatrix((2,), np.stack([single.data, single.data]))
+        with pytest.raises(ShapeMismatchError, match=f"{name} takes a single state"):
+            call(stack, single)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):

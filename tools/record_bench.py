@@ -1,18 +1,20 @@
 """Record a BENCH_<n>.json: the benchmark run on a parent and a change checkout.
 
     python3 tools/record_bench.py --parent DIR --change DIR --out BENCH_7.json \
-        --what "..." [--pairs ensemble_d4=10 spectral_d256=3 ...] [--seconds 25] \
-        [--trace ensemble_d4 ...] [--no-tier1]
+        --what "..." [--pairs ensemble_d4=10 spectral_d256=3 ...]
 
 DIR is the root of a full checkout of each side (for example made with
 `git archive`). For each workload the recorder runs `perfbench/run.py` in
-both checkouts, pair k with seed k + 1, the side that runs first alternating
-from pair to pair. Per metric it writes both sides' runs, medians and
-quartiles, the ratio of the medians and the number of pairs the change won,
-counting a win in the direction `BENCHMARK.json` names. Workloads given to
---trace also get one traced run per side (seed 1) for the per-layer metrics.
-Unless --no-tier1 is given, it then runs the tier-1 test suite once per side
-and every selftest criterion once per side in a fresh interpreter, and
+both checkouts for `BENCHMARK.json`'s run_seconds, pair k with seed k, the
+side that runs first alternating from pair to pair. Per metric it writes
+both sides' runs, medians and quartiles, the ratio of the medians and the
+number of pairs the change won, counting a win in the direction
+`BENCHMARK.json` names. A metric shows a gain when the change won at least
+nine in ten of at least ten pairs and its median beats the parent's by more
+than the parent's interquartile range; the `claim` block lists every such
+metric. Each workload also gets one traced run per side (seed 1) for the
+per-layer metrics. The recorder then runs the tier-1 test suite once per
+side and every selftest criterion once per side in a fresh interpreter, and
 counts the lines of `src/`. Runs are sequential, so nothing else competes
 for the CPUs while one is timed.
 """
@@ -62,6 +64,19 @@ def _quartiles(runs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
+def _gain(stats: dict, wins: int, pairs: int, sign: float) -> dict:
+    """The gain test: the change better in nine of ten pairs or more, over
+    ten pairs at least, and its median better than the parent's by more than
+    the parent's interquartile range."""
+    difference = sign * (stats["change"]["median"] - stats["parent"]["median"])
+    spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+    return {
+        "median_improvement": difference,
+        "parent_interquartile_range": spread,
+        "gain_met": pairs >= 10 and 10 * wins >= 9 * pairs and difference > spread,
+    }
+
+
 def _workload(dirs: dict, workload: str, pairs: int, seconds: float, better: dict) -> dict:
     seeds = list(range(1, pairs + 1))
     runs = {side: [] for side in SIDES}
@@ -86,6 +101,7 @@ def _workload(dirs: dict, workload: str, pairs: int, seconds: float, better: dic
             **stats,
             "change_over_parent_median": stats["change"]["median"] / stats["parent"]["median"],
             "pairs_change_better": wins,
+            **_gain(stats, wins, pairs, sign),
         }
     return entry
 
@@ -124,13 +140,10 @@ def main(argv=None) -> int:
     ap.add_argument("--what", required=True, help="one line: what the change does and what it claims")
     ap.add_argument("--pairs", nargs="+", default=["ensemble_d4=10", "spectral_d256=3",
                                                     "orbit_magic=3", "stabilizer_tables=3"])
-    ap.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json)")
-    ap.add_argument("--trace", nargs="*", default=["ensemble_d4"])
-    ap.add_argument("--no-tier1", action="store_true")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {
@@ -142,20 +155,22 @@ def main(argv=None) -> int:
     for spec_pair in args.pairs:
         workload, pairs = spec_pair.split("=")
         doc["workloads"][workload] = _workload(dirs, workload, int(pairs), seconds, better)
-    info = ""
-    if args.trace:
-        doc["per_layer_traced_seed1"] = {}
-        for workload in args.trace:
-            entry = {}
-            for side in SIDES:
-                info, result = _bench(dirs[side], workload, 1, seconds, trace=1)
-                entry[side] = {name: m["value"] for name, m in result["metrics"].items()}
-            doc["per_layer_traced_seed1"][workload] = entry
-    if not args.no_tier1:
-        doc["tier1_one_run_each"] = {side: _tier1(dirs[side]) for side in SIDES}
+    doc["claim"] = [
+        {"workload": workload, "metric": metric, **{k: entry[metric][k] for k in (
+            "pairs_change_better", "median_improvement", "parent_interquartile_range")},
+         "pairs": entry["pairs"]}
+        for workload, entry in doc["workloads"].items()
+        for metric in better if entry[metric]["gain_met"]
+    ]
+    doc["per_layer_traced_seed1"] = {}
+    for workload in doc["workloads"]:
+        entry = {}
+        for side in SIDES:
+            info, result = _bench(dirs[side], workload, 1, seconds, trace=1)
+            entry[side] = {name: m["value"] for name, m in result["metrics"].items()}
+        doc["per_layer_traced_seed1"][workload] = entry
+    doc["tier1_one_run_each"] = {side: _tier1(dirs[side]) for side in SIDES}
     doc["src_lines"] = {side: _src_lines(dirs[side]) for side in SIDES}
-    if not info:
-        info, _ = _bench(dirs["change"], "ensemble_d4", 1, 1.0, trace=0)
     doc["machine"] = _machine(info)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
