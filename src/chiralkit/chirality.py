@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -287,9 +288,17 @@ class OptimizationResult:
     a lower bound on the true maximal fidelity, so -log(best_fidelity) is an
     upper estimate of the log-distance. Fidelity 1 (within certificate_tol)
     certifies nonchirality; a value below 1 witnesses nothing by itself.
-    stationarity holds, per restart, the largest over parties of the
-    Frobenius norm of the skew-Hermitian part of M_t U_t at the returned
-    unitaries: 0 at a stationary point, whatever the stop rule reported.
+
+    Per restart: stationarity is the largest over parties t of
+    ||skew(e^{-i arg o} U_t M_t)||_F at the returned unitaries, o the overlap
+    and M_t the matrix it is linear in when every other unitary is held
+    (o = Tr U_t M_t). It is the norm of the gradient of |o| in party t's
+    coordinates, does not change when any U_t takes a phase, and is 0
+    exactly at a stationary point. stop_reasons says why the restart
+    stopped: "stationary" (stationarity at most sqrt(tol)), "target" (some
+    restart reached target_fidelity first) or "cap" (its sweeps plus Newton
+    steps reached max_iters). converged is stop_reasons == "stationary", and
+    iterations_per_restart counts sweeps plus Newton steps.
     """
 
     best_fidelity: float
@@ -301,6 +310,7 @@ class OptimizationResult:
     best_restart: int
     fidelities: np.ndarray = field(repr=False)
     stationarity: np.ndarray = field(repr=False)
+    stop_reasons: list[str] = field(repr=False)
     certificate_tol: float = 1e-8
 
     @property
@@ -353,10 +363,57 @@ def _polar_max(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.swapaxes(u / scale[..., None, None], -1, -2), norm
 
 
+# The second-order steps build n^2 * dim complex entries of Hessian rows for n
+# party parameters on a dim-dimensional purification: 0.1 MB for a two-qubit
+# state, 5 MB for a full-rank three-qubit one. Above 2^21 entries (32 MB), as
+# for a full-rank (4, 4) state, restarts keep sweeping instead.
+_SECOND_ORDER_MAX_ENTRIES = 1 << 21
+# A restart sweeps at most this many times before its Newton steps. The
+# sweeps only globalise: one that still gains sqrt(tol) per sweep after this
+# many is converging linearly and slowly, and the trust region finishes in a
+# few steps what would take it hundreds of sweeps (DECISIONS.md).
+_SWEEP_BUDGET = 60
+# trust-region radii bound the Frobenius norm of the step x, in radians
+_TRUST_RADIUS_START = 0.5
+_TRUST_RADIUS_MAX = np.pi
+_TRUST_REGION_ITERS = 20  # cap on the Newton iterations for the shift lam
+
+
+@lru_cache(maxsize=None)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """(d^2 - 1, d, d): the generalized Gell-Mann matrices over sqrt(2), an
+    orthonormal basis (Tr E_k E_l = delta_kl) of the traceless Hermitian
+    d x d matrices."""
+    unit = np.eye(d)
+    basis = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            e = np.outer(unit[a], unit[b])
+            basis += [(e + e.T) / np.sqrt(2.0), 1j * (e.T - e) / np.sqrt(2.0)]
+    for k in range(1, d):
+        basis.append(np.diag(np.r_[np.ones(k), -k, np.zeros(d - k - 1)]) / np.sqrt(k * (k + 1)))
+    out = np.array(basis, dtype=complex).reshape(-1, d, d)
+    out.flags.writeable = False
+    return out
+
+
 class _OrbitContraction:
     """The purification tensor laid out once per party, so that applying a
     stack of party unitaries and forming the data matrices M_t are reshapes
-    and batched products on a flat (restarts, dim) state."""
+    and batched products on a flat (restarts, dim) state.
+
+    For the second-order steps each active party t moves as
+    exp(i sum_k x_tk E_k) U_t, with E_k an orthonormal basis of the traceless
+    Hermitian matrices, so the per-party phase gauge is not a coordinate. The
+    overlap o = base^T ((x)U) base is multilinear in the unitaries, so with
+    G_i = i E_k acting on party t its first and second derivatives at x = 0
+    are the linear functionals base^T G_i theta and
+    sym(base^T G_i G_j theta) of the state theta = (x)U base. Their rows
+    (G_i^T base and G_j^T G_i^T base) are built once, and every gradient and
+    Hessian is then one product with theta. The rows take n^2 dim entries for
+    n parameters; above _SECOND_ORDER_MAX_ENTRIES they are not built and
+    the optimizer keeps sweeping instead.
+    """
 
     def __init__(self, base: np.ndarray):
         self.base = base.reshape(-1)
@@ -370,6 +427,23 @@ class _OrbitContraction:
             # (a b, d_t): the base with party t as its column index
             env = base.reshape(a, dims[t], b).transpose(0, 2, 1).reshape(a * b, dims[t])
             self.env[t] = np.ascontiguousarray(env)
+        self.nparams = sum(dims[t] ** 2 - 1 for t in self.active)
+        self.rows = None
+        if 0 < self.nparams**2 * self.base.size <= _SECOND_ORDER_MAX_ENTRIES:
+            grad_rows = self._generators_transposed(self.base[None])[0]
+            hess_rows = self._generators_transposed(grad_rows).reshape(-1, self.base.size)
+            self.rows = np.concatenate([grad_rows, hess_rows])
+
+    def _generators_transposed(self, x: np.ndarray) -> np.ndarray:
+        """(N, n, dim): G_i^T applied to each of the N flat states x, for every
+        parameter i = (t, k)."""
+        out = []
+        for t in self.active:
+            a, d, b = self.shapes[t]
+            gen = 1j * np.swapaxes(_hermitian_basis(d), 1, 2)
+            y = np.einsum("kxy,nayb->nkaxb", gen, x.reshape(-1, a, d, b))
+            out.append(y.reshape(len(x), -1, a * d * b))
+        return np.concatenate(out, axis=1)
 
     def apply(self, us, skip: int | None = None) -> np.ndarray:
         """(R, dim) stack of (x)_k U_k |base> over the active parties k != skip."""
@@ -382,25 +456,120 @@ class _OrbitContraction:
             return np.broadcast_to(self.base, (nres, self.base.size))
         return theta.reshape(nres, -1)
 
+    def _party_matrix(self, theta: np.ndarray, t: int) -> np.ndarray:
+        """(R, d_t, d_t): theta contracted with the base over every party but t."""
+        a, d, b = self.shapes[t]
+        return theta.reshape(-1, a, d, b).swapaxes(1, 2).reshape(-1, d, a * b) @ self.env[t]
+
     def data_matrix(self, us, t: int) -> np.ndarray:
         """M_t (R, d_t, d_t), with the overlap equal to Tr(U_t M_t)."""
-        a, d, b = self.shapes[t]
-        theta = self.apply(us, skip=t).reshape(-1, a, d, b).swapaxes(1, 2)
-        return theta.reshape(-1, d, a * b) @ self.env[t]
+        return self._party_matrix(self.apply(us, skip=t), t)
 
     def overlaps(self, us) -> np.ndarray:
         return self.apply(us) @ self.base
 
-    def stationarity(self, us) -> np.ndarray:
-        """Per restart, the largest over parties of ||skew(M_t U_t)||_F. Every
-        sweep leaves the overlap real and positive, and there this vanishes
-        exactly at the stationary points of the overlap modulus."""
-        out = np.zeros(len(us[0]))
+    def stationarity(self, theta: np.ndarray) -> np.ndarray:
+        """Per restart of the states theta, the largest over parties of
+        ||skew(e^{-i arg o} U_t M_t)||_F. Rotating out the phase of the overlap
+        o makes it invariant under the phase of every U_t; it vanishes
+        exactly at the stationary points of |o|, and it equals the norm of
+        the gradient of |o| in party t's coordinates."""
+        o = theta @ self.base
+        absolute = np.abs(o)
+        phase = np.divide(o.conj(), absolute, out=np.ones_like(o), where=absolute > 0.0)
+        out = np.zeros(len(theta))
         for t in self.active:
-            mu = self.data_matrix(us, t) @ us[t]
-            skew = 0.5 * (mu - np.conj(np.swapaxes(mu, 1, 2)))
+            lt = phase[:, None, None] * self._party_matrix(theta, t)
+            skew = 0.5 * (lt - dagger(lt))
             out = np.maximum(out, np.linalg.norm(skew, axis=(1, 2)))
         return out
+
+    def derivatives(self, theta: np.ndarray):
+        """Fidelities |o|^2 of the states theta with their gradients (R, n)
+        and Hessians (R, n, n) in the coordinates x."""
+        o = theta @ self.base
+        y = theta @ self.rows.T
+        n = self.nparams
+        g, a = y[:, :n], y[:, n:].reshape(-1, n, n)
+        # |o|^2'' = 2 Re(conj(o) o'' + o' o'^H), o'' the symmetric part of a
+        hess = np.real(o.conj()[:, None, None] * (a + np.swapaxes(a, 1, 2)))
+        hess += 2.0 * np.real(g[:, :, None] * g.conj()[:, None, :])
+        return np.abs(o) ** 2, 2.0 * np.real(o.conj()[:, None] * g), hess
+
+    def rotate(self, us, x: np.ndarray) -> list[np.ndarray]:
+        """The unitaries exp(i sum_k x_tk E_k) U_t; the exponential is
+        V e^{i lambda} V^dagger from eigh."""
+        out = list(us)
+        start = 0
+        for t in self.active:
+            basis = _hermitian_basis(self.shapes[t][1])
+            h = np.tensordot(x[:, start:start + len(basis)], basis, axes=1)
+            start += len(basis)
+            w, v = np.linalg.eigh(h)
+            out[t] = (v * np.exp(1j * w)[:, None, :]) @ dagger(v) @ us[t]
+        return out
+
+
+def _trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray):
+    """Per row, the step x with ||x|| <= radius (up to 10% over) that
+    maximizes the model grad.x + x.hess.x / 2, and the model's increase.
+
+    In the eigenbasis of B = -hess the step is (B + lam)^{-1} grad, with
+    lam = 0 if B is positive definite and its Newton step fits, else the
+    lam above max(0, -lowest curvature) at which ||x|| = radius. That lam is
+    the root of 1/radius - 1/||x(lam)||, a convex decreasing function, so
+    Newton's method from the lowest admissible lam rises monotonically to it
+    (More & Sorensen 1983; Nocedal & Wright, Numerical Optimization,
+    Alg. 4.3). If grad has no weight on the lowest curvature (the hard
+    case) ||x|| stays below the radius there and the step falls short.
+    """
+    beta, q = np.linalg.eigh(-hess)
+    gamma = np.einsum("rji,rj->ri", q, grad)  # the gradient in the eigenbasis
+    lam = np.maximum(0.0, -beta[:, 0]) + 1e-12 * (1.0 + np.abs(beta).max(axis=1))
+    newton = beta[:, 0] > 0.0
+    newton[newton] = np.linalg.norm(gamma[newton] / beta[newton], axis=1) <= radius[newton]
+    lam[newton] = 0.0
+    rows = np.flatnonzero(~newton)
+    for _ in range(_TRUST_REGION_ITERS):
+        denom = beta[rows] + lam[rows, None]
+        c = gamma[rows] / denom
+        s = np.sum(c * c, axis=1)
+        far = s > (1.1 * radius[rows]) ** 2
+        if not far.any():
+            break
+        rows, c, denom, s = rows[far], c[far], denom[far], s[far]
+        lam[rows] += s * (np.sqrt(s) / radius[rows] - 1.0) / np.sum(c * c / denom, axis=1)
+    c = gamma / (beta + lam[:, None])
+    increase = np.sum(c * gamma - 0.5 * beta * c * c, axis=1)
+    return np.einsum("rij,rj->ri", q, c), increase
+
+
+def _sweep(orbit: _OrbitContraction, us, fid: np.ndarray):
+    """One cycle of the closed-form party updates: the new unitaries and
+    fidelities. Each update is monotone in the overlap."""
+    us = list(us)
+    for t in orbit.active:
+        us[t], norm = _polar_max(orbit.data_matrix(us, t))
+        fid = norm**2
+    return us, fid
+
+
+def _newton_iteration(orbit: _OrbitContraction, us, theta, radius):
+    """One trust-region step for each restart: the unitaries and fidelities
+    after it (unchanged where the fidelity would not rise) and the new radii."""
+    fid, grad, hess = orbit.derivatives(theta)
+    x, increase = _trust_region_step(grad, hess, radius)
+    trial = orbit.rotate(us, x)
+    trial_fid = np.abs(orbit.overlaps(trial)) ** 2
+    gain = trial_fid - fid
+    ratio = gain / np.maximum(increase, np.finfo(float).tiny)
+    length = np.linalg.norm(x, axis=1)
+    radius = np.where(ratio < 0.25, 0.25 * np.minimum(length, radius), radius)
+    grow = (ratio > 0.75) & (length >= 0.9 * radius)
+    radius = np.where(grow, np.minimum(2.0 * radius, _TRUST_RADIUS_MAX), radius)
+    accept = gain > 0.0
+    us = [np.where(accept[:, None, None], new, old) for new, old in zip(trial, us)]
+    return us, np.where(accept, trial_fid, fid), radius
 
 
 def alternating_orbit_overlap(
@@ -410,52 +579,91 @@ def alternating_orbit_overlap(
     tol: float,
     target_fidelity: float | None = None,
 ):
-    """Maximize |sum_ab psi_a ((x)_t U_t)_ab psi_b| by cycling closed-form
-    single-party updates, batched over restarts.
+    """Maximize |sum_ab psi_a ((x)_t U_t)_ab psi_b| over restarts batched on
+    one axis: closed-form sweeps to globalise, then trust-region Newton
+    steps to a stationary point.
 
     Fixing every party but t makes the objective |Tr(U_t M_t)| for a data
-    matrix M_t, maximized by the adjoint polar factor of M_t (_polar_max); each
-    update is therefore monotone in the overlap. A restart whose gain per
-    sweep falls below tol keeps the unitaries and fidelity of that sweep and
-    leaves the batch. Returns per-restart fidelities, overlaps, unitaries,
-    sweep counts and convergence flags, and the best restart.
+    matrix M_t, maximized by the adjoint polar factor of M_t (_polar_max);
+    each sweep of these updates is monotone in the overlap. A restart leaves
+    the sweeps when its gain per sweep falls below sqrt(tol), or after
+    _SWEEP_BUDGET sweeps. It then takes
+    Riemannian trust-region Newton steps on U(d)^m (Absil, Baker &
+    Gallivan 2007) with the exact Hessian of the fidelity (see
+    _OrbitContraction), and a step counts only if it raises the fidelity, so
+    every restart's fidelity rises monotonically from its start. A restart
+    stops as "stationary" once its stationarity is at most sqrt(tol), as
+    "target" when some restart reaches target_fidelity first, and as "cap"
+    when its sweeps plus Newton steps reach max_iters. Parties too large for
+    the Hessian keep sweeping in place of Newton steps, under the same
+    stops.
+
+    Returns per-restart fidelities, overlaps, unitaries, iteration counts
+    (sweeps plus Newton steps), stop reasons and stationarities, and the
+    best restart.
     """
     orbit = _OrbitContraction(base)
     nres = len(inits)
+    stat_tol = np.sqrt(tol)
     us = [np.stack([np.asarray(init[t], dtype=complex) for init in inits]) for t in range(base.ndim)]
     fid = np.abs(orbit.overlaps(us)) ** 2
     iters = np.zeros(nres, dtype=int)
-    converged = np.zeros(nres, dtype=bool)
+    reasons = np.full(nres, "", dtype=object)
+    stationarity = np.zeros(nres)
+
+    def reached_target() -> bool:
+        return target_fidelity is not None and fid.max() >= target_fidelity
+
+    # sweeps: each restart leaves when its gain per sweep falls below
+    # sqrt(tol), and after _SWEEP_BUDGET sweeps at most
     live = np.arange(nres)
     live_us = list(us)
-    live_fid = fid
-    sweeps = 0
-    for sweeps in range(1, max_iters + 1):
-        new_fid = live_fid
+    hit = False
+    for sweep in range(1, max_iters + 1):
+        live_us, new_fid = _sweep(orbit, live_us, fid[live])
+        switch = (new_fid - fid[live] < stat_tol) | (sweep >= _SWEEP_BUDGET)
+        fid[live] = new_fid
+        iters[live] = sweep
         for t in orbit.active:
-            live_us[t], norm = _polar_max(orbit.data_matrix(live_us, t))
-            new_fid = norm**2
-        done = new_fid - live_fid < tol
-        live_fid = new_fid
-        fid[live] = live_fid
-        if done.any():
-            finished = live[done]
-            for t in orbit.active:
-                us[t][finished] = live_us[t][done]
-            iters[finished] = sweeps
-            converged[finished] = True
-            keep = ~done
-            live, live_fid = live[keep], live_fid[keep]
-            live_us = [u[keep] for u in live_us]
-            if not live.size:
-                break
-        if target_fidelity is not None and fid.max() >= target_fidelity:
+            us[t][live] = live_us[t]
+        live, live_us = live[~switch], [u[~switch] for u in live_us]
+        hit = reached_target()
+        if hit or not live.size:
             break
-    for t in orbit.active:
-        us[t][live] = live_us[t]
-    iters[live] = sweeps
+
+    # Newton steps (or more sweeps) until each restart stops. A restart that
+    # meets sqrt(tol) takes one more Newton step: that step is quadratic, so
+    # it removes the last ~stationarity^2 / curvature of fidelity that a stop
+    # at sqrt(tol) would leave (DECISIONS.md).
+    live = np.arange(nres)
+    radius = np.full(nres, _TRUST_RADIUS_START)
+    polished = np.full(nres, orbit.rows is None)
+    while True:
+        live_us = [u[live] for u in us]
+        theta = orbit.apply(live_us)
+        stationarity[live] = orbit.stationarity(theta)
+        small = stationarity[live] <= stat_tol
+        stop = np.where(iters[live] >= max_iters, "cap", "").astype(object)
+        if hit:
+            stop[:] = "target"
+        stop[small & (polished[live] | (stop != ""))] = "stationary"
+        reasons[live] = stop
+        keep = stop == ""
+        if not keep.any():
+            break
+        polished[live] = small | (orbit.rows is None)
+        live, theta = live[keep], theta[keep]
+        live_us = [u[keep] for u in live_us]
+        if orbit.rows is None:
+            live_us, fid[live] = _sweep(orbit, live_us, fid[live])
+        else:
+            live_us, fid[live], radius[live] = _newton_iteration(orbit, live_us, theta, radius[live])
+        iters[live] += 1
+        for t in orbit.active:
+            us[t][live] = live_us[t]
+        hit = reached_target()
     best = int(np.argmax(fid))  # argmax takes the lowest index on ties
-    return fid, orbit.overlaps(us), us, iters, converged, best
+    return fid, orbit.overlaps(us), us, iters, reasons.tolist(), stationarity, best
 
 
 def _identity_inits(party_dims) -> list[np.ndarray]:
@@ -480,7 +688,11 @@ def chiral_log_distance(
     optimizing one unitary per partition group plus one on the ancilla.
     Restart 0 starts from identities, any extra_inits follow (each a list of
     per-party unitaries, ancilla optional), and the remaining restarts start
-    Haar-random from streams seeded by (seed, restart). Returns
+    Haar-random from streams seeded by (seed, restart). Each restart sweeps
+    until its gain per sweep falls below sqrt(tol) (at most 60 sweeps), then
+    takes trust-region Newton steps until its stationarity is at most
+    sqrt(tol) (alternating_orbit_overlap); max_iters caps its sweeps plus
+    steps, and restarts that reach the cap raise a RuntimeWarning. Returns
     (-log best_fidelity, diagnostics); the value is an upper estimate of the
     true log-distance because stalls only lower the fidelity.
     """
@@ -503,12 +715,10 @@ def chiral_log_distance(
         inits.append([haar_unitary(d, rng) for d in party_dims])
         k += 1
 
-    fid, overlaps, us, iters, converged, best = alternating_orbit_overlap(
+    fid, overlaps, us, iters, reasons, stationarity, best = alternating_orbit_overlap(
         base, inits, max_iters, tol, target_fidelity
     )
-    stationarity = _OrbitContraction(base).stationarity(us)
-    # a target_fidelity stop leaves restarts unconverged before max_iters
-    stalled = int(np.sum(iters[~converged] >= max_iters))
+    stalled = reasons.count("cap")
     if stalled:
         warnings.warn(
             f"{stalled} of {len(inits)} restarts hit max_iters={max_iters}",
@@ -521,10 +731,11 @@ def chiral_log_distance(
         unitaries=[u[best] for u in us],
         restarts=len(inits),
         iterations_per_restart=iters.tolist(),
-        converged=converged.tolist(),
+        converged=[r == "stationary" for r in reasons],
         best_restart=best,
         fidelities=fid,
         stationarity=stationarity,
+        stop_reasons=reasons,
     )
     # the fidelity can round above 1; a distance is never negative
     value = max(0.0, -float(np.log(max(result.best_fidelity, 1e-300))))

@@ -36,10 +36,16 @@ def parse_state_document(doc: dict, atol: float = 1e-8) -> DensityMatrix:
             f"expected {d * d} for dims {dims}"
         )
     try:
-        flat = np.array([complex(re, im) for re, im in entries])
-    except (TypeError, ValueError) as exc:
+        pairs = np.asarray(entries)
+    except ValueError as exc:  # ragged nesting
         raise StateFileError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    return DensityMatrix(dims, flat.reshape(d, d), atol=atol)
+    # without a dtype, strings and nulls stay non-numeric instead of parsing
+    if pairs.shape != (d * d, 2) or pairs.dtype.kind not in "biuf":
+        raise StateFileError(
+            f"matrix entries must be [re, im] pairs of numbers, got an array of shape "
+            f"{pairs.shape} and dtype {pairs.dtype}"
+        )
+    return DensityMatrix(dims, pairs.astype(float).view(complex).reshape(d, d), atol=atol)
 
 
 def parse_state_file(path, atol: float = 1e-8) -> DensityMatrix:
@@ -53,7 +59,7 @@ def state_document(rho: DensityMatrix, label: str | None = None) -> dict:
     require_single(rho, "state_document")
     doc = {
         "dims": list(rho.dims),
-        "matrix": [[float(z.real), float(z.imag)] for z in rho.data.reshape(-1)],
+        "matrix": np.stack([rho.data.real, rho.data.imag], axis=-1).reshape(-1, 2).tolist(),
     }
     if label is not None:
         doc["label"] = label

@@ -294,9 +294,11 @@ def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
     return tens.reshape(batch + (rho.dim, rho.dim))
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum())
+def trace_norm(m: np.ndarray):
+    """Sum of singular values of the last two axes: a float for one matrix,
+    one value per member for an (N, d, d) stack."""
+    norms = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

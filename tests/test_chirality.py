@@ -25,6 +25,7 @@ from chiralkit.qmat import (
     tensor_product,
 )
 from chiralkit.sampling import (
+    haar_unitary,
     random_mixed_state,
     random_pure_state,
     random_two_qubit_maximally_mixed,
@@ -649,24 +650,150 @@ def _orbit_cases():
 ORBIT_CASES = _orbit_cases()
 
 
+def _kernel_call(monkeypatch, rho, part, **kwargs):
+    """The kernel's inputs and outputs inside a public call, and its result."""
+    seen = {}
+    kernel = ch.alternating_orbit_overlap
+
+    def recording(*args):
+        seen["args"], seen["out"] = args, kernel(*args)
+        return seen["out"]
+
+    monkeypatch.setattr(ch, "alternating_orbit_overlap", recording)
+    _, res = ch.chiral_log_distance(rho, part, **kwargs)
+    return seen["args"], seen["out"], res
+
+
+def _random_unitaries(party_dims, nres, seed):
+    rng = split_rng(seed, 0)
+    return [np.stack([haar_unitary(d, rng) for _ in range(nres)]) for d in party_dims]
+
+
 class TestOrbitKernel:
     @pytest.mark.parametrize("rho,part", [c[1:] for c in ORBIT_CASES], ids=[c[0] for c in ORBIT_CASES])
     def test_matches_einsum_oracle(self, monkeypatch, rho, part):
-        # record the kernel's inputs and outputs inside the public call
-        seen = {}
-        kernel = ch.alternating_orbit_overlap
-
-        def recording(*args):
-            seen["args"], seen["out"] = args, kernel(*args)
-            return seen["out"]
-
-        monkeypatch.setattr(ch, "alternating_orbit_overlap", recording)
-        _, res = ch.chiral_log_distance(rho, part, restarts=20, seed=92)
-        fid, _, us = seen["out"][:3]
-        oracle_fid = oracle_orbit_overlap(*seen["args"])[0]
-        assert abs(fid.max() - oracle_fid.max()) <= 1e-10
+        # the sweep oracle run to 30000 sweeps reaches the maxima the second-order
+        # finish stops at; against 1000 sweeps the new value may only be higher
+        args, out, res = _kernel_call(monkeypatch, rho, part, restarts=20, seed=92)
+        fid, _, us = out[:3]
+        base, inits, _, tol, target = args
+        long_fid = oracle_orbit_overlap(base, inits, 30000, tol, target)[0]
+        assert abs(fid.max() - long_fid.max()) <= 1e-10
+        assert fid.max() >= oracle_orbit_overlap(base, inits, 1000, tol, target)[0].max() - 1e-12
         assert max(unitarity_defect(u) for u in us) <= 1e-12
         assert abs(abs(ch.orbit_overlap(rho, part, res.unitaries)) ** 2 - res.best_fidelity) <= 1e-12
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-10])
+    @pytest.mark.parametrize("name", ["mixed0", "mixed6", "pure3q1", "C10"])
+    def test_stationary_restarts_meet_sqrt_tol(self, name, tol):
+        _, rho, part = next(c for c in ORBIT_CASES if c[0] == name)
+        _, res = ch.chiral_log_distance(rho, part, restarts=20, seed=93, tol=tol)
+        reasons = np.array(res.stop_reasons)
+        assert set(reasons) <= {"stationary", "target", "cap"}
+        assert res.converged == list(reasons == "stationary")
+        assert np.all(res.stationarity[reasons == "stationary"] <= np.sqrt(tol))
+
+    @pytest.mark.parametrize("name", ["mixed3", "mixed9", "pure3q0", "C10"])
+    def test_fidelity_never_falls_below_the_switch(self, monkeypatch, name):
+        # per restart, the sweep oracle alone up to the switch: gain below
+        # sqrt(tol), or the sweep budget
+        _, rho, part = next(c for c in ORBIT_CASES if c[0] == name)
+        args, out, _ = _kernel_call(monkeypatch, rho, part, restarts=20, seed=94)
+        base, inits, _, tol, _ = args
+        for r, init in enumerate(inits):
+            at_switch = oracle_orbit_overlap(base, [init], ch._SWEEP_BUDGET, np.sqrt(tol))[0][0]
+            assert out[0][r] >= at_switch - 1e-12
+
+    def test_newton_steps_never_lower_the_fidelity(self):
+        # from Haar-random unitaries, where the model often overshoots: a step
+        # that would lower the fidelity is refused and its radius shrinks
+        _, rho, part = next(c for c in ORBIT_CASES if c[0] == "mixed5")
+        base, party_dims = ch._fused_purification(rho, part, ch.SUPPORT_CUTOFF)
+        orbit = ch._OrbitContraction(base)
+        us = _random_unitaries(party_dims, 40, 99)
+        fid = np.abs(orbit.overlaps(us)) ** 2
+        radius = np.full(40, 3.0)
+        refused = 0
+        for _ in range(15):
+            before = [u.copy() for u in us]
+            us, new_fid, radius = ch._newton_iteration(orbit, us, orbit.apply(us), radius)
+            assert np.all(new_fid >= fid)
+            assert np.allclose(np.abs(orbit.overlaps(us)) ** 2, new_fid, rtol=0, atol=1e-14)
+            refused += int(np.sum(np.all([np.all(a == b, axis=(1, 2)) for a, b in zip(us, before)], axis=0)))
+            fid = new_fid
+        assert refused > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_hermitian_basis_is_orthonormal_and_traceless(self, d):
+        basis = ch._hermitian_basis(d)
+        assert basis.shape == (d * d - 1, d, d)
+        assert np.allclose(np.einsum("kab,lba->kl", basis, basis), np.eye(d * d - 1), rtol=0, atol=1e-15)
+        assert np.array_equal(basis, np.conj(np.swapaxes(basis, 1, 2)))
+        assert np.allclose(np.trace(basis, axis1=1, axis2=2), 0.0, rtol=0, atol=1e-15)
+
+    def test_stationarity_is_phase_invariant(self):
+        _, rho, part = next(c for c in ORBIT_CASES if c[0] == "mixed2")
+        base, party_dims = ch._fused_purification(rho, part, ch.SUPPORT_CUTOFF)
+        orbit = ch._OrbitContraction(base)
+        us = _random_unitaries(party_dims, 6, 95)
+        reference = orbit.stationarity(orbit.apply(us))
+        assert np.all(reference > 1e-3)
+        for t, phi in zip(range(len(us)), (0.3, 2.0, -1.1)):
+            turned = list(us)
+            turned[t] = us[t] * np.exp(1j * phi)
+            assert np.max(np.abs(orbit.stationarity(orbit.apply(turned)) - reference)) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["mixed1", "pure3q2", "C10"])
+    def test_derivatives_match_finite_differences(self, name):
+        # central differences of the fidelity along each coordinate of
+        # exp(i sum_k x_k E_k) U_t, and of its gradient for the Hessian
+        _, rho, part = next(c for c in ORBIT_CASES if c[0] == name)
+        base, party_dims = ch._fused_purification(rho, part, ch.SUPPORT_CUTOFF)
+        orbit = ch._OrbitContraction(base)
+        us = _random_unitaries(party_dims, 2, 96)
+        fid, grad, hess = orbit.derivatives(orbit.apply(us))
+        assert np.allclose(fid, np.abs(orbit.overlaps(us)) ** 2, rtol=0, atol=1e-14)
+        h = 1e-5
+        kicks = np.eye(orbit.nparams) * h
+
+        def moved(sign):
+            shifted = [np.repeat(u, orbit.nparams, axis=0) for u in us]
+            steps = np.tile(sign * kicks, (len(us[0]), 1))
+            return orbit.derivatives(orbit.apply(orbit.rotate(shifted, steps)))
+
+        plus, minus = moved(1.0), moved(-1.0)
+        fd_grad = ((plus[0] - minus[0]) / (2 * h)).reshape(grad.shape)
+        fd_hess = ((plus[1] - minus[1]) / (2 * h)).reshape(hess.shape)
+        # a gradient at the moved point is taken in that point's own
+        # coordinates; the difference is antisymmetric (the commutator term
+        # of exp(iA) exp(iB)), so the symmetric part is the Hessian
+        fd_hess = 0.5 * (fd_hess + np.swapaxes(fd_hess, 1, 2))
+        assert np.max(np.abs(fd_grad - grad)) <= 1e-8
+        assert np.max(np.abs(fd_hess - hess)) <= 1e-7
+        assert np.max(np.abs(hess - np.swapaxes(hess, 1, 2))) <= 1e-14
+
+    def test_sweeps_replace_newton_above_the_size_limit(self, monkeypatch):
+        # with no Hessian rows the restarts keep sweeping under the same stops
+        _, rho, part = next(c for c in ORBIT_CASES if c[0] == "pure3q2")
+        _, newton = ch.chiral_log_distance(rho, part, restarts=5, seed=97)
+        monkeypatch.setattr(ch, "_SECOND_ORDER_MAX_ENTRIES", 0)
+        args, out, res = _kernel_call(monkeypatch, rho, part, restarts=5, seed=97, max_iters=20000)
+        assert ch._OrbitContraction(args[0]).rows is None
+        reasons = np.array(res.stop_reasons)
+        assert set(reasons) == {"stationary"}
+        assert np.all(res.stationarity <= 1e-6)
+        assert res.best_fidelity == pytest.approx(newton.best_fidelity, abs=1e-10)
+
+    def test_cap_and_target_reasons(self):
+        rho = rho_rand((2, 2), 98)
+        with pytest.warns(RuntimeWarning, match="5 of 5 restarts hit max_iters=3"):
+            _, res = ch.chiral_log_distance(rho, SPLIT, restarts=5, seed=98, max_iters=3)
+        assert res.stop_reasons == ["cap"] * 5 and res.iterations_per_restart == [3] * 5
+        assert not any(res.converged)
+        rho = random_two_qubit_maximally_mixed(split_rng(1212, 0))
+        _, res = ch.chiral_log_distance(rho, SPLIT, restarts=100, seed=3_000_000, target_fidelity=1.0 - 1e-4)
+        assert res.best_fidelity >= 1.0 - 1e-4 and "target" in res.stop_reasons
+        assert set(res.stop_reasons) <= {"target", "stationary"}
 
 
 class TestPolarMax:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from chiralkit.cli import main
-from chiralkit.io import parse_state_file, write_state_file
-from chiralkit.sampling import random_mixed_state, split_rng
+from chiralkit.io import StateFileError, parse_state_document, parse_state_file, write_state_file
+from chiralkit.qmat import pure_state_density
+from chiralkit.sampling import random_mixed_state, random_pure_state, split_rng
 from chiralkit.states import bell_state, chiral_qutrit_qubit
 
 
@@ -68,6 +69,41 @@ class TestStateFileErrors:
             main(["measure", "--nope"])
         assert info.value.code == 64
         assert "usage" in capsys.readouterr().err
+
+
+class TestStateFileIO:
+    @staticmethod
+    def per_entry_text(rho, label):
+        """The document as written one entry at a time."""
+        doc = {"dims": list(rho.dims), "matrix": [[float(z.real), float(z.imag)] for z in rho.data.reshape(-1)]}
+        if label is not None:
+            doc["label"] = label
+        return json.dumps(doc) + "\n"
+
+    @pytest.mark.parametrize(
+        "rho,label",
+        [
+            (random_mixed_state((2, 2), split_rng(31, 0)), "mixed"),
+            (pure_state_density((32, 32), random_pure_state(1024, split_rng(31, 1))), None),
+        ],
+        ids=["2x2", "32x32"],
+    )
+    def test_bytes_match_per_entry_form_and_round_trip(self, tmp_path, rho, label):
+        path = tmp_path / "state.json"
+        write_state_file(path, rho, label=label)
+        assert path.read_text() == self.per_entry_text(rho, label)
+        assert np.array_equal(parse_state_file(path, atol=1e-6).data, rho.data)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [[1.0], ["1.0", 0.0], [None, 0.0], [[1.0, 0.0], 0.0], [[1.0], [0.0]], [1.0, 0.0, 0.0], "10", None],
+        ids=["short", "string", "null", "ragged-nesting", "nested", "triple", "string-entry", "null-entry"],
+    )
+    def test_malformed_entries_raise(self, entry):
+        matrix = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+        matrix[1] = entry
+        with pytest.raises(StateFileError, match="pairs"):
+            parse_state_document({"dims": [2], "matrix": matrix})
 
 
 class TestMeasureCommand:

@@ -168,6 +168,15 @@ class TestTraceNorm:
         oracle = np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(m.conj().T @ m), 0, None)))
         assert trace_norm(m) == pytest.approx(oracle, abs=1e-10)
 
+    def test_stack_gives_one_value_per_member(self):
+        rng = split_rng(9, 1)
+        stack = rng.standard_normal((8, 5, 5)) + 1j * rng.standard_normal((8, 5, 5))
+        norms = trace_norm(stack)
+        assert norms.shape == (8,)
+        for value, member in zip(norms, stack):
+            assert value == pytest.approx(trace_norm(member), abs=1e-12)
+            assert isinstance(trace_norm(member), float)
+
     def test_partial_transpose_trace_norm_at_least_one(self):
         for i in range(20):
             rho = rho_rand((2, 2), 10, i)
