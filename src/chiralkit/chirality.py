@@ -454,7 +454,7 @@ class _OrbitContraction:
         nres = len(us[0])
         if len(theta) < nres:
             return np.broadcast_to(self.base, (nres, self.base.size))
-        return theta.reshape(nres, -1)
+        return theta.reshape(nres, self.base.size)
 
     def _party_matrix(self, theta: np.ndarray, t: int) -> np.ndarray:
         """(R, d_t, d_t): theta contracted with the base over every party but t."""
@@ -596,7 +596,8 @@ def alternating_orbit_overlap(
     "target" when some restart reaches target_fidelity first, and as "cap"
     when its sweeps plus Newton steps reach max_iters. Parties too large for
     the Hessian keep sweeping in place of Newton steps, under the same
-    stops.
+    stops; such a restart stops as stationary only after a sweep that
+    gained less than tol, so never before the sweeps alone would have.
 
     Returns per-restart fidelities, overlaps, unitaries, iteration counts
     (sweeps plus Newton steps), stop reasons and stationarities, and the
@@ -619,9 +620,11 @@ def alternating_orbit_overlap(
     live = np.arange(nres)
     live_us = list(us)
     hit = False
+    gain = np.full(nres, np.inf)
     for sweep in range(1, max_iters + 1):
         live_us, new_fid = _sweep(orbit, live_us, fid[live])
-        switch = (new_fid - fid[live] < stat_tol) | (sweep >= _SWEEP_BUDGET)
+        gain[live] = new_fid - fid[live]
+        switch = (gain[live] < stat_tol) | (sweep >= _SWEEP_BUDGET)
         fid[live] = new_fid
         iters[live] = sweep
         for t in orbit.active:
@@ -631,33 +634,40 @@ def alternating_orbit_overlap(
         if hit or not live.size:
             break
 
-    # Newton steps (or more sweeps) until each restart stops. A restart that
-    # meets sqrt(tol) takes one more Newton step: that step is quadratic, so
-    # it removes the last ~stationarity^2 / curvature of fidelity that a stop
-    # at sqrt(tol) would leave (DECISIONS.md).
+    # Newton steps (or, above the Hessian size limit, more sweeps) until each
+    # restart stops. Meeting sqrt(tol) stops a restart once it is settled:
+    # after a Newton step taken from such a point, which is quadratic and so
+    # removes the ~stationarity^2 / curvature of fidelity that a stop at
+    # sqrt(tol) would leave, or after a sweep that gained less than tol, the
+    # rule the sweeps alone used to stop on (DECISIONS.md).
     live = np.arange(nres)
     radius = np.full(nres, _TRUST_RADIUS_START)
-    polished = np.full(nres, orbit.rows is None)
+    settled = (gain < tol) & (orbit.rows is None)
     while True:
-        live_us = [u[live] for u in us]
-        theta = orbit.apply(live_us)
-        stationarity[live] = orbit.stationarity(theta)
-        small = stationarity[live] <= stat_tol
         stop = np.where(iters[live] >= max_iters, "cap", "").astype(object)
         if hit:
             stop[:] = "target"
-        stop[small & (polished[live] | (stop != ""))] = "stationary"
+        # a Newton step needs every restart's stationarity; between sweeps
+        # only a restart that has settled or must stop does
+        check = (stop != "") | settled[live] | (orbit.rows is not None)
+        if check.any():
+            theta = orbit.apply([u[live[check]] for u in us])
+            stationarity[live[check]] = orbit.stationarity(theta)
+        small = stationarity[live] <= stat_tol
+        stop[small & (settled[live] | (stop != ""))] = "stationary"
         reasons[live] = stop
         keep = stop == ""
         if not keep.any():
             break
-        polished[live] = small | (orbit.rows is None)
-        live, theta = live[keep], theta[keep]
-        live_us = [u[keep] for u in live_us]
+        live, small = live[keep], small[keep]
+        live_us = [u[live] for u in us]
         if orbit.rows is None:
-            live_us, fid[live] = _sweep(orbit, live_us, fid[live])
+            live_us, new_fid = _sweep(orbit, live_us, fid[live])
+            settled[live] = new_fid - fid[live] < tol
+            fid[live] = new_fid
         else:
-            live_us, fid[live], radius[live] = _newton_iteration(orbit, live_us, theta, radius[live])
+            settled[live] = small
+            live_us, fid[live], radius[live] = _newton_iteration(orbit, live_us, theta[keep], radius[live])
         iters[live] += 1
         for t in orbit.active:
             us[t][live] = live_us[t]

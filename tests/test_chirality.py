@@ -772,17 +772,23 @@ class TestOrbitKernel:
         assert np.max(np.abs(fd_hess - hess)) <= 1e-7
         assert np.max(np.abs(hess - np.swapaxes(hess, 1, 2))) <= 1e-14
 
-    def test_sweeps_replace_newton_above_the_size_limit(self, monkeypatch):
-        # with no Hessian rows the restarts keep sweeping under the same stops
-        _, rho, part = next(c for c in ORBIT_CASES if c[0] == "pure3q2")
+    @pytest.mark.parametrize("name", ["pure3q2", "mixed4"])
+    def test_sweeps_replace_newton_above_the_size_limit(self, monkeypatch, name):
+        # with no Hessian rows the restarts keep sweeping under the same stops,
+        # and each sweeps at least until its gain falls below tol, as the
+        # sweep oracle of one restart does
+        _, rho, part = next(c for c in ORBIT_CASES if c[0] == name)
         _, newton = ch.chiral_log_distance(rho, part, restarts=5, seed=97)
         monkeypatch.setattr(ch, "_SECOND_ORDER_MAX_ENTRIES", 0)
         args, out, res = _kernel_call(monkeypatch, rho, part, restarts=5, seed=97, max_iters=20000)
-        assert ch._OrbitContraction(args[0]).rows is None
+        base, inits, _, tol, _ = args
+        assert ch._OrbitContraction(base).rows is None
         reasons = np.array(res.stop_reasons)
         assert set(reasons) == {"stationary"}
         assert np.all(res.stationarity <= 1e-6)
         assert res.best_fidelity == pytest.approx(newton.best_fidelity, abs=1e-10)
+        for r, init in enumerate(inits):
+            assert out[0][r] >= oracle_orbit_overlap(base, [init], 20000, tol)[0][0] - 1e-13
 
     def test_cap_and_target_reasons(self):
         rho = rho_rand((2, 2), 98)
