@@ -286,8 +286,10 @@ class OptimizationResult:
     best_fidelity is the largest |<conj purification| (x)U |purification>|^2
     found over all restarts; because restarts can stall in local optima it is
     a lower bound on the true maximal fidelity, so -log(best_fidelity) is an
-    upper estimate of the log-distance. Fidelity 1 (within certificate_tol)
-    certifies nonchirality; a value below 1 witnesses nothing by itself.
+    upper estimate of the log-distance. Every fidelity is reported as at most
+    1, which rounding can exceed by a few ulps. Fidelity 1 (within
+    certificate_tol) certifies nonchirality; a value below 1 witnesses
+    nothing by itself.
 
     Per restart: stationarity is the largest over parties t of
     ||skew(e^{-i arg o} U_t M_t)||_F at the returned unitaries, o the overlap
@@ -318,12 +320,12 @@ class OptimizationResult:
         return self.best_fidelity >= 1.0 - self.certificate_tol
 
 
-def _fused_purification(rho: DensityMatrix, split: Partition, cutoff: float):
+def _fused_purification(rho: DensityMatrix, split: Partition):
     """Purify and reshape to one tensor axis per partition group plus the
     ancilla axis. Both the state and its conjugate purify to conjugate
     vectors under the ascending-eigenbasis convention, so the orbit overlap
     is the bilinear form sum_ab psi_a ((x)U)_ab psi_b with no conjugations."""
-    tens = purify(rho, cutoff).reshape(rho.dims + (-1,))
+    tens = purify(rho).reshape(rho.dims + (-1,))
     order = [i for g in split.groups for i in g] + [rho.nsub]
     gdims = [int(np.prod([rho.dims[i] for i in g])) for g in split.groups] + [tens.shape[-1]]
     tens = np.ascontiguousarray(tens.transpose(order))
@@ -574,82 +576,62 @@ def _newton_iteration(orbit: _OrbitContraction, us, theta, radius):
 
 def alternating_orbit_overlap(
     base: np.ndarray,
-    inits: list[list[np.ndarray]],
+    starts: list[np.ndarray],
     max_iters: int,
     tol: float,
     target_fidelity: float | None = None,
 ):
-    """Maximize |sum_ab psi_a ((x)_t U_t)_ab psi_b| over restarts batched on
-    one axis: closed-form sweeps to globalise, then trust-region Newton
-    steps to a stationary point.
+    """Maximize |sum_ab psi_a ((x)_t U_t)_ab psi_b| from the (R, d_t, d_t)
+    start stacks, one per party, batched over the R restarts: closed-form
+    sweeps to globalise, then trust-region Newton steps to a stationary point.
 
     Fixing every party but t makes the objective |Tr(U_t M_t)| for a data
     matrix M_t, maximized by the adjoint polar factor of M_t (_polar_max);
     each sweep of these updates is monotone in the overlap. A restart leaves
     the sweeps when its gain per sweep falls below sqrt(tol), or after
-    _SWEEP_BUDGET sweeps. It then takes
-    Riemannian trust-region Newton steps on U(d)^m (Absil, Baker &
+    _SWEEP_BUDGET sweeps. Once no restart is still sweeping, the live ones
+    take Riemannian trust-region Newton steps on U(d)^m (Absil, Baker &
     Gallivan 2007) with the exact Hessian of the fidelity (see
     _OrbitContraction), and a step counts only if it raises the fidelity, so
-    every restart's fidelity rises monotonically from its start. A restart
-    stops as "stationary" once its stationarity is at most sqrt(tol), as
-    "target" when some restart reaches target_fidelity first, and as "cap"
-    when its sweeps plus Newton steps reach max_iters. Parties too large for
-    the Hessian keep sweeping in place of Newton steps, under the same
-    stops; such a restart stops as stationary only after a sweep that
-    gained less than tol, so never before the sweeps alone would have.
+    every restart's fidelity rises monotonically from its start. Waiting for
+    the last sweeping restart keeps target stops where the sweeps alone put
+    them. A restart stops as "stationary" once its stationarity is at most
+    sqrt(tol), as "target" when some restart reaches target_fidelity first,
+    and as "cap" when its sweeps plus Newton steps reach max_iters. Parties
+    too large for the Hessian keep sweeping in place of Newton steps, under
+    the same stops; such a restart stops as stationary only after a sweep
+    that gained less than tol, so never before the sweeps alone would have.
 
-    Returns per-restart fidelities, overlaps, unitaries, iteration counts
-    (sweeps plus Newton steps), stop reasons and stationarities, and the
-    best restart.
+    Returns per-restart fidelities (capped at 1), overlaps, unitaries,
+    iteration counts (sweeps plus Newton steps), stop reasons and
+    stationarities, and the best restart (chosen before the cap).
     """
     orbit = _OrbitContraction(base)
-    nres = len(inits)
+    us = [np.array(s, dtype=complex) for s in starts]
+    nres = len(us[0])
     stat_tol = np.sqrt(tol)
-    us = [np.stack([np.asarray(init[t], dtype=complex) for init in inits]) for t in range(base.ndim)]
     fid = np.abs(orbit.overlaps(us)) ** 2
     iters = np.zeros(nres, dtype=int)
     reasons = np.full(nres, "", dtype=object)
     stationarity = np.zeros(nres)
-
-    def reached_target() -> bool:
-        return target_fidelity is not None and fid.max() >= target_fidelity
-
-    # sweeps: each restart leaves when its gain per sweep falls below
-    # sqrt(tol), and after _SWEEP_BUDGET sweeps at most
-    live = np.arange(nres)
-    live_us = list(us)
-    hit = False
-    gain = np.full(nres, np.inf)
-    for sweep in range(1, max_iters + 1):
-        live_us, new_fid = _sweep(orbit, live_us, fid[live])
-        gain[live] = new_fid - fid[live]
-        switch = (gain[live] < stat_tol) | (sweep >= _SWEEP_BUDGET)
-        fid[live] = new_fid
-        iters[live] = sweep
-        for t in orbit.active:
-            us[t][live] = live_us[t]
-        live, live_us = live[~switch], [u[~switch] for u in live_us]
-        hit = reached_target()
-        if hit or not live.size:
-            break
-
-    # Newton steps (or, above the Hessian size limit, more sweeps) until each
-    # restart stops. Meeting sqrt(tol) stops a restart once it is settled:
-    # after a Newton step taken from such a point, which is quadratic and so
-    # removes the ~stationarity^2 / curvature of fidelity that a stop at
-    # sqrt(tol) would leave, or after a sweep that gained less than tol, the
-    # rule the sweeps alone used to stop on (DECISIONS.md).
-    live = np.arange(nres)
+    # per restart: left the sweeps; settled; trust radius. Meeting sqrt(tol)
+    # stops a restart once it is settled: after a Newton step taken from
+    # such a point, which is quadratic and so removes the ~stationarity^2 /
+    # curvature of fidelity a stop there would leave, or after a sweep past
+    # the switch that gained less than tol, the old stop rule (DECISIONS.md).
+    finishing = np.zeros(nres, dtype=bool)
+    settled = np.zeros(nres, dtype=bool)
     radius = np.full(nres, _TRUST_RADIUS_START)
-    settled = (gain < tol) & (orbit.rows is None)
+    hit = False
+    live = np.arange(nres)
     while True:
         stop = np.where(iters[live] >= max_iters, "cap", "").astype(object)
         if hit:
             stop[:] = "target"
-        # a Newton step needs every restart's stationarity; between sweeps
-        # only a restart that has settled or must stop does
-        check = (stop != "") | settled[live] | (orbit.rows is not None)
+        newton = orbit.rows is not None and finishing[live[stop == ""]].all()
+        # a Newton step needs every restart's stationarity; otherwise only a
+        # restart that has settled or must stop does
+        check = (stop != "") | settled[live] | newton
         if check.any():
             theta = orbit.apply([u[live[check]] for u in us])
             stationarity[live[check]] = orbit.stationarity(theta)
@@ -657,27 +639,27 @@ def alternating_orbit_overlap(
         stop[small & (settled[live] | (stop != ""))] = "stationary"
         reasons[live] = stop
         keep = stop == ""
-        if not keep.any():
-            break
         live, small = live[keep], small[keep]
-        live_us = [u[live] for u in us]
-        if orbit.rows is None:
-            live_us, new_fid = _sweep(orbit, live_us, fid[live])
-            settled[live] = new_fid - fid[live] < tol
-            fid[live] = new_fid
+        if not live.size:
+            break
+        # the restarts still sweeping to globalise, or, once none is, all
+        move = live if finishing[live].all() else live[~finishing[live]]
+        current = [u[move] for u in us]
+        if newton:
+            settled[move] = small
+            moved, fid[move], radius[move] = _newton_iteration(orbit, current, theta[keep], radius[move])
         else:
-            settled[live] = small
-            live_us, fid[live], radius[live] = _newton_iteration(orbit, live_us, theta[keep], radius[live])
-        iters[live] += 1
+            moved, new_fid = _sweep(orbit, current, fid[move])
+            gain = new_fid - fid[move]
+            fid[move] = new_fid
+            finishing[move] |= (gain < stat_tol) | (iters[move] + 1 >= _SWEEP_BUDGET)
+            settled[move] = finishing[move] & (gain < tol) & (orbit.rows is None)
+        iters[move] += 1
         for t in orbit.active:
-            us[t][live] = live_us[t]
-        hit = reached_target()
+            us[t][move] = moved[t]
+        hit = target_fidelity is not None and fid.max() >= target_fidelity
     best = int(np.argmax(fid))  # argmax takes the lowest index on ties
-    return fid, orbit.overlaps(us), us, iters, reasons.tolist(), stationarity, best
-
-
-def _identity_inits(party_dims) -> list[np.ndarray]:
-    return [np.eye(d, dtype=complex) for d in party_dims]
+    return np.minimum(fid, 1.0), orbit.overlaps(us), us, iters, reasons.tolist(), stationarity, best
 
 
 def chiral_log_distance(
@@ -689,7 +671,6 @@ def chiral_log_distance(
     seed: int = 0,
     extra_inits: list[list[np.ndarray]] | None = None,
     target_fidelity: float | None = None,
-    cutoff: float = SUPPORT_CUTOFF,
 ) -> tuple[float, OptimizationResult]:
     """Upper estimate of the chiral log-distance of rho for the partition.
 
@@ -698,11 +679,12 @@ def chiral_log_distance(
     optimizing one unitary per partition group plus one on the ancilla.
     Restart 0 starts from identities, any extra_inits follow (each a list of
     per-party unitaries, ancilla optional), and the remaining restarts start
-    Haar-random from streams seeded by (seed, restart). Each restart sweeps
-    until its gain per sweep falls below sqrt(tol) (at most 60 sweeps), then
-    takes trust-region Newton steps until its stationarity is at most
-    sqrt(tol) (alternating_orbit_overlap); max_iters caps its sweeps plus
-    steps, and restarts that reach the cap raise a RuntimeWarning. Returns
+    Haar-random from streams seeded by (seed, restart), drawn as one stack
+    per party. Each restart sweeps until its gain per sweep falls below
+    sqrt(tol) (at most 60 sweeps), then takes trust-region Newton steps until
+    its stationarity is at most sqrt(tol) (alternating_orbit_overlap);
+    max_iters caps its sweeps plus steps, and restarts that reach the cap
+    raise a RuntimeWarning. Returns
     (-log best_fidelity, diagnostics); the value is an upper estimate of the
     true log-distance because stalls only lower the fidelity.
     """
@@ -710,28 +692,28 @@ def chiral_log_distance(
     partition.validate(rho.nsub)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    base, party_dims = _fused_purification(rho, partition, cutoff)
-    m = len(party_dims)
+    base, party_dims = _fused_purification(rho, partition)
 
-    inits: list[list[np.ndarray]] = [_identity_inits(party_dims)]
+    extras = []
     for extra in extra_inits or []:
-        filled = list(extra) + [np.eye(d, dtype=complex) for d in party_dims[len(extra):]]
-        if len(filled) != m or any(f.shape != (d, d) for f, d in zip(filled, party_dims)):
+        filled = list(extra) + [np.eye(d) for d in party_dims[len(extra):]]
+        filled = [np.asarray(f, dtype=complex) for f in filled]
+        if len(filled) != len(party_dims) or any(f.shape != (d, d) for f, d in zip(filled, party_dims)):
             raise ValueError("extra init does not match party dimensions")
-        inits.append([np.asarray(f, dtype=complex) for f in filled])
-    k = 1
-    while len(inits) < restarts:
-        rng = split_rng(seed, k)
-        inits.append([haar_unitary(d, rng) for d in party_dims])
-        k += 1
+        extras.append(filled)
+    rngs = [split_rng(seed, k) for k in range(1, restarts - len(extras))]
+    starts = []
+    for t, d in enumerate(party_dims):
+        stacked = np.reshape([e[t] for e in extras], (-1, d, d))
+        starts.append(np.concatenate([np.eye(d)[None], stacked, haar_unitary(d, rngs)]))
 
     fid, overlaps, us, iters, reasons, stationarity, best = alternating_orbit_overlap(
-        base, inits, max_iters, tol, target_fidelity
+        base, starts, max_iters, tol, target_fidelity
     )
     stalled = reasons.count("cap")
     if stalled:
         warnings.warn(
-            f"{stalled} of {len(inits)} restarts hit max_iters={max_iters}",
+            f"{stalled} of {len(fid)} restarts hit max_iters={max_iters}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -739,7 +721,7 @@ def chiral_log_distance(
         best_fidelity=float(fid[best]),
         overlap=complex(overlaps[best]),
         unitaries=[u[best] for u in us],
-        restarts=len(inits),
+        restarts=len(fid),
         iterations_per_restart=iters.tolist(),
         converged=[r == "stationary" for r in reasons],
         best_restart=best,
@@ -747,7 +729,7 @@ def chiral_log_distance(
         stationarity=stationarity,
         stop_reasons=reasons,
     )
-    # the fidelity can round above 1; a distance is never negative
+    # -log 1 is -0.0; a distance is reported as +0.0
     value = max(0.0, -float(np.log(max(result.best_fidelity, 1e-300))))
     return value, result
 
@@ -756,13 +738,12 @@ def orbit_overlap(
     rho: DensityMatrix,
     partition: Partition,
     unitaries: list[np.ndarray],
-    cutoff: float = SUPPORT_CUTOFF,
 ) -> complex:
     """Recompute <conj purification| ((x)U) |purification> for given unitaries
     (one per partition group, then the ancilla). Independent check of the
     overlap reported by the optimizer."""
     require_single(rho, "orbit_overlap")
-    base, party_dims = _fused_purification(rho, partition, cutoff)
+    base, party_dims = _fused_purification(rho, partition)
     theta = base
     for t, u in enumerate(unitaries):
         u = np.asarray(u, dtype=complex)

@@ -29,6 +29,10 @@ from .sampling import _PAULIS
 # for d >= 3 the max is (log d)^2 at the uniform point.
 TWO_LEVEL_LOG_MOMENT_MAX = 0.563
 
+# Absolute cutoff on p_j + p_k: the SLD and the QFI sums skip the eigenbasis
+# pairs (j, k) at or below it, where both eigenvalues vanish.
+SLD_PAIR_CUTOFF = 1e-12
+
 
 def log_moment_bound(d: int) -> float:
     """c(d): the largest possible Tr(rho (log rho)^2) on a d-level system."""
@@ -37,11 +41,11 @@ def log_moment_bound(d: int) -> float:
     return TWO_LEVEL_LOG_MOMENT_MAX if d == 2 else float(np.log(d) ** 2)
 
 
-def sld_apply(rho: DensityMatrix, op: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
+def sld_apply(rho: DensityMatrix, op: np.ndarray) -> np.ndarray:
     """Inverse of O -> (O rho + rho O)/2 on the support of rho.
 
     In the eigenbasis the (j,k) entry is scaled by 2/(p_j + p_k); entries with
-    p_j + p_k below the cutoff are zeroed.
+    p_j + p_k at most SLD_PAIR_CUTOFF are zeroed.
     """
     require_single(rho, "sld_apply")
     dec = eig_hermitian(rho.data)
@@ -49,7 +53,8 @@ def sld_apply(rho: DensityMatrix, op: np.ndarray, cutoff: float = 1e-12) -> np.n
     v = dec.eigenvectors
     ob = v.conj().T @ np.asarray(op, dtype=complex) @ v
     psum = p[:, None] + p[None, :]
-    scale = np.where(psum > cutoff, 2.0 / np.where(psum > cutoff, psum, 1.0), 0.0)
+    good = psum > SLD_PAIR_CUTOFF
+    scale = np.where(good, 2.0 / np.where(good, psum, 1.0), 0.0)
     return v @ (scale * ob) @ v.conj().T
 
 
@@ -103,7 +108,7 @@ def sld_integral_form(
     return v @ scaled @ v.conj().T
 
 
-def qfi(rho: DensityMatrix, ham: np.ndarray, cutoff: float = 1e-12) -> float:
+def qfi(rho: DensityMatrix, ham: np.ndarray) -> float:
     """Quantum Fisher information of rho under the one-parameter orbit
     generated by ham: -Tr([H, rho] R^{-1}([H, rho])).
 
@@ -112,7 +117,7 @@ def qfi(rho: DensityMatrix, ham: np.ndarray, cutoff: float = 1e-12) -> float:
     require_single(rho, "qfi")
     ham = np.asarray(ham, dtype=complex)
     c = ham @ rho.data - rho.data @ ham
-    val = -np.trace(c @ sld_apply(rho, c, cutoff))
+    val = -np.trace(c @ sld_apply(rho, c))
     if abs(val.imag) > 1e-8:
         warnings.warn(
             f"QFI imaginary residue {val.imag:.3e}", RuntimeWarning, stacklevel=2
@@ -122,10 +127,10 @@ def qfi(rho: DensityMatrix, ham: np.ndarray, cutoff: float = 1e-12) -> float:
 
 def _intrinsic_ip(ms: ModularSet, party):
     # qfi in the eigenbasis of rho: sum_ij 2 (p_i - p_j)^2 / (p_i + p_j) |(K_P)_ij|^2
-    # over the pairs that sld_apply keeps at its default cutoff
+    # over the pairs that sld_apply keeps
     p = ms.p
     psum = _plus(p)
-    good = psum > 1e-12
+    good = psum > SLD_PAIR_CUTOFF
     w = np.where(good, 2.0 * _minus(p) ** 2 / np.where(good, psum, 1.0), 0.0)
     return _scalar(_sum2(w * np.abs(ms.k_eigbasis(party)) ** 2))
 

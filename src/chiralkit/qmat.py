@@ -111,15 +111,15 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(hermitize(self.data))
 
-    def rank(self, cutoff: float = SUPPORT_CUTOFF):
-        """Number of eigenvalues above cutoff times the largest: an int, or
-        an array of them for a stack."""
+    def rank(self):
+        """Number of eigenvalues above SUPPORT_CUTOFF times the largest: an
+        int, or an array of them for a stack."""
         p = self.eigenvalues()
-        r = np.sum(p > cutoff * p[..., -1:], axis=-1)
+        r = np.sum(p > SUPPORT_CUTOFF * p[..., -1:], axis=-1)
         return int(r) if r.ndim == 0 else r
 
-    def is_full_rank(self, cutoff: float = SUPPORT_CUTOFF):
-        return self.rank(cutoff) == self.dim
+    def is_full_rank(self):
+        return self.rank() == self.dim
 
 
 def require_single(rho: DensityMatrix, name: str) -> None:
@@ -202,26 +202,27 @@ def eig_hermitian(m: np.ndarray, atol: float = 1e-8) -> EigenDecomposition:
     return EigenDecomposition(evals, evecs)
 
 
-def _support_mask(p: np.ndarray, cutoff: float) -> np.ndarray:
-    # cutoff is relative to the largest eigenvalue of each member
-    return p > cutoff * np.maximum(p[..., -1:], 0.0)
+def _support_mask(p: np.ndarray) -> np.ndarray:
+    # the cutoff is relative to the largest eigenvalue of each member
+    return p > SUPPORT_CUTOFF * np.maximum(p[..., -1:], 0.0)
 
 
-def _log_on_support(dec: EigenDecomposition, cutoff: float) -> np.ndarray:
+def _log_on_support(dec: EigenDecomposition) -> np.ndarray:
     p = np.clip(dec.eigenvalues, 0.0, None)
-    keep = _support_mask(p, cutoff)
+    keep = _support_mask(p)
     logp = np.where(keep, np.log(np.where(keep, p, 1.0)), 0.0)
     v = dec.eigenvectors
     return hermitize((v * logp[..., None, :]) @ dagger(v))
 
 
-def matrix_log_on_support(rho: DensityMatrix, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def matrix_log_on_support(rho: DensityMatrix) -> np.ndarray:
     """log(rho) restricted to the support: eigenvalues below the relative
-    cutoff contribute nothing (the kernel projector is simply excluded)."""
-    return _log_on_support(eig_hermitian(rho.data), cutoff)
+    cutoff SUPPORT_CUTOFF contribute nothing (the kernel projector is simply
+    excluded)."""
+    return _log_on_support(eig_hermitian(rho.data))
 
 
-def marginal_log(rho: DensityMatrix, keep, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def marginal_log(rho: DensityMatrix, keep) -> np.ndarray:
     """matrix_log_on_support(partial_trace(rho, keep)) with one
     eigendecomposition per member: the marginal's density-matrix checks run
     at partial_trace's atol, the PSD check reading the eigenvalues of the
@@ -231,15 +232,15 @@ def marginal_log(rho: DensityMatrix, keep, cutoff: float = SUPPORT_CUTOFF) -> np
     # them as they are: eig_hermitian would hermitize them to the same bits
     dec = EigenDecomposition(*np.linalg.eigh(reduced))
     check_density(reduced, MARGINAL_ATOL, eigenvalues=dec.eigenvalues)
-    return _log_on_support(dec, cutoff)
+    return _log_on_support(dec)
 
 
-def imaginary_power(rho: DensityMatrix, s: float, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def imaginary_power(rho: DensityMatrix, s: float) -> np.ndarray:
     """rho^{is}, acting as the identity on the kernel so the result is
     unitary; one unitary per member of a stack."""
     dec = eig_hermitian(rho.data)
     p = np.clip(dec.eigenvalues, 0.0, None)
-    keep = _support_mask(p, cutoff)
+    keep = _support_mask(p)
     phases = np.where(keep, np.exp(1j * s * np.log(np.where(keep, p, 1.0))), 1.0)
     v = dec.eigenvectors
     return (v * phases[..., None, :]) @ dagger(v)
@@ -327,7 +328,7 @@ def conjugate(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(rho.dims, rho.data.conj())
 
 
-def purify(rho: DensityMatrix, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def purify(rho: DensityMatrix) -> np.ndarray:
     """Purification on system x ancilla with ancilla dimension rank(rho).
 
     Convention: |rho> = sum_i sqrt(p_i) |phi_i>|i>, eigenvalues ascending, so
@@ -337,7 +338,7 @@ def purify(rho: DensityMatrix, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     require_single(rho, "purify")
     dec = eig_hermitian(rho.data)
     p = np.clip(dec.eigenvalues, 0.0, None)
-    keep = np.nonzero(_support_mask(p, cutoff))[0]
+    keep = np.nonzero(_support_mask(p))[0]
     # columns of (d x r): sqrt(p_i) |phi_i>, ancilla index = position in `keep`
     mat = dec.eigenvectors[:, keep] * np.sqrt(p[keep])
     return mat.reshape(-1)

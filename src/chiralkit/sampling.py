@@ -42,10 +42,17 @@ def _rephased_q(z: np.ndarray) -> np.ndarray:
     return q * (diag / abs(diag))[..., None, :]
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitary(d: int, rng) -> np.ndarray:
     """Haar-random unitary: QR of a complex Ginibre matrix with the R diagonal
-    rephased to unit modulus."""
-    return _rephased_q(_ginibre(d, rng))
+    rephased to unit modulus.
+
+    Given a sequence of generators instead of one, returns the (N, d, d)
+    stack of the unitaries that each generator alone would give, with one QR
+    for the whole stack.
+    """
+    if isinstance(rng, np.random.Generator):
+        return _rephased_q(_ginibre(d, rng))
+    return _rephased_q(np.array([_ginibre(d, g) for g in rng], dtype=complex).reshape(-1, d, d))
 
 
 def simplex_point(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -603,12 +603,14 @@ class TestLogDistanceOptimizer:
         assert res.best_fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_real_states_give_nonnegative_zero(self):
-        # the best fidelity of a real state can round above 1
+        # the best fidelity of a real state can round above 1; it is reported
+        # as at most 1, and the log-distance as +0.0
         for i in range(30):
             rho = rho_rand((2, 2), 58, i)
             real = DensityMatrix((2, 2), 0.5 * (rho.data + rho.data.conj()))
-            val, _ = ch.chiral_log_distance(real, SPLIT, restarts=2, seed=i)
+            val, res = ch.chiral_log_distance(real, SPLIT, restarts=2, seed=i)
             assert val >= 0.0 and math.copysign(1, val) == 1
+            assert res.best_fidelity <= 1.0 and np.all(res.fidelities <= 1.0)
 
     def test_target_stop_does_not_report_max_iters(self):
         rho = random_two_qubit_maximally_mixed(split_rng(1212, 0))
@@ -651,12 +653,15 @@ ORBIT_CASES = _orbit_cases()
 
 
 def _kernel_call(monkeypatch, rho, part, **kwargs):
-    """The kernel's inputs and outputs inside a public call, and its result."""
+    """The kernel's inputs, with the start stacks as per-restart lists of
+    unitaries for the sweep oracle, its outputs inside a public call, and
+    the call's result."""
     seen = {}
     kernel = ch.alternating_orbit_overlap
 
-    def recording(*args):
-        seen["args"], seen["out"] = args, kernel(*args)
+    def recording(base, starts, *rest):
+        seen["args"] = (base, [list(us) for us in zip(*starts)], *rest)
+        seen["out"] = kernel(base, starts, *rest)
         return seen["out"]
 
     monkeypatch.setattr(ch, "alternating_orbit_overlap", recording)
@@ -708,7 +713,7 @@ class TestOrbitKernel:
         # from Haar-random unitaries, where the model often overshoots: a step
         # that would lower the fidelity is refused and its radius shrinks
         _, rho, part = next(c for c in ORBIT_CASES if c[0] == "mixed5")
-        base, party_dims = ch._fused_purification(rho, part, ch.SUPPORT_CUTOFF)
+        base, party_dims = ch._fused_purification(rho, part)
         orbit = ch._OrbitContraction(base)
         us = _random_unitaries(party_dims, 40, 99)
         fid = np.abs(orbit.overlaps(us)) ** 2
@@ -733,7 +738,7 @@ class TestOrbitKernel:
 
     def test_stationarity_is_phase_invariant(self):
         _, rho, part = next(c for c in ORBIT_CASES if c[0] == "mixed2")
-        base, party_dims = ch._fused_purification(rho, part, ch.SUPPORT_CUTOFF)
+        base, party_dims = ch._fused_purification(rho, part)
         orbit = ch._OrbitContraction(base)
         us = _random_unitaries(party_dims, 6, 95)
         reference = orbit.stationarity(orbit.apply(us))
@@ -748,7 +753,7 @@ class TestOrbitKernel:
         # central differences of the fidelity along each coordinate of
         # exp(i sum_k x_k E_k) U_t, and of its gradient for the Hessian
         _, rho, part = next(c for c in ORBIT_CASES if c[0] == name)
-        base, party_dims = ch._fused_purification(rho, part, ch.SUPPORT_CUTOFF)
+        base, party_dims = ch._fused_purification(rho, part)
         orbit = ch._OrbitContraction(base)
         us = _random_unitaries(party_dims, 2, 96)
         fid, grad, hess = orbit.derivatives(orbit.apply(us))
@@ -789,6 +794,25 @@ class TestOrbitKernel:
         assert res.best_fidelity == pytest.approx(newton.best_fidelity, abs=1e-10)
         for r, init in enumerate(inits):
             assert out[0][r] >= oracle_orbit_overlap(base, [init], 20000, tol)[0][0] - 1e-13
+
+    @pytest.mark.parametrize(
+        "name,limit", [("mixed7", None), ("pure3q3", None), ("C10", None), ("mixed7", 0)]
+    )
+    def test_restarts_are_independent_without_target(self, monkeypatch, name, limit):
+        # with no target a restart's course does not depend on the rest of its
+        # stack: waiting for the last sweeping restart only delays its Newton
+        # steps; the same holds on the sweep path above the size limit
+        if limit is not None:
+            monkeypatch.setattr(ch, "_SECOND_ORDER_MAX_ENTRIES", limit)
+        _, rho, part = next(c for c in ORBIT_CASES if c[0] == name)
+        base, party_dims = ch._fused_purification(rho, part)
+        starts = _random_unitaries(party_dims, 20, 100)
+        full = ch.alternating_orbit_overlap(base, starts, 1000, 1e-12)
+        halves = [ch.alternating_orbit_overlap(base, [s[h] for s in starts], 1000, 1e-12)
+                  for h in (slice(0, 10), slice(10, 20))]
+        assert full[3].tolist() == halves[0][3].tolist() + halves[1][3].tolist()
+        assert full[4] == halves[0][4] + halves[1][4]
+        assert np.max(np.abs(full[0] - np.concatenate([h[0] for h in halves]))) <= 1e-13
 
     def test_cap_and_target_reasons(self):
         rho = rho_rand((2, 2), 98)

@@ -163,6 +163,16 @@ class TestLogdistCommand:
         assert not doc["nonchirality_certified"]
         assert doc["restarts"] == 10
 
+    def test_bundled_bell_fidelity_is_at_most_one(self, capsys):
+        # the Bell state's best fidelity rounds a few ulps above 1 and is
+        # reported as 1.0
+        with resources.as_file(resources.files("chiralkit.data") / "bell.json") as path:
+            assert main(["logdist", "--state", str(path), "--split", "0|1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["best_fidelity"]["value"] == 1.0
+        assert doc["log_distance_upper_estimate"]["value"] == 0.0
+        assert doc["nonchirality_certified"]
+
     def test_seed_determinism(self, bell_file, capsys):
         argv = ["logdist", "--state", bell_file, "--split", "0|1", "--restarts", "5",
                 "--seed", "11"]

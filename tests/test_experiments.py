@@ -51,6 +51,18 @@ class TestHaarUnitary:
             rotated.append(abs((v @ u)[0, 0]) ** 2)
         assert abs(np.mean(base) - np.mean(rotated)) < 4 * np.std(base) / np.sqrt(2000)
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_generator_sequence_stacks_the_draws(self, d):
+        # each generator draws as it would alone, also across two calls on
+        # the same generators, and the stack takes one QR
+        gens = [split_rng(114, k) for k in range(5)]
+        alone = [split_rng(114, k) for k in range(5)]
+        for dim in (d, 2 * d):
+            stack = haar_unitary(dim, gens)
+            assert stack.shape == (5, dim, dim)
+            assert np.array_equal(stack, np.stack([haar_unitary(dim, g) for g in alone]))
+        assert haar_unitary(d, []).shape == (0, d, d)
+
 
 class TestMixedStateSampler:
     def test_valid_state_and_spectrum(self):

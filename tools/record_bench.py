@@ -14,9 +14,11 @@ nine in ten of at least ten pairs and its median beats the parent's by more
 than the parent's interquartile range; the `claim` block lists every such
 metric. Each workload also gets one traced run per side (seed 1) for the
 per-layer metrics. The recorder then runs the tier-1 test suite once per
-side and every selftest criterion once per side in a fresh interpreter, and
-counts the lines of `src/`. Runs are sequential, so nothing else competes
-for the CPUs while one is timed.
+side and every selftest criterion once per side in a fresh interpreter,
+keeps each side's stdout of `chiralkit logdist` on the bundled states (so the
+file shows whether the CLI bytes moved), and counts the lines of `src/`.
+Runs are sequential, so nothing else competes for the CPUs while one is
+timed.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+LOGDIST_STATES = ("bell.json", "example1.json")
 SELFTEST = """
 import json
 from chiralkit import selftest
@@ -117,6 +120,16 @@ def _tier1(checkout: Path) -> dict:
     return {"summary": summary, "wall_s": wall, "selftest": json.loads(selftest.stdout.strip().splitlines()[-1])}
 
 
+def _logdist_stdout(checkout: Path) -> dict:
+    out = {}
+    for name in LOGDIST_STATES:
+        cmd = [sys.executable, "-m", "chiralkit", "logdist", "--state", f"src/chiralkit/data/{name}",
+               "--split", "0|1"]
+        out[name] = subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True, text=True,
+                                   check=True).stdout
+    return out
+
+
 def _src_lines(checkout: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((checkout / "src").rglob("*.py")))
 
@@ -170,6 +183,11 @@ def main(argv=None) -> int:
             entry[side] = {name: m["value"] for name, m in result["metrics"].items()}
         doc["per_layer_traced_seed1"][workload] = entry
     doc["tier1_one_run_each"] = {side: _tier1(dirs[side]) for side in SIDES}
+    logdist = {side: _logdist_stdout(dirs[side]) for side in SIDES}
+    doc["logdist_stdout"] = logdist
+    doc["logdist_stdout_same"] = {
+        name: logdist["parent"][name] == logdist["change"][name] for name in LOGDIST_STATES
+    }
     doc["src_lines"] = {side: _src_lines(dirs[side]) for side in SIDES}
     doc["machine"] = _machine(info)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
