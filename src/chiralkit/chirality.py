@@ -20,9 +20,9 @@ import numpy as np
 
 from . import _pauli
 from .qmat import (
-    SUPPORT_CUTOFF,
     DensityMatrix,
     Partition,
+    _support_mask,
     dagger,
     eig_hermitian,
     embed_operator,
@@ -35,6 +35,9 @@ from .sampling import haar_unitary, split_rng
 # Trace functionals defined as i*Tr(...) are real for valid inputs; a larger
 # imaginary residue signals numerical trouble and triggers a warning.
 IMAG_RESIDUE_TOL = 1e-8
+CERTIFICATE_TOL = 1e-8  # a best fidelity of at least 1 - CERTIFICATE_TOL certifies nonchirality
+# the best restart is the lowest index within this of the largest fidelity
+BEST_RESTART_TIE = 1e-13
 
 
 def _scalar(x: np.ndarray):
@@ -42,15 +45,15 @@ def _scalar(x: np.ndarray):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _real_part(value, label: str, tol: float = IMAG_RESIDUE_TOL):
+def _real_part(value, label: str):
     """Real part of a value, or of a stack of values, warning with the
-    largest imaginary residue when it exceeds tol."""
+    largest imaginary residue when it exceeds IMAG_RESIDUE_TOL."""
     value = np.asarray(value)
     imag = value.imag.reshape(-1)
     worst = imag[np.argmax(np.abs(imag))] if imag.size else 0.0
-    if abs(worst) > tol:
+    if abs(worst) > IMAG_RESIDUE_TOL:
         warnings.warn(
-            f"{label}: imaginary residue {worst:.3e} exceeds {tol:.1e}",
+            f"{label}: imaginary residue {worst:.3e} exceeds {IMAG_RESIDUE_TOL:.1e}",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -102,16 +105,20 @@ class ModularSet:
         return self.k_b_eigbasis if _party_index(party) else self.k_a_eigbasis
 
 
+def _validate_bipartition(split: Partition, nsub: int) -> None:
+    split.validate(nsub)
+    if split.ngroups != 2:
+        raise ValueError(f"expected a bipartition, got {split.ngroups} groups")
+
+
 def modular_set(rho: DensityMatrix, split: Partition) -> ModularSet:
     """Diagonalize rho once and rotate both marginal modular Hamiltonians
     into its eigenbasis: one eigendecomposition of rho plus one per marginal,
     each a single batched call on a stack of states."""
-    split.validate(rho.nsub)
-    if split.ngroups != 2:
-        raise ValueError(f"expected a bipartition, got {split.ngroups} groups")
+    _validate_bipartition(split, rho.nsub)
     dec = eig_hermitian(rho.data)
     p = np.clip(dec.eigenvalues, 0.0, None)
-    keep = p > SUPPORT_CUTOFF * p[..., -1:]
+    keep = _support_mask(p)
     kappa = np.where(keep, -np.log(np.where(keep, p, 1.0)), 0.0)
     v = dec.eigenvectors
     rotated = []
@@ -165,7 +172,7 @@ def _phi_s(ms: ModularSet, s: float) -> float:
 
 def _gamma(ms: ModularSet):
     p = ms.p
-    if np.any(p[..., 0] <= SUPPORT_CUTOFF * p[..., -1]):
+    if not _support_mask(p)[..., 0].all():
         ratio = np.min(p[..., 0] / p[..., -1])
         raise ValueError(
             f"state is rank-deficient (min/max eigenvalue ratio {ratio:.3e}); "
@@ -288,8 +295,9 @@ class OptimizationResult:
     a lower bound on the true maximal fidelity, so -log(best_fidelity) is an
     upper estimate of the log-distance. Every fidelity is reported as at most
     1, which rounding can exceed by a few ulps. Fidelity 1 (within
-    certificate_tol) certifies nonchirality; a value below 1 witnesses
-    nothing by itself.
+    CERTIFICATE_TOL) certifies nonchirality; a value below 1 witnesses
+    nothing by itself. unitaries and overlap belong to best_restart, the
+    lowest-index restart within BEST_RESTART_TIE of the best fidelity.
 
     Per restart: stationarity is the largest over parties t of
     ||skew(e^{-i arg o} U_t M_t)||_F at the returned unitaries, o the overlap
@@ -313,11 +321,10 @@ class OptimizationResult:
     fidelities: np.ndarray = field(repr=False)
     stationarity: np.ndarray = field(repr=False)
     stop_reasons: list[str] = field(repr=False)
-    certificate_tol: float = 1e-8
 
     @property
     def certifies_nonchirality(self) -> bool:
-        return self.best_fidelity >= 1.0 - self.certificate_tol
+        return self.best_fidelity >= 1.0 - CERTIFICATE_TOL
 
 
 def _fused_purification(rho: DensityMatrix, split: Partition):
@@ -604,7 +611,8 @@ def alternating_orbit_overlap(
 
     Returns per-restart fidelities (capped at 1), overlaps, unitaries,
     iteration counts (sweeps plus Newton steps), stop reasons and
-    stationarities, and the best restart (chosen before the cap).
+    stationarities, and the best restart: the lowest index whose fidelity,
+    before the cap, is within BEST_RESTART_TIE of the largest.
     """
     orbit = _OrbitContraction(base)
     us = [np.array(s, dtype=complex) for s in starts]
@@ -658,7 +666,7 @@ def alternating_orbit_overlap(
         for t in orbit.active:
             us[t][move] = moved[t]
         hit = target_fidelity is not None and fid.max() >= target_fidelity
-    best = int(np.argmax(fid))  # argmax takes the lowest index on ties
+    best = int(np.argmax(fid >= fid.max() - BEST_RESTART_TIE))
     return np.minimum(fid, 1.0), orbit.overlaps(us), us, iters, reasons.tolist(), stationarity, best
 
 
@@ -718,7 +726,7 @@ def chiral_log_distance(
             stacklevel=2,
         )
     result = OptimizationResult(
-        best_fidelity=float(fid[best]),
+        best_fidelity=float(fid.max()),
         overlap=complex(overlaps[best]),
         unitaries=[u[best] for u in us],
         restarts=len(fid),

@@ -169,8 +169,8 @@ def _cmd_bounds(args) -> int:
         {
             "samples_per_suite": args.n,
             "seed": args.seed,
-            "magic_bounds_worst_excess": _qty(worst_gap, 1e-7),
-            "gamma_qfi_worst_slack": _qty(worst_slack, 1e-8),
+            "magic_bounds_worst_excess": _qty(worst_gap, st.MAGIC_BOUND_TOL),
+            "gamma_qfi_worst_slack": _qty(worst_slack, co.GAMMA_QFI_TOL),
             "violations": failures,
         }
     )

@@ -8,12 +8,12 @@ intrinsic interferometric power.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chirality import ModularSet, _gamma, _minus, _party_index, _plus, _scalar, _sum2, modular_set
+from .chirality import _validate_bipartition
 from .qmat import (
     DensityMatrix,
     Partition,
@@ -21,6 +21,7 @@ from .qmat import (
     embed_operator,
     hermitize,
     partial_trace,
+    require_hermitian,
     require_single,
 )
 from .sampling import _PAULIS
@@ -32,6 +33,19 @@ TWO_LEVEL_LOG_MOMENT_MAX = 0.563
 # Absolute cutoff on p_j + p_k: the SLD and the QFI sums skip the eigenbasis
 # pairs (j, k) at or below it, where both eigenvalues vanish.
 SLD_PAIR_CUTOFF = 1e-12
+# sld_integral_form: SLD_QUADRATURE_PANELS Gauss-Legendre panels of GAUSS_LEGENDRE_ORDER
+# nodes on |s| <= S_MAX; every eigenvalue must exceed FULL_RANK_MIN_EIGENVALUE (absolute)
+SLD_QUADRATURE_S_MAX = 8.0
+SLD_QUADRATURE_PANELS = 256
+GAUSS_LEGENDRE_ORDER = 8
+FULL_RANK_MIN_EIGENVALUE = 1e-10
+# rho commutes with a marginal when ||[rho, rho_P (x) I]||_F <= COMMUTATOR_TOL;
+# the marginal is degenerate when its smallest eigenvalue gap is < GAP_TOL
+COMMUTATOR_TOL = 1e-9
+GAP_TOL = 1e-8
+BLOCK_WEIGHT_FLOOR = 1e-12  # lighter classical-quantum blocks get the conditional state I/d
+MAXIMALLY_MIXED_ATOL = 1e-8  # largest entry of rho_P - I/2 that makhlin_invariants accepts
+GAMMA_QFI_TOL = 1e-8  # check_gamma_qfi_bound raises on a slack below -GAMMA_QFI_TOL
 
 
 def log_moment_bound(d: int) -> float:
@@ -52,15 +66,28 @@ def sld_apply(rho: DensityMatrix, op: np.ndarray) -> np.ndarray:
     p = np.clip(dec.eigenvalues, 0.0, None)
     v = dec.eigenvectors
     ob = v.conj().T @ np.asarray(op, dtype=complex) @ v
-    psum = p[:, None] + p[None, :]
+    return v @ (_pair_weight(p, 2.0) * ob) @ v.conj().T
+
+
+def _pair_weight(p: np.ndarray, numerator) -> np.ndarray:
+    """numerator / (p_i + p_j) on the eigenbasis pairs the SLD keeps (p_i + p_j
+    above SLD_PAIR_CUTOFF), 0 on the rest."""
+    psum = _plus(p)
     good = psum > SLD_PAIR_CUTOFF
-    scale = np.where(good, 2.0 / np.where(good, psum, 1.0), 0.0)
-    return v @ (scale * ob) @ v.conj().T
+    return np.where(good, numerator / np.where(good, psum, 1.0), 0.0)
 
 
-def gauss_legendre_panels(s_max: float, panels: int, order: int = 8):
-    """Composite Gauss-Legendre nodes/weights on [-s_max, s_max]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def _qfi_eigbasis(p: np.ndarray, hb: np.ndarray):
+    """sum_ij 2 (p_i - p_j)^2 / (p_i + p_j) |H_ij|^2 for the eigenvalues p of
+    rho and the generator H in its eigenbasis: -Tr([H, rho] R^{-1}([H, rho]))
+    with R^{-1} the sld_apply superoperator (Braunstein & Caves 1994)."""
+    return _scalar(_sum2(_pair_weight(p, 2.0 * _minus(p) ** 2) * np.abs(hb) ** 2))
+
+
+def gauss_legendre_panels(s_max: float, panels: int):
+    """Composite Gauss-Legendre nodes/weights of GAUSS_LEGENDRE_ORDER on
+    [-s_max, s_max]."""
+    x, w = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_ORDER)
     edges = np.linspace(-s_max, s_max, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -73,14 +100,10 @@ def gauss_legendre_panels(s_max: float, panels: int, order: int = 8):
 _PHASE_BLOCK_ENTRIES = 1 << 18
 
 
-def sld_integral_form(
-    rho: DensityMatrix,
-    op: np.ndarray,
-    s_max: float = 8.0,
-    panels: int = 256,
-) -> np.ndarray:
+def sld_integral_form(rho: DensityMatrix, op: np.ndarray) -> np.ndarray:
     """Quadrature form of the same superoperator for full-rank states:
-    the integral over s of rho^{-1/2+is} O rho^{-1/2-is} / cosh(pi s).
+    the integral over s of rho^{-1/2+is} O rho^{-1/2-is} / cosh(pi s),
+    truncated to |s| <= SLD_QUADRATURE_S_MAX.
 
     Implemented in the eigenbasis, where the kernel in the (j,k) entry is the
     sech-weighted Fourier transform at log(p_j/p_k); agrees with sld_apply to
@@ -89,18 +112,18 @@ def sld_integral_form(
     require_single(rho, "sld_integral_form")
     dec = eig_hermitian(rho.data)
     p = dec.eigenvalues
-    if p[0] <= 1e-10:
+    if p[0] <= FULL_RANK_MIN_EIGENVALUE:
         raise ValueError(f"full-rank state required (min eigenvalue {p[0]:.3e})")
     v = dec.eigenvectors
     ob = v.conj().T @ np.asarray(op, dtype=complex) @ v
     logp = np.log(p)
     delta = logp[:, None] - logp[None, :]
-    nodes, weights = gauss_legendre_panels(s_max, panels, order=8)
+    nodes, weights = gauss_legendre_panels(SLD_QUADRATURE_S_MAX, SLD_QUADRATURE_PANELS)
     weights = weights * (1.0 / np.cosh(np.pi * nodes))
     kernel = np.zeros(delta.size, dtype=complex)
     # whole panels of nodes per block, as many as keep the (nodes, d^2) phase
     # block within _PHASE_BLOCK_ENTRIES (one panel at least)
-    step = 8 * max(1, _PHASE_BLOCK_ENTRIES // (8 * delta.size))
+    step = GAUSS_LEGENDRE_ORDER * max(1, _PHASE_BLOCK_ENTRIES // (GAUSS_LEGENDRE_ORDER * delta.size))
     for lo in range(0, nodes.size, step):
         kernel += weights[lo:lo + step] @ np.exp(1j * np.outer(nodes[lo:lo + step], delta.ravel()))
     kernel = kernel.reshape(delta.shape)
@@ -110,29 +133,21 @@ def sld_integral_form(
 
 def qfi(rho: DensityMatrix, ham: np.ndarray) -> float:
     """Quantum Fisher information of rho under the one-parameter orbit
-    generated by ham: -Tr([H, rho] R^{-1}([H, rho])).
+    generated by the Hermitian ham (require_hermitian):
+    -Tr([H, rho] R^{-1}([H, rho])), summed in the eigenbasis of rho.
 
-    Evaluates to 4 (<H^2> - <H>^2) on pure states; nonnegative up to rounding.
+    Evaluates to 4 (<H^2> - <H>^2) on pure states; nonnegative.
     """
     require_single(rho, "qfi")
     ham = np.asarray(ham, dtype=complex)
-    c = ham @ rho.data - rho.data @ ham
-    val = -np.trace(c @ sld_apply(rho, c))
-    if abs(val.imag) > 1e-8:
-        warnings.warn(
-            f"QFI imaginary residue {val.imag:.3e}", RuntimeWarning, stacklevel=2
-        )
-    return float(val.real)
+    require_hermitian(ham)
+    dec = eig_hermitian(rho.data)
+    v = dec.eigenvectors
+    return _qfi_eigbasis(np.clip(dec.eigenvalues, 0.0, None), v.conj().T @ ham @ v)
 
 
 def _intrinsic_ip(ms: ModularSet, party):
-    # qfi in the eigenbasis of rho: sum_ij 2 (p_i - p_j)^2 / (p_i + p_j) |(K_P)_ij|^2
-    # over the pairs that sld_apply keeps
-    p = ms.p
-    psum = _plus(p)
-    good = psum > SLD_PAIR_CUTOFF
-    w = np.where(good, 2.0 * _minus(p) ** 2 / np.where(good, psum, 1.0), 0.0)
-    return _scalar(_sum2(w * np.abs(ms.k_eigbasis(party)) ** 2))
+    return _qfi_eigbasis(ms.p, ms.k_eigbasis(party))
 
 
 def intrinsic_ip(rho: DensityMatrix, split: Partition, party) -> float:
@@ -162,36 +177,37 @@ class CQDecomposition:
         return out
 
 
-def is_classical_quantum(
-    rho: DensityMatrix,
-    split: Partition,
-    party,
-    tol: float = 1e-9,
-    gap_tol: float = 1e-8,
-) -> tuple[CQDecomposition | None, str]:
+def _marginal_test(rho: DensityMatrix, group):
+    """For one group P: the Frobenius norm of [rho, rho_P (x) I], the
+    eigendecomposition of rho_P and its smallest eigenvalue gap (inf for a
+    one-level P). rho commutes with the marginal when the norm is at most
+    COMMUTATOR_TOL; the marginal is degenerate when the gap is below GAP_TOL."""
+    marg = partial_trace(rho, group)
+    embedded = embed_operator(marg.data, rho.dims, group)
+    comm = float(np.linalg.norm(embedded @ rho.data - rho.data @ embedded))
+    dec = eig_hermitian(marg.data)
+    gaps = np.diff(dec.eigenvalues)
+    return comm, dec, float(gaps.min()) if gaps.size else np.inf
+
+
+def is_classical_quantum(rho: DensityMatrix, split: Partition, party) -> tuple[CQDecomposition | None, str]:
     """Detect block-diagonal structure in the eigenbasis of one marginal.
 
     Returns (decomposition, reason). The decomposition exists when the state
-    commutes with the party marginal (within tol) and that marginal is
-    nondegenerate (eigenvalue gaps above gap_tol); a commuting state with a
-    degenerate marginal is reported as undecided, since the blocks are then
-    basis-dependent.
+    commutes with the party marginal and that marginal is nondegenerate
+    (_marginal_test); a commuting state with a degenerate marginal is
+    reported as undecided, since the blocks are then basis-dependent.
     """
     require_single(rho, "is_classical_quantum")
     split.validate(rho.nsub)
-    idx = _party_index(party)
-    group = split.groups[idx]
-    marg = partial_trace(rho, group)
-    embedded = embed_operator(marg.data, rho.dims, group)
-    comm = np.linalg.norm(embedded @ rho.data - rho.data @ embedded)
-    if comm > tol:
+    group = split.groups[_party_index(party)]
+    comm, dec, gap = _marginal_test(rho, group)
+    if comm > COMMUTATOR_TOL:
         return None, f"noncommuting ([rho, rho_party] Frobenius norm {comm:.3e})"
-    dec = eig_hermitian(marg.data)
-    gaps = np.diff(dec.eigenvalues)
-    if gaps.size and gaps.min() < gap_tol:
-        return None, f"degenerate marginal (min eigenvalue gap {gaps.min():.3e}); undecided"
+    if gap < GAP_TOL:
+        return None, f"degenerate marginal (min eigenvalue gap {gap:.3e}); undecided"
     # rotate the party into its marginal eigenbasis and read off the blocks
-    d_p = marg.dim
+    d_p = dec.eigenvalues.size
     d_r = rho.dim // d_p
     u = embed_operator(dec.eigenvectors, rho.dims, group)
     rot = u.conj().T @ rho.data @ u
@@ -203,11 +219,8 @@ def is_classical_quantum(
         block = rot[i, :, i, :]
         p_i = float(np.trace(block).real)
         probs.append(p_i)
-        conds.append(hermitize(block / p_i) if p_i > 1e-12 else np.eye(d_r) / d_r)
-    return (
-        CQDecomposition(dec.eigenvectors, np.array(probs), tuple(conds)),
-        "classical-quantum",
-    )
+        conds.append(hermitize(block / p_i) if p_i > BLOCK_WEIGHT_FLOOR else np.eye(d_r) / d_r)
+    return CQDecomposition(dec.eigenvectors, np.array(probs), tuple(conds)), "classical-quantum"
 
 
 def _party_front_permutation(dims, group) -> np.ndarray:
@@ -219,7 +232,7 @@ def _party_front_permutation(dims, group) -> np.ndarray:
     return idx.transpose(order).ravel()
 
 
-def makhlin_invariants(rho: DensityMatrix, tol: float = 1e-8) -> tuple[float, float, float]:
+def makhlin_invariants(rho: DensityMatrix) -> tuple[float, float, float]:
     """(det beta, Tr(beta^T beta), Tr((beta^T beta)^2)) for a two-qubit state
     with both marginals maximally mixed, where beta is the correlation matrix
     in rho = I/4 + sum_ij beta_ij sigma_i (x) sigma_j.
@@ -232,11 +245,11 @@ def makhlin_invariants(rho: DensityMatrix, tol: float = 1e-8) -> tuple[float, fl
     if rho.dims != (2, 2):
         raise ValueError(f"two-qubit state required, got dims {rho.dims}")
     for group in ((0,), (1,)):
-        marg = partial_trace(rho, group)
-        if np.max(np.abs(marg.data - np.eye(2) / 2)) > tol:
+        dev = np.max(np.abs(partial_trace(rho, group).data - np.eye(2) / 2))
+        if dev > MAXIMALLY_MIXED_ATOL:
             raise ValueError(
                 "marginals must be maximally mixed for the three-invariant reduction; "
-                f"subsystem {group[0]} deviates by {np.max(np.abs(marg.data - np.eye(2) / 2)):.3e}"
+                f"subsystem {group[0]} deviates by {dev:.3e}"
             )
     beta = np.empty((3, 3))
     for i, si in enumerate(_PAULIS):
@@ -253,10 +266,9 @@ class NoncommutativityVerdict:
     reason: str
 
 
-def noncommutativity_verdict(
-    rho: DensityMatrix, split: Partition, tol: float = 1e-9
-) -> NoncommutativityVerdict:
-    """Certify nonchirality from commutativity with both marginals.
+def noncommutativity_verdict(rho: DensityMatrix, split: Partition) -> NoncommutativityVerdict:
+    """Certify nonchirality of a bipartite state from commutativity with both
+    marginals (_marginal_test).
 
     When [rho, rho_A] and [rho, rho_B] both vanish, the state is nonchiral if
     (1) both marginals are nondegenerate, (2) one marginal is nondegenerate
@@ -265,30 +277,19 @@ def noncommutativity_verdict(
     Everything else, including any nonvanishing commutator, is undecided.
     """
     require_single(rho, "noncommutativity_verdict")
-    split.validate(rho.nsub)
-    comms = []
-    margs = []
-    for group in split.groups:
-        marg = partial_trace(rho, group)
-        margs.append(marg)
-        emb = embed_operator(marg.data, rho.dims, group)
-        comms.append(np.linalg.norm(emb @ rho.data - rho.data @ emb))
-    if max(comms) > tol:
+    _validate_bipartition(split, rho.nsub)
+    comms, decs, gaps = zip(*(_marginal_test(rho, group) for group in split.groups))
+    if max(comms) > COMMUTATOR_TOL:
         return NoncommutativityVerdict(
             "undecided", None, f"commutators with marginals nonzero ({comms[0]:.2e}, {comms[1]:.2e})"
         )
-    nondeg = []
-    for marg in margs:
-        gaps = np.diff(marg.eigenvalues())
-        nondeg.append(bool(gaps.size == 0 or gaps.min() > 1e-8))
+    nondeg = [gap >= GAP_TOL for gap in gaps]
     if nondeg[0] and nondeg[1]:
         return NoncommutativityVerdict("nonchiral-certified", 1, "both marginals nondegenerate")
     for i in range(2):
-        if nondeg[i] and margs[i].dim == 2:
-            return NoncommutativityVerdict(
-                "nonchiral-certified", 2, f"group {i} is a nondegenerate qubit"
-            )
-    if rho.dims == (2, 2) and split.ngroups == 2:
+        if nondeg[i] and decs[i].eigenvalues.size == 2:
+            return NoncommutativityVerdict("nonchiral-certified", 2, f"group {i} is a nondegenerate qubit")
+    if rho.dims == (2, 2):
         try:
             inv = makhlin_invariants(rho)
             inv_conj = makhlin_invariants(DensityMatrix(rho.dims, rho.data.conj()))
@@ -299,12 +300,8 @@ def noncommutativity_verdict(
             return NoncommutativityVerdict(
                 "nonchiral-certified", 3, f"two-qubit invariants match (max dev {dev:.2e})"
             )
-        return NoncommutativityVerdict(
-            "undecided", None, f"two-qubit invariants differ by {dev:.2e}"
-        )
-    return NoncommutativityVerdict(
-        "undecided", None, "commutators vanish but marginals are degenerate"
-    )
+        return NoncommutativityVerdict("undecided", None, f"two-qubit invariants differ by {dev:.2e}")
+    return NoncommutativityVerdict("undecided", None, "commutators vanish but marginals are degenerate")
 
 
 class CorrelationBoundViolation(AssertionError):
@@ -324,18 +321,14 @@ class GammaQfiReport:
     slack_bound_b: float
 
 
-def check_gamma_qfi_bound(
-    rho: DensityMatrix,
-    split: Partition,
-    tolerance: float = 1e-8,
-) -> GammaQfiReport:
+def check_gamma_qfi_bound(rho: DensityMatrix, split: Partition) -> GammaQfiReport:
     """Assert gamma^2 <= Tr(rho_P K_P^2) * F^(other) for both parties, plus
     the dimension-only form with c(d). Full-rank states only.
 
     gamma, both intrinsic IPs and both log-moments come from one
     modular_set; the log-moment is Tr(rho_P K_P^2) = sum_ij p_i |(K_P)_ij|^2
     in the eigenbasis of rho. Raises CorrelationBoundViolation with a state
-    dump if any slack drops below -tolerance.
+    dump if any slack drops below -GAMMA_QFI_TOL.
     """
     require_single(rho, "check_gamma_qfi_bound")
     ms = modular_set(rho, split)
@@ -358,7 +351,7 @@ def check_gamma_qfi_bound(
         slack_bound_b=log_moment_bound(int(np.prod([rho.dims[i] for i in split.groups[1]]))) * f_a - g2,
     )
     slacks = (report.slack_a, report.slack_b, report.slack_bound_a, report.slack_bound_b)
-    if min(slacks) < -tolerance:
+    if min(slacks) < -GAMMA_QFI_TOL:
         raise CorrelationBoundViolation(
             f"gamma-QFI bound violated: slacks {slacks}, report {report!r}, "
             f"state dims {rho.dims}, matrix {rho.data.tolist()!r}"

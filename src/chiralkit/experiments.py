@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chirality import _scalar, chiral_log_distance, j2
+from .chirality import _scalar, _validate_bipartition, chiral_log_distance, j2
 from .qmat import DensityMatrix, Partition, bipartition, partial_trace, partial_transpose, pure_state_density
 from .sampling import derive_seed, haar_unitary, random_mixed_state
 from .states import purified_chiral_qutrit_qubit
@@ -37,9 +37,7 @@ def log_negativity(rho: DensityMatrix, split: Partition) -> float:
     Zero exactly on separable two-qubit states (positivity of the partial
     transpose is decisive there).
     """
-    split.validate(rho.nsub)
-    if split.ngroups != 2:
-        raise ValueError("log negativity needs a bipartition")
+    _validate_bipartition(split, rho.nsub)
     pt = partial_transpose(rho, split.groups[1])
     tn = np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=-1)
     return _scalar(np.log(tn))
@@ -56,6 +54,7 @@ class ScanRow:
 # samples per stacked chunk of the scan; it bounds memory and nothing else,
 # as every row depends only on its own index
 _SCAN_CHUNK = 1024
+PEARSON_THRESHOLD = 0.3  # pilot-calibrated bound on |Pearson(E_N, |J2|)| that C13 reads
 
 
 def _scan_chunk(master_seed: int, start: int, stop: int) -> list[ScanRow]:
@@ -67,11 +66,7 @@ def _scan_chunk(master_seed: int, start: int, stop: int) -> list[ScanRow]:
     return [ScanRow(*row) for row in zip(range(start, stop), e_n, abs_j2, seeds)]
 
 
-def run_chirality_entanglement_scan(
-    n_samples: int,
-    master_seed: int,
-    pearson_threshold: float = 0.3,
-) -> tuple[list[ScanRow], dict]:
+def run_chirality_entanglement_scan(n_samples: int, master_seed: int) -> tuple[list[ScanRow], dict]:
     """Sample random two-qubit mixed states and record entanglement versus
     chirality per sample.
 
@@ -98,7 +93,7 @@ def run_chirality_entanglement_scan(
         "spearman": _pearson(_ranks(e_n), _ranks(aj2)),
         "frac_low_EN_high_J2": float(np.mean((e_n < 0.01) & (aj2 > median_j2))),
         "median_J2": median_j2,
-        "pearson_threshold": pearson_threshold,
+        "pearson_threshold": PEARSON_THRESHOLD,
     }
     return rows, summary
 

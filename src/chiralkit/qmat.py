@@ -23,6 +23,8 @@ TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 # reduced states carry the rounding of the partial trace, so they are checked looser
 MARGINAL_ATOL = 1e-9
+# largest hermiticity defect that eig_hermitian and correlations.qfi accept
+DECOMPOSITION_ATOL = 1e-8
 
 
 class ShapeMismatchError(ValueError):
@@ -114,12 +116,8 @@ class DensityMatrix:
     def rank(self):
         """Number of eigenvalues above SUPPORT_CUTOFF times the largest: an
         int, or an array of them for a stack."""
-        p = self.eigenvalues()
-        r = np.sum(p > SUPPORT_CUTOFF * p[..., -1:], axis=-1)
+        r = np.sum(_support_mask(self.eigenvalues()), axis=-1)
         return int(r) if r.ndim == 0 else r
-
-    def is_full_rank(self):
-        return self.rank() == self.dim
 
 
 def require_single(rho: DensityMatrix, name: str) -> None:
@@ -188,22 +186,26 @@ class EigenDecomposition:
         return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
 
-def eig_hermitian(m: np.ndarray, atol: float = 1e-8) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix or a (..., d, d) stack of
-    them, eigenvalues ascending along the last axis.
-
-    Rejects input whose hermiticity defect exceeds atol, quoting the defect.
-    """
-    m = np.asarray(m, dtype=complex)
+def require_hermitian(m: np.ndarray) -> None:
+    """Raise StateInvariantError unless m is Hermitian within DECOMPOSITION_ATOL."""
     defect = hermiticity_defect(m)
-    if defect > atol:
-        raise StateInvariantError(f"not Hermitian: max |M - M†| = {defect:.3e} > {atol:.1e}")
+    if defect > DECOMPOSITION_ATOL:
+        raise StateInvariantError(f"not Hermitian: max |M - M†| = {defect:.3e} > {DECOMPOSITION_ATOL:.1e}")
+
+
+def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix or a (..., d, d) stack of
+    them, eigenvalues ascending along the last axis; m must pass
+    require_hermitian."""
+    m = np.asarray(m, dtype=complex)
+    require_hermitian(m)
     evals, evecs = np.linalg.eigh(hermitize(m))
     return EigenDecomposition(evals, evecs)
 
 
 def _support_mask(p: np.ndarray) -> np.ndarray:
-    # the cutoff is relative to the largest eigenvalue of each member
+    """Mask of the eigenvalues (ascending along the last axis) on the
+    support: above SUPPORT_CUTOFF times the largest of their member."""
     return p > SUPPORT_CUTOFF * np.maximum(p[..., -1:], 0.0)
 
 

@@ -93,12 +93,13 @@ _PAULIS = (
 )
 
 
-def random_two_qubit_maximally_mixed(
-    rng: np.random.Generator, min_eig: float = 1e-3
-) -> DensityMatrix:
+MAXIMALLY_MIXED_MIN_EIG = 1e-3  # smallest eigenvalue random_two_qubit_maximally_mixed accepts
+
+
+def random_two_qubit_maximally_mixed(rng: np.random.Generator) -> DensityMatrix:
     """Random two-qubit state with both marginals exactly I/2: a uniform
     correlation matrix on sigma_i (x) sigma_j, rejection-sampled for
-    positivity with margin min_eig."""
+    positivity with margin MAXIMALLY_MIXED_MIN_EIG."""
     eye = np.eye(4, dtype=complex) / 4.0
     while True:
         b = rng.uniform(-1.0, 1.0, size=(3, 3))
@@ -106,5 +107,5 @@ def random_two_qubit_maximally_mixed(
         for i in range(3):
             for j in range(3):
                 data += (b[i, j] / 8.0) * np.kron(_PAULIS[i], _PAULIS[j])
-        if np.linalg.eigvalsh(data)[0] > min_eig:
+        if np.linalg.eigvalsh(data)[0] > MAXIMALLY_MIXED_MIN_EIG:
             return DensityMatrix((2, 2), data)

@@ -21,7 +21,6 @@ from .qmat import (
     DensityMatrix,
     bipartition,
     conjugate,
-    embed_operator,
     matrix_log_on_support,
     partial_trace,
     pure_state_density,
@@ -71,13 +70,13 @@ def criterion_1_stabilizer_nonchirality():
 def criterion_2_magic_bounds():
     """C <= C_P <= nullity and C_P <= -2 log F (tol 1e-7) on 500 Haar pure
     states at 2 and 3 qubits; all four vanish on 50 random stabilizer states."""
-    tol = 1e-7
+    tol = st.MAGIC_BOUND_TOL
     worst_gap = -np.inf
     for i in range(500):
         n = 2 if i % 2 == 0 else 3
         rng = split_rng(202, i)
         psi = random_pure_state(1 << n, rng)
-        rep = st.verify_magic_bounds(psi, n, restarts=20, seed=1_000_000 + i, tolerance=tol)
+        rep = st.verify_magic_bounds(psi, n, restarts=20, seed=1_000_000 + i)
         worst_gap = max(
             worst_gap,
             rep.log_distance - rep.pauli_log_distance,
@@ -89,7 +88,7 @@ def criterion_2_magic_bounds():
         rng = split_rng(203, i)
         n = 2 if i % 2 == 0 else 3
         psi = st.random_stabilizer_vector(n, rng)
-        rep = st.verify_magic_bounds(psi, n, restarts=20, seed=2_000_000 + i, tolerance=tol)
+        rep = st.verify_magic_bounds(psi, n, restarts=20, seed=2_000_000 + i)
         worst_stab = max(worst_stab, max(abs(v) for v in rep.chain))
     ok = worst_gap <= tol and worst_stab <= tol
     return ok, (
@@ -171,20 +170,22 @@ def criterion_5_derivative_relations():
 def criterion_6_gamma_qfi_bound():
     """Both intrinsic-IP bounds and the dimension-capped form on 1000 random
     full-rank two-qubit states, slack >= -1e-8."""
+    tol = co.GAMMA_QFI_TOL
     worst = np.inf
     for i in range(1000):
         rng = split_rng(606, i)
         rho = random_mixed_state((2, 2), rng)
-        rep = co.check_gamma_qfi_bound(rho, SPLIT, tolerance=1e-8)
+        rep = co.check_gamma_qfi_bound(rho, SPLIT)
         worst = min(worst, rep.slack_a, rep.slack_b, rep.slack_bound_a, rep.slack_bound_b)
-    return worst >= -1e-8, f"minimum slack over 1000 states = {worst:.3e} (tol -1e-8)"
+    shown = np.format_float_scientific(-tol, trim="-", exp_digits=1)
+    return worst >= -tol, f"minimum slack over 1000 states = {worst:.3e} (tol {shown})"
 
 
 def criterion_7_sld_integral_identity():
     """Quadrature and eigenbasis forms of the SLD superoperator agree to 1e-6
     Frobenius on 100 random full-rank states of dims (2,2) and (2,3).
     Full rank is enforced by resampling until the smallest eigenvalue
-    exceeds 1e-3, keeping the pinned s_max=8 truncation well under 1e-6."""
+    exceeds 1e-3, keeping the truncation at SLD_QUADRATURE_S_MAX well under 1e-6."""
     worst = 0.0
     for i in range(100):
         dims = (2, 2) if i % 2 == 0 else (2, 3)
@@ -245,11 +246,7 @@ def criterion_10_commuting_chiral_example():
     nested-commutator measures blind (1e-9), yet the optimizer certifies
     chirality (best fidelity <= 1 - 1e-4 over 100 restarts)."""
     rho = commuting_chiral_qudit_qubit((0.05, 0.06, 0.07, 0.82))
-    comms = []
-    for group in SPLIT.groups:
-        marg = partial_trace(rho, group)
-        emb = embed_operator(marg.data, rho.dims, group)
-        comms.append(float(np.linalg.norm(emb @ rho.data - rho.data @ emb)))
+    comms = [co._marginal_test(rho, group)[0] for group in SPLIT.groups]
     measures = {
         "J2": ch.j2(rho, SPLIT),
         "J3": ch.j3(rho, SPLIT),

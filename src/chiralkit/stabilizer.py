@@ -326,20 +326,22 @@ def conjugation_pauli(group: StabilizerGroup) -> PauliString:
 # ---------------------------------------------------------------------------
 
 FIDELITY_ENUM_MAX_QUBITS = 4
+NULLITY_TOL = 1e-8  # P is definite on psi when |<psi|P|psi>| > 1 - NULLITY_TOL
+MAGIC_BOUND_TOL = 1e-7  # verify_magic_bounds lets each inequality fail by this much
 
 
-def stabilizer_nullity(psi: np.ndarray, n: int, tol: float = 1e-8) -> int:
+def stabilizer_nullity(psi: np.ndarray, n: int) -> int:
     """n - log2 of the number of phase-free strings with |<psi|P|psi>| = 1.
 
     The definite strings form a group, so the count must be a power of two;
-    a non-power count means the tolerance sliced through borderline
+    a non-power count means NULLITY_TOL sliced through borderline
     expectations and is reported as an error."""
     table = np.abs(_pauli.pauli_expectations(psi, n))
-    count = int(np.sum(table > 1.0 - tol))
+    count = int(np.sum(table > 1.0 - NULLITY_TOL))
     k = count.bit_length() - 1
     if count != 1 << k:
         raise ValueError(
-            f"{count} strings have |expectation| within {tol:.1e} of 1; "
+            f"{count} strings have |expectation| within {NULLITY_TOL:.1e} of 1; "
             "not a power of two, so the tolerance split a borderline group"
         )
     return n - k
@@ -443,9 +445,9 @@ def verify_magic_bounds(
     n: int,
     restarts: int = 20,
     seed: int = 0,
-    tolerance: float = 1e-7,
 ) -> MagicBoundsReport:
-    """Check C <= C_P <= nullity and C_P <= -2 log F on a pure n-qubit state.
+    """Check C <= C_P <= nullity and C_P <= -2 log F, each within
+    MAGIC_BOUND_TOL, on a pure n-qubit state.
 
     C is estimated with one restart warm-started from the Pauli string that
     achieves C_P (so the reported C never exceeds C_P by optimizer stall),
@@ -460,16 +462,16 @@ def verify_magic_bounds(
     nullity = stabilizer_nullity(psi, n)
     fid = stabilizer_fidelity(psi, n)
     minus2logf = max(0.0, -2.0 * float(np.log(max(fid, 1e-300))))
-    report = MagicBoundsReport(c, c_p, nullity, fid, minus2logf, tolerance)
+    report = MagicBoundsReport(c, c_p, nullity, fid, minus2logf, MAGIC_BOUND_TOL)
     checks = [
         ("C <= C_P", c, c_p),
         ("C_P <= nullity", c_p, float(nullity)),
         ("C_P <= -2 log F", c_p, minus2logf),
     ]
     for name, lo, hi in checks:
-        if lo > hi + tolerance:
+        if lo > hi + MAGIC_BOUND_TOL:
             raise MagicBoundViolation(
-                f"{name} violated: {lo!r} > {hi!r} + {tolerance:g}; report={report!r}"
+                f"{name} violated: {lo!r} > {hi!r} + {MAGIC_BOUND_TOL:g}; report={report!r}"
             )
     return report
 

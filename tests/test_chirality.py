@@ -590,7 +590,9 @@ class TestLogDistanceOptimizer:
         assert res.restarts == 4
         assert len(res.iterations_per_restart) == 4
         assert len(res.fidelities) == 4
-        assert res.best_restart == int(np.argmax(res.fidelities))
+        fid = res.fidelities
+        assert res.best_restart == int(np.flatnonzero(fid >= fid.max() - ch.BEST_RESTART_TIE)[0])
+        assert res.best_fidelity == fid.max()
 
     def test_extra_inits_are_used(self):
         # warm-starting with the exact conjugating unitaries gives fidelity 1
@@ -687,6 +689,19 @@ class TestOrbitKernel:
         assert fid.max() >= oracle_orbit_overlap(base, inits, 1000, tol, target)[0].max() - 1e-12
         assert max(unitarity_defect(u) for u in us) <= 1e-12
         assert abs(abs(ch.orbit_overlap(rho, part, res.unitaries)) ** 2 - res.best_fidelity) <= 1e-12
+
+    def test_best_restart_is_lowest_index_among_ties(self):
+        # a real state starts at fidelity 1 from I and from e^{i phi} I; the
+        # two fidelities differ only by rounding, which argmax used to follow
+        rho = DensityMatrix((2, 2), rho_rand((2, 2), 61, 2).data.real)
+        base, party_dims = ch._fused_purification(rho, SPLIT)
+        for phi in np.linspace(0.1, 3.0, 30):
+            starts = [np.stack([np.eye(d), np.eye(d)]).astype(complex) for d in party_dims]
+            starts[0][1] *= np.exp(1j * phi)
+            fid, overlaps, _, _, _, _, best = ch.alternating_orbit_overlap(base, starts, 0, 1e-12)
+            assert abs(fid[1] - fid[0]) <= ch.BEST_RESTART_TIE and fid.max() == pytest.approx(1.0, abs=1e-14)
+            assert best == 0
+            assert overlaps[best] == ch.orbit_overlap(rho, SPLIT, [s[0] for s in starts])
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-10])
     @pytest.mark.parametrize("name", ["mixed0", "mixed6", "pure3q1", "C10"])

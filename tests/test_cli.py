@@ -9,9 +9,9 @@ import pytest
 
 from chiralkit.cli import main
 from chiralkit.io import StateFileError, parse_state_document, parse_state_file, write_state_file
-from chiralkit.qmat import pure_state_density
+from chiralkit.qmat import DensityMatrix, pure_state_density
 from chiralkit.sampling import random_mixed_state, random_pure_state, split_rng
-from chiralkit.states import bell_state, chiral_qutrit_qubit
+from chiralkit.states import bell_state, chiral_qutrit_qubit, commuting_chiral_qudit_qubit
 
 
 @pytest.fixture()
@@ -228,6 +228,14 @@ class TestQfiCommand:
         assert main(["qfi", "--state", example_file, "--split", "0|1", "--party", "A"]) == 0
         capsys.readouterr()
         assert len(calls) - rest == 3
+
+    @pytest.mark.parametrize("split,groups", [("0|1|2", 3), ("0,1,2", 1)])
+    def test_split_must_be_a_bipartition(self, tmp_path, capsys, split, groups):
+        # one group used to end in an IndexError traceback
+        path = tmp_path / "three_qubits.json"
+        write_state_file(path, DensityMatrix((2, 2, 2), commuting_chiral_qudit_qubit().data))
+        assert main(["qfi", "--state", str(path), "--split", split]) == 64
+        assert capsys.readouterr().err == f"error: expected a bipartition, got {groups} groups\n"
 
 
 class TestBoundsCommand:

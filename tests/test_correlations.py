@@ -9,9 +9,12 @@ import pytest
 from chiralkit import correlations as co
 from chiralkit.qmat import (
     DensityMatrix,
+    Partition,
     ShapeMismatchError,
+    StateInvariantError,
     bipartition,
     conjugate,
+    embed_operator,
     matrix_log_on_support,
     partial_trace,
     pure_state_density,
@@ -36,6 +39,13 @@ def rho_rand(dims, seed, stream=0):
 def random_hermitian(d, rng):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return 0.5 * (m + m.conj().T)
+
+
+def qfi_commutator_oracle(rho, h):
+    """-Tr([H, rho] R^{-1}([H, rho])) with R^{-1} applied by sld_apply: the
+    commutator form of the QFI, one rotation more than the eigenbasis sum."""
+    c = h @ rho.data - rho.data @ h
+    return float(np.real(-np.trace(c @ co.sld_apply(rho, c))))
 
 
 def random_cq_state(seed, d_a=3, d_b=2):
@@ -93,7 +103,7 @@ class TestSLD:
         op = random_hermitian(6, split_rng(84, 1))
         p, v = np.linalg.eigh(rho.data)
         delta = np.log(p)[:, None] - np.log(p)[None, :]
-        nodes, weights = co.gauss_legendre_panels(8.0, 256, order=8)
+        nodes, weights = co.gauss_legendre_panels(8.0, 256)
         sech = 1.0 / np.cosh(np.pi * nodes)
         kernel = np.tensordot(weights * sech, np.exp(1j * np.outer(nodes, delta.ravel())), axes=(0, 0))
         ob = v.conj().T @ op @ v
@@ -155,6 +165,29 @@ class TestQFI:
         u = haar_unitary(4, split_rng(87, 2))
         rot = DensityMatrix((2, 2), u @ rho.data @ u.conj().T)
         assert co.qfi(rot, u @ h @ u.conj().T) == pytest.approx(co.qfi(rho, h), abs=1e-9)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_matches_commutator_oracle(self, dims):
+        for i in range(10):
+            rho = rho_rand(dims, 88, i)
+            h = random_hermitian(rho.dim, split_rng(88, 100 + i))
+            assert co.qfi(rho, h) == pytest.approx(qfi_commutator_oracle(rho, h), rel=1e-12)
+        pure = pure_state_density(dims, random_pure_state(rho.dim, split_rng(88, 200)))
+        h = random_hermitian(rho.dim, split_rng(88, 201))
+        assert co.qfi(pure, h) == pytest.approx(qfi_commutator_oracle(pure, h), rel=1e-12)
+
+    def test_modular_generator_gives_intrinsic_ip(self):
+        for i in range(5):
+            rho = rho_rand((2, 3), 89, i)
+            k_a = -matrix_log_on_support(partial_trace(rho, [0]))
+            value = co.qfi(rho, embed_operator(k_a, rho.dims, [0]))
+            assert value == pytest.approx(co.intrinsic_ip(rho, SPLIT, "A"), rel=1e-12)
+
+    def test_rejects_non_hermitian_generator(self):
+        rho = rho_rand((2, 2), 90)
+        h = random_hermitian(4, split_rng(90, 1)) + 1e-6j * np.eye(4)
+        with pytest.raises(StateInvariantError, match="not Hermitian"):
+            co.qfi(rho, h)
 
 
 class TestIntrinsicIP:
@@ -275,6 +308,22 @@ class TestClassicalQuantumDetection:
         assert hits >= 50  # the constructed half must all be detected
 
 
+class TestMarginalGapRule:
+    # diag(a) (x) I/3 with a = (1 - g, 1 + g)/2: the qubit marginal has gap g
+    # and the qutrit marginal is exactly degenerate
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_both_tests_read_one_rule(self, factor):
+        g = factor * co.GAP_TOL
+        a = np.array([1.0 - g, 1.0 + g]) / 2.0
+        rho = DensityMatrix((2, 3), np.diag(np.kron(a, np.ones(3) / 3)).astype(complex))
+        dec, reason = co.is_classical_quantum(rho, SPLIT, "A")
+        v = co.noncommutativity_verdict(rho, SPLIT)
+        nondegenerate = factor > 1.0
+        assert (dec is not None) is nondegenerate, reason
+        assert (v.verdict == "nonchiral-certified") is nondegenerate, v.reason
+        assert v.condition == (2 if nondegenerate else None)
+
+
 class TestMakhlin:
     def test_maximally_mixed_is_zero(self):
         rho = DensityMatrix((2, 2), np.eye(4) / 4)
@@ -340,6 +389,17 @@ class TestVerdicts:
     def test_noncommuting_undecided(self):
         v = co.noncommutativity_verdict(rho_rand((2, 2), 100), SPLIT)
         assert v.verdict == "undecided" and "nonzero" in v.reason
+
+    def test_rejects_more_than_two_groups(self):
+        # the tripartite split of the marginal-commuting chiral state has
+        # nondegenerate first two marginals; the verdict used to certify it
+        rho = DensityMatrix((2, 2, 2), commuting_chiral_qudit_qubit().data)
+        split = Partition(((0,), (1,), (2,)))
+        message = "^expected a bipartition, got 3 groups$"
+        with pytest.raises(ValueError, match=message):
+            co.noncommutativity_verdict(rho, split)
+        with pytest.raises(ValueError, match=message):
+            co.modular_set(rho, split)
 
     def test_qubit_marginal_condition_two(self):
         # qubit x qutrit classical-quantum state with nondegenerate qubit

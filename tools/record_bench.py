@@ -15,7 +15,8 @@ than the parent's interquartile range; the `claim` block lists every such
 metric. Each workload also gets one traced run per side (seed 1) for the
 per-layer metrics. The recorder then runs the tier-1 test suite once per
 side and every selftest criterion once per side in a fresh interpreter,
-keeps each side's stdout of `chiralkit logdist` on the bundled states (so the
+keeps each side's stdout of `chiralkit measure`, `qfi` and `logdist` on the
+bundled states with one same/different flag per command and state (so the
 file shows whether the CLI bytes moved), and counts the lines of `src/`.
 Runs are sequential, so nothing else competes for the CPUs while one is
 timed.
@@ -36,7 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-LOGDIST_STATES = ("bell.json", "example1.json")
+CLI_COMMANDS = ("measure", "qfi", "logdist")
+CLI_STATES = ("bell.json", "example1.json")
 SELFTEST = """
 import json
 from chiralkit import selftest
@@ -120,10 +122,10 @@ def _tier1(checkout: Path) -> dict:
     return {"summary": summary, "wall_s": wall, "selftest": json.loads(selftest.stdout.strip().splitlines()[-1])}
 
 
-def _logdist_stdout(checkout: Path) -> dict:
+def _cli_stdout(checkout: Path, command: str) -> dict:
     out = {}
-    for name in LOGDIST_STATES:
-        cmd = [sys.executable, "-m", "chiralkit", "logdist", "--state", f"src/chiralkit/data/{name}",
+    for name in CLI_STATES:
+        cmd = [sys.executable, "-m", "chiralkit", command, "--state", f"src/chiralkit/data/{name}",
                "--split", "0|1"]
         out[name] = subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True, text=True,
                                    check=True).stdout
@@ -183,11 +185,12 @@ def main(argv=None) -> int:
             entry[side] = {name: m["value"] for name, m in result["metrics"].items()}
         doc["per_layer_traced_seed1"][workload] = entry
     doc["tier1_one_run_each"] = {side: _tier1(dirs[side]) for side in SIDES}
-    logdist = {side: _logdist_stdout(dirs[side]) for side in SIDES}
-    doc["logdist_stdout"] = logdist
-    doc["logdist_stdout_same"] = {
-        name: logdist["parent"][name] == logdist["change"][name] for name in LOGDIST_STATES
-    }
+    for command in CLI_COMMANDS:
+        stdout = {side: _cli_stdout(dirs[side], command) for side in SIDES}
+        doc[f"{command}_stdout"] = stdout
+        doc[f"{command}_stdout_same"] = {
+            name: stdout["parent"][name] == stdout["change"][name] for name in CLI_STATES
+        }
     doc["src_lines"] = {side: _src_lines(dirs[side]) for side in SIDES}
     doc["machine"] = _machine(info)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
