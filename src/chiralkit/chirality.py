@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from .qmat import (
     DensityMatrix,
     Partition,
     _support_mask,
+    apply_local,
     dagger,
     eig_hermitian,
-    embed_operator,
     marginal_log,
     purify,
     require_single,
@@ -65,10 +65,6 @@ def _sum2(x: np.ndarray) -> np.ndarray:
     return np.sum(x, axis=(-2, -1))
 
 
-def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def _party_index(party) -> int:
     if party in (0, 1):
         return int(party)
@@ -87,9 +83,11 @@ class ModularSet:
     eigenvectors the matching columns V. kappa is -log p on the support and 0
     on the kernel, so the joint modular Hamiltonian is K_AB = V diag(kappa) V†
     and the modular flow acts on eigenbasis entry (i, j) as the phase
-    exp(i s (kappa_i - kappa_j)). k_a_eigbasis and k_b_eigbasis are the
-    marginal modular Hamiltonians -log(rho_A) (x) I and I (x) -log(rho_B),
-    embedded on the full space and rotated into that basis (V† K V).
+    exp(i s (kappa_i - kappa_j)). marginal_k holds -log(rho_A) and
+    -log(rho_B) on their own factors, groups the subsystems each acts on.
+    k_a_eigbasis and k_b_eigbasis are those Hamiltonians tensored with the
+    identity and rotated into the eigenbasis (V† K V), each formed when it is
+    first read, so a measure that needs one party never rotates the other.
     For a stack of states every field carries the same leading axes, and the
     measures contracted from it return one value per member.
     """
@@ -97,8 +95,22 @@ class ModularSet:
     p: np.ndarray
     kappa: np.ndarray
     eigenvectors: np.ndarray
-    k_a_eigbasis: np.ndarray
-    k_b_eigbasis: np.ndarray
+    dims: tuple[int, ...]
+    groups: tuple[tuple[int, ...], tuple[int, ...]]
+    marginal_k: tuple[np.ndarray, np.ndarray]
+
+    def _rotated(self, party: int) -> np.ndarray:
+        # V† K V as (K V)† V, K being Hermitian
+        v = self.eigenvectors
+        return dagger(apply_local(self.marginal_k[party], self.dims, self.groups[party], v)) @ v
+
+    @cached_property
+    def k_a_eigbasis(self) -> np.ndarray:
+        return self._rotated(0)
+
+    @cached_property
+    def k_b_eigbasis(self) -> np.ndarray:
+        return self._rotated(1)
 
     def k_eigbasis(self, party) -> np.ndarray:
         """The rotated marginal modular Hamiltonian of party A/0 or B/1."""
@@ -112,20 +124,17 @@ def _validate_bipartition(split: Partition, nsub: int) -> None:
 
 
 def modular_set(rho: DensityMatrix, split: Partition) -> ModularSet:
-    """Diagonalize rho once and rotate both marginal modular Hamiltonians
-    into its eigenbasis: one eigendecomposition of rho plus one per marginal,
-    each a single batched call on a stack of states."""
+    """Diagonalize rho once, with one eigendecomposition per marginal for its
+    modular Hamiltonian, each a single batched call on a stack of states.
+    The rotations into the eigenbasis of rho wait until a measure reads
+    them (ModularSet)."""
     _validate_bipartition(split, rho.nsub)
     dec = eig_hermitian(rho.data)
     p = np.clip(dec.eigenvalues, 0.0, None)
     keep = _support_mask(p)
     kappa = np.where(keep, -np.log(np.where(keep, p, 1.0)), 0.0)
-    v = dec.eigenvectors
-    rotated = []
-    for group in split.groups:
-        k = -marginal_log(rho, group)
-        rotated.append(dagger(v) @ embed_operator(k, rho.dims, group) @ v)
-    return ModularSet(p, kappa, v, rotated[0], rotated[1])
+    marginal_k = tuple(-marginal_log(rho, group) for group in split.groups)
+    return ModularSet(p, kappa, dec.eigenvectors, rho.dims, split.groups, marginal_k)
 
 
 def _minus(x: np.ndarray) -> np.ndarray:
@@ -156,9 +165,11 @@ def _j3(ms: ModularSet) -> float:
 
 def _j3_prime(ms: ModularSet) -> float:
     # i Tr(rho [Y, K_B]) = i sum_ij (p_i - p_j) Y_ij (K_B)_ji with
-    # Y = [[K_AB, K_B], K_B] and K_AB = diag(kappa) in this basis
+    # Y = [X, K_B], X = [K_AB, K_B] and K_AB = diag(kappa) in this basis;
+    # X is anti-Hermitian, so Y = X K_B + (X K_B)†
     kb = ms.k_b_eigbasis
-    y = _comm(_minus(ms.kappa) * kb, kb)
+    xk = (_minus(ms.kappa) * kb) @ kb
+    y = xk + dagger(xk)
     return _real_part(1j * _sum2(_minus(ms.p) * y * np.swapaxes(kb, -1, -2)), "J3'")
 
 
@@ -275,9 +286,11 @@ def modular_commutator(rho: DensityMatrix, split: Partition) -> float:
     if split.ngroups != 3:
         raise ValueError(f"expected a tripartition, got {split.ngroups} groups")
     ga, gb, gc = split.groups
-    k_ab = embed_operator(-marginal_log(rho, ga + gb), rho.dims, ga + gb)
-    k_bc = embed_operator(-marginal_log(rho, gb + gc), rho.dims, gb + gc)
-    val = 1j * np.trace(rho.data @ _comm(k_ab, k_bc), axis1=-2, axis2=-1)
+    k_ab, k_bc = -marginal_log(rho, ga + gb), -marginal_log(rho, gb + gc)
+    ab = lambda m: apply_local(k_ab, rho.dims, ga + gb, m)
+    bc = lambda m: apply_local(k_bc, rho.dims, gb + gc, m)
+    # Tr(rho [K_AB, K_BC]) = Tr(K_AB K_BC rho) - Tr(K_BC K_AB rho)
+    val = 1j * np.trace(ab(bc(rho.data)) - bc(ab(rho.data)), axis1=-2, axis2=-1)
     return _real_part(val, "modular commutator")
 
 

@@ -17,8 +17,9 @@ from .chirality import _validate_bipartition
 from .qmat import (
     DensityMatrix,
     Partition,
+    apply_local,
+    dagger,
     eig_hermitian,
-    embed_operator,
     hermitize,
     partial_trace,
     require_hermitian,
@@ -46,6 +47,9 @@ GAP_TOL = 1e-8
 BLOCK_WEIGHT_FLOOR = 1e-12  # lighter classical-quantum blocks get the conditional state I/d
 MAXIMALLY_MIXED_ATOL = 1e-8  # largest entry of rho_P - I/2 that makhlin_invariants accepts
 GAMMA_QFI_TOL = 1e-8  # check_gamma_qfi_bound raises on a slack below -GAMMA_QFI_TOL
+# two-qubit local-unitary invariants of a state and its conjugate match when
+# none differs by INVARIANT_MATCH_TOL or more
+INVARIANT_MATCH_TOL = 1e-10
 
 
 def log_moment_bound(d: int) -> float:
@@ -183,8 +187,10 @@ def _marginal_test(rho: DensityMatrix, group):
     one-level P). rho commutes with the marginal when the norm is at most
     COMMUTATOR_TOL; the marginal is degenerate when the gap is below GAP_TOL."""
     marg = partial_trace(rho, group)
-    embedded = embed_operator(marg.data, rho.dims, group)
-    comm = float(np.linalg.norm(embedded @ rho.data - rho.data @ embedded))
+    # rho (rho_P (x) I) = ((rho_P (x) I) rho†)† for the Hermitian rho_P
+    left = apply_local(marg.data, rho.dims, group, rho.data)
+    right = dagger(apply_local(marg.data, rho.dims, group, dagger(rho.data)))
+    comm = float(np.linalg.norm(left - right))
     dec = eig_hermitian(marg.data)
     gaps = np.diff(dec.eigenvalues)
     return comm, dec, float(gaps.min()) if gaps.size else np.inf
@@ -209,8 +215,9 @@ def is_classical_quantum(rho: DensityMatrix, split: Partition, party) -> tuple[C
     # rotate the party into its marginal eigenbasis and read off the blocks
     d_p = dec.eigenvalues.size
     d_r = rho.dim // d_p
-    u = embed_operator(dec.eigenvectors, rho.dims, group)
-    rot = u.conj().T @ rho.data @ u
+    # U† rho U = (U† (U† rho)†)† with U the party's eigenvectors (x) I
+    u_dag = dagger(dec.eigenvectors)
+    rot = dagger(apply_local(u_dag, rho.dims, group, dagger(apply_local(u_dag, rho.dims, group, rho.data))))
     perm = _party_front_permutation(rho.dims, group)
     rot = rot[np.ix_(perm, perm)].reshape(d_p, d_r, d_p, d_r)
     probs = []
@@ -296,7 +303,7 @@ def noncommutativity_verdict(rho: DensityMatrix, split: Partition) -> Noncommuta
         except ValueError as exc:
             return NoncommutativityVerdict("undecided", None, str(exc))
         dev = max(abs(a - b) for a, b in zip(inv, inv_conj))
-        if dev < 1e-10:
+        if dev < INVARIANT_MATCH_TOL:
             return NoncommutativityVerdict(
                 "nonchiral-certified", 3, f"two-qubit invariants match (max dev {dev:.2e})"
             )
@@ -319,6 +326,16 @@ class GammaQfiReport:
     slack_b: float
     slack_bound_a: float
     slack_bound_b: float
+
+    @property
+    def slacks(self) -> tuple[float, float, float, float]:
+        return (self.slack_a, self.slack_b, self.slack_bound_a, self.slack_bound_b)
+
+    @property
+    def min_slack(self) -> float:
+        """The smallest of the four slacks: the bound holds when it is at
+        least -GAMMA_QFI_TOL."""
+        return min(self.slacks)
 
 
 def check_gamma_qfi_bound(rho: DensityMatrix, split: Partition) -> GammaQfiReport:
@@ -350,10 +367,9 @@ def check_gamma_qfi_bound(rho: DensityMatrix, split: Partition) -> GammaQfiRepor
         slack_bound_a=log_moment_bound(int(np.prod([rho.dims[i] for i in split.groups[0]]))) * f_b - g2,
         slack_bound_b=log_moment_bound(int(np.prod([rho.dims[i] for i in split.groups[1]]))) * f_a - g2,
     )
-    slacks = (report.slack_a, report.slack_b, report.slack_bound_a, report.slack_bound_b)
-    if min(slacks) < -GAMMA_QFI_TOL:
+    if report.min_slack < -GAMMA_QFI_TOL:
         raise CorrelationBoundViolation(
-            f"gamma-QFI bound violated: slacks {slacks}, report {report!r}, "
+            f"gamma-QFI bound violated: slacks {report.slacks}, report {report!r}, "
             f"state dims {rho.dims}, matrix {rho.data.tolist()!r}"
         )
     return report

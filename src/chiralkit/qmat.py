@@ -12,6 +12,7 @@ no batch axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -346,10 +347,41 @@ def purify(rho: DensityMatrix) -> np.ndarray:
     return mat.reshape(-1)
 
 
+def apply_local(op: np.ndarray, dims, subsystems, m: np.ndarray) -> np.ndarray:
+    """(op on the listed subsystems, in that order, tensored with identity on
+    the rest) @ m, without forming that operator: a reshape and one matmul
+    on the listed factors. The rows of m, a (..., d, k) stack, are indexed
+    by the full space; a (..., d_sub, d_sub) stack of operators applies
+    member by member. Only a group that is not contiguous and in order pays
+    for a transposed copy of m."""
+    dims = tuple(int(d) for d in dims)
+    subsystems = [int(i) for i in subsystems]
+    ds = prod(dims[i] for i in subsystems)
+    op = np.asarray(op)
+    if op.shape[-2:] != (ds, ds):
+        raise ShapeMismatchError(f"operator shape {op.shape} does not match subsystems {subsystems}")
+    first = subsystems[0]
+    if subsystems == list(range(first, first + len(subsystems))):
+        left = prod(dims[:first])
+        out = op[..., None, :, :] @ m.reshape(m.shape[:-2] + (left, ds, -1))
+        return out.reshape(out.shape[:-3] + m.shape[-2:])
+    n = len(dims)
+    b = m.ndim - 2
+    order = subsystems + [i for i in range(n) if i not in subsystems]
+    tens = m.reshape(m.shape[:-2] + dims + m.shape[-1:])
+    tens = tens.transpose(list(range(b)) + [b + i for i in order] + [b + n])
+    out = op @ tens.reshape(tens.shape[:b] + (ds, -1))
+    b = out.ndim - 2
+    out = out.reshape(out.shape[:-2] + tens.shape[-n - 1:])
+    back = list(range(b)) + [b + j for j in np.argsort(order)] + [b + n]
+    return out.transpose(back).reshape(out.shape[:b] + m.shape[-2:])
+
+
 def embed_operator(op: np.ndarray, dims, subsystems) -> np.ndarray:
     """Embed an operator acting on the listed subsystems (in that order) into
     the full space, tensoring identity on the rest; a (..., d_sub, d_sub)
-    stack embeds member by member."""
+    stack embeds member by member. The dense form of apply_local, kept as
+    its oracle."""
     dims = tuple(int(d) for d in dims)
     subsystems = [int(i) for i in subsystems]
     n = len(dims)

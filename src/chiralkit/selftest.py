@@ -77,12 +77,7 @@ def criterion_2_magic_bounds():
         rng = split_rng(202, i)
         psi = random_pure_state(1 << n, rng)
         rep = st.verify_magic_bounds(psi, n, restarts=20, seed=1_000_000 + i)
-        worst_gap = max(
-            worst_gap,
-            rep.log_distance - rep.pauli_log_distance,
-            rep.pauli_log_distance - rep.nullity,
-            rep.pauli_log_distance - rep.minus_two_log_fidelity,
-        )
+        worst_gap = max(worst_gap, rep.worst_excess)
     worst_stab = 0.0
     for i in range(50):
         rng = split_rng(203, i)
@@ -176,7 +171,7 @@ def criterion_6_gamma_qfi_bound():
         rng = split_rng(606, i)
         rho = random_mixed_state((2, 2), rng)
         rep = co.check_gamma_qfi_bound(rho, SPLIT)
-        worst = min(worst, rep.slack_a, rep.slack_b, rep.slack_bound_a, rep.slack_bound_b)
+        worst = min(worst, rep.min_slack)
     shown = np.format_float_scientific(-tol, trim="-", exp_digits=1)
     return worst >= -tol, f"minimum slack over 1000 states = {worst:.3e} (tol {shown})"
 
@@ -291,9 +286,10 @@ def criterion_12_maximally_mixed_marginals():
             rho, SPLIT, restarts=100, seed=3_000_000 + i, target_fidelity=1.0 - 1e-4
         )
         worst_fid = min(worst_fid, res.best_fidelity)
-    ok = worst_inv < 1e-10 and worst_fid >= 1.0 - 1e-4
+    tol = co.INVARIANT_MATCH_TOL
+    ok = worst_inv < tol and worst_fid >= 1.0 - 1e-4
     return ok, (
-        f"worst invariant deviation {worst_inv:.2e} (tol 1e-10); worst best-fidelity "
+        f"worst invariant deviation {worst_inv:.2e} (tol {tol:g}); worst best-fidelity "
         f"{worst_fid:.8f} (need >= 1-1e-4)"
     )
 

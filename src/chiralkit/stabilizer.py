@@ -439,6 +439,18 @@ class MagicBoundsReport:
             self.minus_two_log_fidelity,
         )
 
+    @property
+    def inequalities(self) -> tuple[tuple[str, float, float], ...]:
+        """(name, lower, upper) for each inequality lower <= upper of the chain."""
+        c, c_p, nullity, minus2logf = self.chain
+        return (("C <= C_P", c, c_p), ("C_P <= nullity", c_p, nullity), ("C_P <= -2 log F", c_p, minus2logf))
+
+    @property
+    def worst_excess(self) -> float:
+        """The largest lower - upper over the chain: the chain holds when it
+        is at most MAGIC_BOUND_TOL."""
+        return max(lo - hi for _, lo, hi in self.inequalities)
+
 
 def verify_magic_bounds(
     psi: np.ndarray,
@@ -463,16 +475,11 @@ def verify_magic_bounds(
     fid = stabilizer_fidelity(psi, n)
     minus2logf = max(0.0, -2.0 * float(np.log(max(fid, 1e-300))))
     report = MagicBoundsReport(c, c_p, nullity, fid, minus2logf, MAGIC_BOUND_TOL)
-    checks = [
-        ("C <= C_P", c, c_p),
-        ("C_P <= nullity", c_p, float(nullity)),
-        ("C_P <= -2 log F", c_p, minus2logf),
-    ]
-    for name, lo, hi in checks:
-        if lo > hi + MAGIC_BOUND_TOL:
-            raise MagicBoundViolation(
-                f"{name} violated: {lo!r} > {hi!r} + {MAGIC_BOUND_TOL:g}; report={report!r}"
-            )
+    if report.worst_excess > MAGIC_BOUND_TOL:
+        name, lo, hi = next(t for t in report.inequalities if t[1] - t[2] > MAGIC_BOUND_TOL)
+        raise MagicBoundViolation(
+            f"{name} violated: {lo!r} > {hi!r} + {MAGIC_BOUND_TOL:g}; report={report!r}"
+        )
     return report
 
 

@@ -241,6 +241,54 @@ class TestModularSet:
         assert np.max(np.abs(v @ ms.k_a_eigbasis @ v.conj().T - k_a)) < 1e-10
         assert np.max(np.abs(v @ ms.k_b_eigbasis @ v.conj().T - k_b)) < 1e-10
 
+    # (dims, split): the swapped two-qubit split, a reordered non-contiguous
+    # group, and a party of dimension 1
+    ROTATION_CASES = [
+        ((2, 2), Partition(((1,), (0,)))),
+        ((2, 3, 2), Partition(((2, 0), (1,)))),
+        ((1, 4), Partition(((0,), (1,)))),
+    ]
+
+    @pytest.mark.parametrize("dims,split", ROTATION_CASES)
+    def test_rotations_match_dense_formula(self, dims, split):
+        rho = rho_rand(dims, 23)
+        ms = ch.modular_set(rho, split)
+        v = ms.eigenvectors
+        _, k_a, k_b = modular_hamiltonians(rho, split)
+        assert np.max(np.abs(ms.k_a_eigbasis - v.conj().T @ k_a @ v)) <= 1e-14
+        assert np.max(np.abs(ms.k_b_eigbasis - v.conj().T @ k_b @ v)) <= 1e-14
+
+    @pytest.mark.parametrize("dims,split", ROTATION_CASES)
+    def test_stacked_rotations_match_members(self, dims, split):
+        members = [rho_rand(dims, 24, i) for i in range(3)]
+        ms = ch.modular_set(DensityMatrix(dims, np.stack([m.data for m in members])), split)
+        for i, member in enumerate(members):
+            one = ch.modular_set(member, split)
+            for field in ("k_a_eigbasis", "k_b_eigbasis"):
+                assert np.max(np.abs(getattr(ms, field)[i] - getattr(one, field))) <= 1e-14, field
+
+    def test_j3_prime_matches_commutator_form(self):
+        for seed in range(5):
+            ms = ch.modular_set(rho_rand((2, 3), 25, seed), SPLIT)
+            kb = ms.k_b_eigbasis
+            x = ch._minus(ms.kappa) * kb
+            y = (x @ kb - kb @ x) * np.swapaxes(kb, -1, -2)
+            want = float((1j * np.sum(ch._minus(ms.p) * y)).real)
+            assert abs(ch._j3_prime(ms) - want) <= 1e-14
+
+    def test_one_party_reads_rotate_one_party(self, monkeypatch):
+        from chiralkit import correlations as co
+
+        rho = rho_rand((2, 3), 26)
+        ms = ch.modular_set(rho, SPLIT)
+        co._intrinsic_ip(ms, "A")
+        assert "k_a_eigbasis" in vars(ms) and "k_b_eigbasis" not in vars(ms)
+        calls = []
+        apply_local = ch.apply_local
+        monkeypatch.setattr(ch, "apply_local", lambda *a: calls.append(a[2]) or apply_local(*a))
+        co.intrinsic_ip(rho, SPLIT, "A")
+        assert calls == [(0,)]
+
     def test_marginal_hamiltonians_commute(self):
         rho = rho_rand((2, 3), 22)
         ms = ch.modular_set(rho, SPLIT)

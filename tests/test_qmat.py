@@ -8,6 +8,7 @@ from chiralkit.qmat import (
     Partition,
     ShapeMismatchError,
     StateInvariantError,
+    apply_local,
     conjugate,
     eig_hermitian,
     embed_operator,
@@ -275,6 +276,49 @@ class TestEmbedAndPartition:
         b = np.diag([3.0, 4.0]).astype(complex)
         e = embed_operator(np.kron(a, b), (2, 3, 2), [2, 0])
         assert np.allclose(e, np.kron(b, np.kron(np.eye(3), a)))
+
+    # (dims, group): a trailing and a leading party, a reordered non-contiguous
+    # group and its complement, and a party of dimension 1 with its partner
+    LOCAL_CASES = [
+        ((2, 2), (1,)),
+        ((2, 2), (0,)),
+        ((2, 3, 2), (2, 0)),
+        ((2, 3, 2), (1,)),
+        ((1, 4), (0,)),
+        ((1, 4), (1,)),
+    ]
+
+    @staticmethod
+    def _operands(dims, group, seed, batch=(), cols=None):
+        rng = split_rng(seed, 0)
+        ds = int(np.prod([dims[i] for i in group]))
+        d = int(np.prod(dims))
+        shape = batch + (d, cols or d)
+        op = rng.normal(size=batch + (ds, ds)) + 1j * rng.normal(size=batch + (ds, ds))
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return op, m
+
+    @pytest.mark.parametrize("dims,group", LOCAL_CASES)
+    def test_apply_local_matches_dense_embedding(self, dims, group):
+        op, m = self._operands(dims, group, 40)
+        dense = embed_operator(op, dims, group) @ m
+        assert np.max(np.abs(apply_local(op, dims, group, m) - dense)) <= 1e-14
+        op, m = self._operands(dims, group, 41, cols=3)
+        dense = embed_operator(op, dims, group) @ m
+        assert np.max(np.abs(apply_local(op, dims, group, m) - dense)) <= 1e-14
+
+    @pytest.mark.parametrize("dims,group", LOCAL_CASES)
+    def test_apply_local_stack_matches_members(self, dims, group):
+        op, m = self._operands(dims, group, 42, batch=(3,))
+        out = apply_local(op, dims, group, m)
+        assert out.shape == m.shape
+        for i in range(3):
+            assert np.max(np.abs(out[i] - apply_local(op[i], dims, group, m[i]))) <= 1e-14
+            assert np.max(np.abs(out[i] - embed_operator(op[i], dims, group) @ m[i])) <= 1e-14
+
+    def test_apply_local_rejects_wrong_operator(self):
+        with pytest.raises(ShapeMismatchError):
+            apply_local(np.eye(3), (2, 3), [0], np.eye(6))
 
     def test_partition_parse(self):
         part = Partition.parse("0,2|1")
