@@ -217,7 +217,8 @@ def is_classical_quantum(rho: DensityMatrix, split: Partition, party) -> tuple[C
     d_r = rho.dim // d_p
     # U† rho U = (U† (U† rho)†)† with U the party's eigenvectors (x) I
     u_dag = dagger(dec.eigenvectors)
-    rot = dagger(apply_local(u_dag, rho.dims, group, dagger(apply_local(u_dag, rho.dims, group, rho.data))))
+    half = dagger(apply_local(u_dag, rho.dims, group, rho.data))
+    rot = dagger(apply_local(u_dag, rho.dims, group, half))
     perm = _party_front_permutation(rho.dims, group)
     rot = rot[np.ix_(perm, perm)].reshape(d_p, d_r, d_p, d_r)
     probs = []

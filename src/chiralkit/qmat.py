@@ -1,6 +1,6 @@
 """Dense complex-matrix substrate: density matrices on a list of subsystems,
 Hermitian decompositions, matrix functions on the support, subsystem algebra
-(partial trace / transpose / embedding) and fidelities.
+(partial trace / transpose / local operators) and fidelities.
 
 Everything here is a pure function on immutable inputs; all heavy lifting is
 delegated to LAPACK through numpy. Matrices may carry leading batch axes: a
@@ -365,16 +365,15 @@ def apply_local(op: np.ndarray, dims, subsystems, m: np.ndarray) -> np.ndarray:
         left = prod(dims[:first])
         out = op[..., None, :, :] @ m.reshape(m.shape[:-2] + (left, ds, -1))
         return out.reshape(out.shape[:-3] + m.shape[-2:])
-    n = len(dims)
-    b = m.ndim - 2
+    n, b = len(dims), m.ndim - 2
     order = subsystems + [i for i in range(n) if i not in subsystems]
     tens = m.reshape(m.shape[:-2] + dims + m.shape[-1:])
     tens = tens.transpose(list(range(b)) + [b + i for i in order] + [b + n])
     out = op @ tens.reshape(tens.shape[:b] + (ds, -1))
-    b = out.ndim - 2
-    out = out.reshape(out.shape[:-2] + tens.shape[-n - 1:])
-    back = list(range(b)) + [b + j for j in np.argsort(order)] + [b + n]
-    return out.transpose(back).reshape(out.shape[:b] + m.shape[-2:])
+    out = out.reshape(out.shape[:-2] + tens.shape[b:])
+    ob = out.ndim - n - 1
+    back = list(range(ob)) + [ob + j for j in np.argsort(order)] + [ob + n]
+    return out.transpose(back).reshape(out.shape[:ob] + m.shape[-2:])
 
 
 def embed_operator(op: np.ndarray, dims, subsystems) -> np.ndarray:
