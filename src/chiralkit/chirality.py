@@ -30,7 +30,7 @@ from .qmat import (
     purify,
     require_single,
 )
-from .sampling import haar_unitary, split_rng
+from .sampling import haar_unitaries
 
 # Trace functionals defined as i*Tr(...) are real for valid inputs; a larger
 # imaginary residue signals numerical trouble and triggers a warning.
@@ -390,6 +390,11 @@ def _polar_max(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # state, 5 MB for a full-rank three-qubit one. Above 2^21 entries (32 MB), as
 # for a full-rank (4, 4) state, restarts keep sweeping instead.
 _SECOND_ORDER_MAX_ENTRIES = 1 << 21
+# The data matrices come from base (x) base unfolded once per party up to this
+# purification dimension: one GEMM of dim^2 entries per restart beats the
+# per-restart products of applying the other unitaries while their call
+# overhead dominates, and loses above it (crossover table in DECISIONS.md).
+_PAIR_TENSOR_MAX_DIM = 64
 # A restart sweeps at most this many times before its Newton steps. The
 # sweeps only globalise: one that still gains sqrt(tol) per sweep after this
 # many is converging linearly and slowly, and the trust region finishes in a
@@ -449,6 +454,17 @@ class _OrbitContraction:
             # (a b, d_t): the base with party t as its column index
             env = base.reshape(a, dims[t], b).transpose(0, 2, 1).reshape(a * b, dims[t])
             self.env[t] = np.ascontiguousarray(env)
+        self.pairs = {}
+        if self.base.size <= _PAIR_TENSOR_MAX_DIM:
+            # base (x) base with axes x_0..x_{m-1}, y_0..y_{m-1} over the m
+            # active parties; for party t its rows are the pairs (x_k, y_k)
+            # of the other parties in order and its columns (y_t, x_t)
+            m = len(self.active)
+            flat = self.base.reshape([dims[t] for t in self.active])
+            pair = np.multiply.outer(flat, flat)
+            for i, t in enumerate(self.active):
+                order = [a for j in range(m) if j != i for a in (j, m + j)] + [m + i, i]
+                self.pairs[t] = np.ascontiguousarray(pair.transpose(order)).reshape(-1, dims[t] ** 2)
         self.nparams = sum(dims[t] ** 2 - 1 for t in self.active)
         self.rows = None
         if 0 < self.nparams**2 * self.base.size <= _SECOND_ORDER_MAX_ENTRIES:
@@ -484,8 +500,21 @@ class _OrbitContraction:
         return theta.reshape(-1, a, d, b).swapaxes(1, 2).reshape(-1, d, a * b) @ self.env[t]
 
     def data_matrix(self, us, t: int) -> np.ndarray:
-        """M_t (R, d_t, d_t), with the overlap equal to Tr(U_t M_t)."""
-        return self._party_matrix(self.apply(us, skip=t), t)
+        """M_t (R, d_t, d_t), with the overlap equal to Tr(U_t M_t).
+
+        The overlap is sum_xy base_x base_y prod_k U_k[x_k, y_k], so under
+        _PAIR_TENSOR_MAX_DIM M_t is the Kronecker product of the other
+        parties' vec(U_k) times the pair unfolding of party t: one GEMM over
+        all restarts. Larger states apply the other unitaries to the base."""
+        if t not in self.pairs:
+            return self._party_matrix(self.apply(us, skip=t), t)
+        nres = len(us[0])
+        vecs = [us[k].reshape(nres, -1) for k in self.active if k != t]
+        kron = vecs[0] if vecs else np.ones((nres, 1))
+        for v in vecs[1:]:
+            kron = (kron[:, :, None] * v[:, None, :]).reshape(nres, -1)
+        d = self.shapes[t][1]
+        return (kron @ self.pairs[t]).reshape(nres, d, d)
 
     def overlaps(self, us) -> np.ndarray:
         return self.apply(us) @ self.base
@@ -594,6 +623,11 @@ def _newton_iteration(orbit: _OrbitContraction, us, theta, radius):
     return us, np.where(accept, trial_fid, fid), radius
 
 
+# per-restart stop codes of alternating_orbit_overlap and the reasons they report
+_GOING, _STATIONARY, _TARGET, _CAP = range(4)
+_STOP_REASONS = ("", "stationary", "target", "cap")
+
+
 def alternating_orbit_overlap(
     base: np.ndarray,
     starts: list[np.ndarray],
@@ -633,7 +667,7 @@ def alternating_orbit_overlap(
     stat_tol = np.sqrt(tol)
     fid = np.abs(orbit.overlaps(us)) ** 2
     iters = np.zeros(nres, dtype=int)
-    reasons = np.full(nres, "", dtype=object)
+    reasons = np.zeros(nres, dtype=int)  # indices into _STOP_REASONS
     stationarity = np.zeros(nres)
     # per restart: left the sweeps; settled; trust radius. Meeting sqrt(tol)
     # stops a restart once it is settled: after a Newton step taken from
@@ -646,25 +680,27 @@ def alternating_orbit_overlap(
     hit = False
     live = np.arange(nres)
     while True:
-        stop = np.where(iters[live] >= max_iters, "cap", "").astype(object)
+        stop = np.where(iters[live] >= max_iters, _CAP, _GOING)
         if hit:
-            stop[:] = "target"
-        newton = orbit.rows is not None and finishing[live[stop == ""]].all()
+            stop[:] = _TARGET
+        newton = orbit.rows is not None and finishing[live[stop == _GOING]].all()
         # a Newton step needs every restart's stationarity; otherwise only a
         # restart that has settled or must stop does
-        check = (stop != "") | settled[live] | newton
+        check = (stop != _GOING) | settled[live] | newton
         if check.any():
             theta = orbit.apply([u[live[check]] for u in us])
             stationarity[live[check]] = orbit.stationarity(theta)
         small = stationarity[live] <= stat_tol
-        stop[small & (settled[live] | (stop != ""))] = "stationary"
+        stop[small & (settled[live] | (stop != _GOING))] = _STATIONARY
         reasons[live] = stop
-        keep = stop == ""
+        keep = stop == _GOING
         live, small = live[keep], small[keep]
         if not live.size:
             break
         # the restarts still sweeping to globalise, or, once none is, all
         move = live if finishing[live].all() else live[~finishing[live]]
+        if move.size == nres:
+            move = slice(None)  # views of every restart, no gather or scatter copies
         current = [u[move] for u in us]
         if newton:
             settled[move] = small
@@ -680,7 +716,8 @@ def alternating_orbit_overlap(
             us[t][move] = moved[t]
         hit = target_fidelity is not None and fid.max() >= target_fidelity
     best = int(np.argmax(fid >= fid.max() - BEST_RESTART_TIE))
-    return np.minimum(fid, 1.0), orbit.overlaps(us), us, iters, reasons.tolist(), stationarity, best
+    names = [_STOP_REASONS[r] for r in reasons]
+    return np.minimum(fid, 1.0), orbit.overlaps(us), us, iters, names, stationarity, best
 
 
 def chiral_log_distance(
@@ -700,12 +737,12 @@ def chiral_log_distance(
     optimizing one unitary per partition group plus one on the ancilla.
     Restart 0 starts from identities, any extra_inits follow (each a list of
     per-party unitaries, ancilla optional), and the remaining restarts start
-    Haar-random from streams seeded by (seed, restart), drawn as one stack
-    per party. Each restart sweeps until its gain per sweep falls below
-    sqrt(tol) (at most 60 sweeps), then takes trust-region Newton steps until
-    its stationarity is at most sqrt(tol) (alternating_orbit_overlap);
-    max_iters caps its sweeps plus steps, and restarts that reach the cap
-    raise a RuntimeWarning. Returns
+    Haar-random from streams seeded by (seed, restart), each stream drawing
+    every party in turn (haar_unitaries). Each restart sweeps until its gain
+    per sweep falls below sqrt(tol) (at most 60 sweeps), then takes
+    trust-region Newton steps until its stationarity is at most sqrt(tol)
+    (alternating_orbit_overlap); max_iters caps its sweeps plus steps, and
+    restarts that reach the cap raise a RuntimeWarning. Returns
     (-log best_fidelity, diagnostics); the value is an upper estimate of the
     true log-distance because stalls only lower the fidelity.
     """
@@ -722,11 +759,11 @@ def chiral_log_distance(
         if len(filled) != len(party_dims) or any(f.shape != (d, d) for f, d in zip(filled, party_dims)):
             raise ValueError("extra init does not match party dimensions")
         extras.append(filled)
-    rngs = [split_rng(seed, k) for k in range(1, restarts - len(extras))]
+    haar = haar_unitaries(party_dims, seed, range(1, restarts - len(extras)))
     starts = []
     for t, d in enumerate(party_dims):
         stacked = np.reshape([e[t] for e in extras], (-1, d, d))
-        starts.append(np.concatenate([np.eye(d)[None], stacked, haar_unitary(d, rngs)]))
+        starts.append(np.concatenate([np.eye(d)[None], stacked, haar[t]]))
 
     fid, overlaps, us, iters, reasons, stationarity, best = alternating_orbit_overlap(
         base, starts, max_iters, tol, target_fidelity

@@ -120,8 +120,12 @@ def _cmd_stabilizer(args) -> int:
 def _cmd_qfi(args) -> int:
     rho = _load(args.state, args.atol)
     split = Partition.parse(args.split)
-    dec, reason = co.is_classical_quantum(rho, split, args.party)
-    verdict = co.noncommutativity_verdict(rho, split)
+    ch._validate_bipartition(split, rho.nsub)
+    # one marginal test per group serves both verdicts
+    tests = [co._marginal_test(rho, group) for group in split.groups]
+    party = ch._party_index(args.party)
+    dec, reason = co._classical_quantum(rho, split.groups[party], tests[party])
+    verdict = co._noncommutativity(rho, tests)
     ms = ch.modular_set(rho, split)  # one spectrum serves both parties
     _emit(
         {

@@ -81,11 +81,12 @@ def _pair_weight(p: np.ndarray, numerator) -> np.ndarray:
     return np.where(good, numerator / np.where(good, psum, 1.0), 0.0)
 
 
-def _qfi_eigbasis(p: np.ndarray, hb: np.ndarray):
+def _qfi_eigbasis(p: np.ndarray, h2: np.ndarray):
     """sum_ij 2 (p_i - p_j)^2 / (p_i + p_j) |H_ij|^2 for the eigenvalues p of
-    rho and the generator H in its eigenbasis: -Tr([H, rho] R^{-1}([H, rho]))
-    with R^{-1} the sld_apply superoperator (Braunstein & Caves 1994)."""
-    return _scalar(_sum2(_pair_weight(p, 2.0 * _minus(p) ** 2) * np.abs(hb) ** 2))
+    rho and the squared moduli h2 of the generator H in its eigenbasis:
+    -Tr([H, rho] R^{-1}([H, rho])) with R^{-1} the sld_apply superoperator
+    (Braunstein & Caves 1994)."""
+    return _scalar(_sum2(_pair_weight(p, 2.0 * _minus(p) ** 2) * h2))
 
 
 def gauss_legendre_panels(s_max: float, panels: int):
@@ -147,11 +148,11 @@ def qfi(rho: DensityMatrix, ham: np.ndarray) -> float:
     require_hermitian(ham)
     dec = eig_hermitian(rho.data)
     v = dec.eigenvectors
-    return _qfi_eigbasis(np.clip(dec.eigenvalues, 0.0, None), v.conj().T @ ham @ v)
+    return _qfi_eigbasis(np.clip(dec.eigenvalues, 0.0, None), np.abs(v.conj().T @ ham @ v) ** 2)
 
 
 def _intrinsic_ip(ms: ModularSet, party):
-    return _qfi_eigbasis(ms.p, ms.k_eigbasis(party))
+    return _qfi_eigbasis(ms.p, np.abs(ms.k_eigbasis(party)) ** 2)
 
 
 def intrinsic_ip(rho: DensityMatrix, split: Partition, party) -> float:
@@ -207,7 +208,12 @@ def is_classical_quantum(rho: DensityMatrix, split: Partition, party) -> tuple[C
     require_single(rho, "is_classical_quantum")
     split.validate(rho.nsub)
     group = split.groups[_party_index(party)]
-    comm, dec, gap = _marginal_test(rho, group)
+    return _classical_quantum(rho, group, _marginal_test(rho, group))
+
+
+def _classical_quantum(rho: DensityMatrix, group, test) -> tuple[CQDecomposition | None, str]:
+    """is_classical_quantum for one group, given its _marginal_test."""
+    comm, dec, gap = test
     if comm > COMMUTATOR_TOL:
         return None, f"noncommuting ([rho, rho_party] Frobenius norm {comm:.3e})"
     if gap < GAP_TOL:
@@ -286,7 +292,12 @@ def noncommutativity_verdict(rho: DensityMatrix, split: Partition) -> Noncommuta
     """
     require_single(rho, "noncommutativity_verdict")
     _validate_bipartition(split, rho.nsub)
-    comms, decs, gaps = zip(*(_marginal_test(rho, group) for group in split.groups))
+    return _noncommutativity(rho, [_marginal_test(rho, group) for group in split.groups])
+
+
+def _noncommutativity(rho: DensityMatrix, tests) -> NoncommutativityVerdict:
+    """noncommutativity_verdict given the _marginal_test of both groups."""
+    comms, decs, gaps = zip(*tests)
     if max(comms) > COMMUTATOR_TOL:
         return NoncommutativityVerdict(
             "undecided", None, f"commutators with marginals nonzero ({comms[0]:.2e}, {comms[1]:.2e})"
@@ -351,11 +362,10 @@ def check_gamma_qfi_bound(rho: DensityMatrix, split: Partition) -> GammaQfiRepor
     require_single(rho, "check_gamma_qfi_bound")
     ms = modular_set(rho, split)
     gamma = _gamma(ms)
-    f_a = _intrinsic_ip(ms, 0)
-    f_b = _intrinsic_ip(ms, 1)
-    moments = [
-        float(np.sum(ms.p[:, None] * np.abs(ms.k_eigbasis(party)) ** 2)) for party in (0, 1)
-    ]
+    # |(K_P)_ij|^2 once per party serves its intrinsic IP and its log-moment
+    k2 = [np.abs(ms.k_eigbasis(party)) ** 2 for party in (0, 1)]
+    f_a, f_b = (_qfi_eigbasis(ms.p, h2) for h2 in k2)
+    moments = [float(np.sum(ms.p[:, None] * h2)) for h2 in k2]
     g2 = gamma**2
     report = GammaQfiReport(
         gamma=gamma,

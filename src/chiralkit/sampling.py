@@ -30,8 +30,30 @@ def split_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_seed(master_seed, index)))
 
 
+def split_normals(master_seed: int, indices, size: int) -> np.ndarray:
+    """(len(indices), size): row k holds the first size standard normals of
+    split_rng(master_seed, indices[k]). One Philox is re-keyed per stream,
+    which gives the same bits as a new generator per stream at a quarter of
+    the cost."""
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter 0 and an empty buffer
+    out = np.empty((len(indices), size))
+    for row, index in zip(out, indices):
+        fresh["state"]["key"] = np.array([derive_seed(master_seed, index), 0], dtype=np.uint64)
+        bitgen.state = fresh
+        gen.standard_normal(out=row)
+    return out
+
+
+def _complex_normal(z: np.ndarray) -> np.ndarray:
+    """(..., d, d) Ginibre entries from (..., 2, d, d) real normals, the
+    real parts drawn first."""
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
+
+
 def _ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
-    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    return _complex_normal(rng.standard_normal((2, d, d)))
 
 
 def _rephased_q(z: np.ndarray) -> np.ndarray:
@@ -53,6 +75,20 @@ def haar_unitary(d: int, rng) -> np.ndarray:
     if isinstance(rng, np.random.Generator):
         return _rephased_q(_ginibre(d, rng))
     return _rephased_q(np.array([_ginibre(d, g) for g in rng], dtype=complex).reshape(-1, d, d))
+
+
+def haar_unitaries(dims, master_seed: int, indices) -> list[np.ndarray]:
+    """For each d in dims, the (N, d, d) stack of the Haar unitaries that the
+    N streams split_rng(master_seed, i), i in indices, give when each draws
+    haar_unitary(d, .) for every d in dims in turn: one standard_normal call
+    per stream (split_normals) and one QR per d."""
+    sizes = [2 * d * d for d in dims]
+    normals = split_normals(master_seed, indices, sum(sizes))
+    bounds = np.cumsum([0] + sizes)
+    return [
+        _rephased_q(_complex_normal(normals[:, lo:hi].reshape(-1, 2, d, d)))
+        for d, lo, hi in zip(dims, bounds[:-1], bounds[1:])
+    ]
 
 
 def simplex_point(d: int, rng: np.random.Generator) -> np.ndarray:

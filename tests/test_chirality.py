@@ -700,6 +700,9 @@ def _orbit_cases():
 
 
 ORBIT_CASES = _orbit_cases()
+# the orbit cases, all under the pair-tensor size limit, and full-rank states
+# over it
+PAIR_CASES = ORBIT_CASES + [(f"full{dims}", rho_rand(dims, 106), SPLIT) for dims in ((3, 3), (3, 4))]
 
 
 def _kernel_call(monkeypatch, rho, part, **kwargs):
@@ -876,6 +879,50 @@ class TestOrbitKernel:
         assert full[3].tolist() == halves[0][3].tolist() + halves[1][3].tolist()
         assert full[4] == halves[0][4] + halves[1][4]
         assert np.max(np.abs(full[0] - np.concatenate([h[0] for h in halves]))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "rho,part", [c[1:] for c in PAIR_CASES], ids=[c[0] for c in PAIR_CASES]
+    )
+    def test_pair_data_matrices_match_applied_unitaries(self, monkeypatch, rho, part):
+        # M_t from the pair unfoldings against the other unitaries applied to
+        # the base, under the size limit and, with the limit raised, above it
+        base, party_dims = ch._fused_purification(rho, part)
+        monkeypatch.setattr(ch, "_PAIR_TENSOR_MAX_DIM", base.size)
+        orbit = ch._OrbitContraction(base)
+        assert sorted(orbit.pairs) == orbit.active
+        us = _random_unitaries(party_dims, 7, 102)
+        for t in orbit.active:
+            applied = orbit._party_matrix(orbit.apply(us, skip=t), t)
+            assert np.max(np.abs(orbit.data_matrix(us, t) - applied)) <= 1e-14 * np.max(np.abs(applied))
+
+    def test_size_limit_keeps_large_states_on_the_apply_path(self, monkeypatch):
+        for _, rho, part in ORBIT_CASES:
+            assert ch._OrbitContraction(ch._fused_purification(rho, part)[0]).pairs
+        for dims in ((3, 3), (3, 4), (4, 4)):
+            base, _ = ch._fused_purification(rho_rand(dims, 103), SPLIT)
+            assert base.size > ch._PAIR_TENSOR_MAX_DIM and not ch._OrbitContraction(base).pairs
+        _, rho, part = next(c for c in ORBIT_CASES if c[0] == "C10")
+        base, party_dims = ch._fused_purification(rho, part)
+        monkeypatch.setattr(ch, "_PAIR_TENSOR_MAX_DIM", base.size - 1)
+        orbit = ch._OrbitContraction(base)
+        assert not orbit.pairs
+        us = _random_unitaries(party_dims, 5, 104)
+        for t in orbit.active:
+            assert np.array_equal(orbit.data_matrix(us, t), orbit._party_matrix(orbit.apply(us, skip=t), t))
+
+    @pytest.mark.parametrize("name", ["mixed8", "pure3q4", "C10"])
+    def test_apply_path_takes_the_same_course(self, monkeypatch, name):
+        # the two forms of M_t differ in rounding only: the same iterations,
+        # stop reasons and best restart, and fidelities within 1e-13
+        _, rho, part = next(c for c in ORBIT_CASES if c[0] == name)
+        base, party_dims = ch._fused_purification(rho, part)
+        starts = _random_unitaries(party_dims, 20, 105)
+        pair = ch.alternating_orbit_overlap(base, starts, 1000, 1e-12)
+        monkeypatch.setattr(ch, "_PAIR_TENSOR_MAX_DIM", 0)
+        applied = ch.alternating_orbit_overlap(base, starts, 1000, 1e-12)
+        assert pair[3].tolist() == applied[3].tolist()
+        assert pair[4] == applied[4] and pair[6] == applied[6]
+        assert np.max(np.abs(pair[0] - applied[0])) <= 1e-13
 
     def test_cap_and_target_reasons(self):
         rho = rho_rand((2, 2), 98)

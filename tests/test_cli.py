@@ -213,6 +213,7 @@ class TestQfiCommand:
 
     def test_one_spectrum_for_both_ips(self, example_file, capsys, monkeypatch):
         # both intrinsic IPs together cost one modular spectrum: 3 eigh calls
+        # beyond the verdicts' one marginal test per group
         from chiralkit import correlations as co
         from chiralkit.qmat import Partition
 
@@ -220,14 +221,34 @@ class TestQfiCommand:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
         rho = parse_state_file(example_file)
-        split = Partition.parse("0|1")
-        co.is_classical_quantum(rho, split, "A")
-        co.noncommutativity_verdict(rho, split)
+        for group in Partition.parse("0|1").groups:
+            co._marginal_test(rho, group)
         rest = len(calls)
         calls.clear()
         assert main(["qfi", "--state", example_file, "--split", "0|1", "--party", "A"]) == 0
         capsys.readouterr()
         assert len(calls) - rest == 3
+
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_verdicts_share_one_marginal_test_per_group(self, example_file, capsys, monkeypatch, party):
+        # the two verdicts decompose each marginal once between them, and
+        # print what the public functions, each testing on its own, return
+        from chiralkit import correlations as co
+        from chiralkit.qmat import Partition
+
+        rho, split = parse_state_file(example_file), Partition.parse("0|1")
+        dec, reason = co.is_classical_quantum(rho, split, party)
+        verdict = co.noncommutativity_verdict(rho, split)
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: shapes.append(np.shape(a)) or eigh(a, *r, **k))
+        assert main(["qfi", "--state", example_file, "--split", "0|1", "--party", party]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # rho_A and rho_B for the verdicts, then rho, rho_A and rho_B for modular_set
+        assert shapes == [(3, 3), (2, 2), (6, 6), (3, 3), (2, 2)]
+        assert doc["classical_quantum"] == {"party": party, "detected": dec is not None, "reason": reason}
+        assert doc["nonchirality"] == {"verdict": verdict.verdict, "condition": verdict.condition,
+                                       "reason": verdict.reason}
 
     @pytest.mark.parametrize("split,groups", [("0|1|2", 3), ("0,1,2", 1)])
     def test_split_must_be_a_bipartition(self, tmp_path, capsys, split, groups):

@@ -9,9 +9,11 @@ from chiralkit.chirality import j2
 from chiralkit.qmat import DensityMatrix, bipartition, partial_transpose, tensor_product
 from chiralkit.sampling import (
     derive_seed,
+    haar_unitaries,
     haar_unitary,
     random_mixed_state,
     simplex_point,
+    split_normals,
     split_rng,
 )
 from chiralkit.states import bell_state, chiral_qutrit_qubit
@@ -62,6 +64,22 @@ class TestHaarUnitary:
             assert stack.shape == (5, dim, dim)
             assert np.array_equal(stack, np.stack([haar_unitary(dim, g) for g in alone]))
         assert haar_unitary(d, []).shape == (0, d, d)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 4), (3, 1, 2, 6), (1,)])
+    def test_party_stacks_match_per_party_draws(self, dims):
+        # one standard_normal call per stream for every party gives the bits
+        # of haar_unitary drawing party after party from the same streams
+        indices = range(1, 12)
+        oracle_gens = [split_rng(115, k) for k in indices]
+        oracle = [haar_unitary(d, oracle_gens) for d in dims]
+        stacks = haar_unitaries(dims, 115, indices)
+        assert all(np.array_equal(a, b) for a, b in zip(stacks, oracle, strict=True))
+        assert [s.shape for s in haar_unitaries(dims, 115, [])] == [(0, d, d) for d in dims]
+
+    def test_rekeyed_stream_normals_match_fresh_generators(self):
+        indices = [0, 5, 3, 5, 10**6]
+        normals = split_normals(116, indices, 37)
+        assert np.array_equal(normals, np.stack([split_rng(116, k).standard_normal(37) for k in indices]))
 
 
 class TestMixedStateSampler:

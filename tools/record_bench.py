@@ -16,8 +16,11 @@ metric. Each workload also gets one traced run per side (seed 1) for the
 per-layer metrics. The recorder then runs the tier-1 test suite once per
 side and every selftest criterion once per side in a fresh interpreter,
 keeps each side's stdout of `chiralkit measure`, `qfi` and `logdist` on the
-bundled states with one same/different flag per command and state (so the
-file shows whether the CLI bytes moved), and counts the lines of `src/`.
+bundled states and of `chiralkit bounds --n 10` (which runs the orbit
+optimizer), with one same/different flag per command and state, and one
+flag per selftest criterion saying whether its verdict and detail are the
+same, seconds excluded (so the file shows whether the CLI bytes or a
+criterion's figures moved), and counts the lines of `src/`.
 Runs are sequential, so nothing else competes for the CPUs while one is
 timed.
 """
@@ -122,14 +125,14 @@ def _tier1(checkout: Path) -> dict:
     return {"summary": summary, "wall_s": wall, "selftest": json.loads(selftest.stdout.strip().splitlines()[-1])}
 
 
+def _cli(checkout: Path, args: list[str]) -> str:
+    return subprocess.run([sys.executable, "-m", "chiralkit", *args], cwd=checkout, env=_env(checkout),
+                          capture_output=True, text=True, check=True).stdout
+
+
 def _cli_stdout(checkout: Path, command: str) -> dict:
-    out = {}
-    for name in CLI_STATES:
-        cmd = [sys.executable, "-m", "chiralkit", command, "--state", f"src/chiralkit/data/{name}",
-               "--split", "0|1"]
-        out[name] = subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True, text=True,
-                                   check=True).stdout
-    return out
+    return {name: _cli(checkout, [command, "--state", f"src/chiralkit/data/{name}", "--split", "0|1"])
+            for name in CLI_STATES}
 
 
 def _src_lines(checkout: Path) -> int:
@@ -185,12 +188,20 @@ def main(argv=None) -> int:
             entry[side] = {name: m["value"] for name, m in result["metrics"].items()}
         doc["per_layer_traced_seed1"][workload] = entry
     doc["tier1_one_run_each"] = {side: _tier1(dirs[side]) for side in SIDES}
+    selftest = {side: doc["tier1_one_run_each"][side]["selftest"] for side in SIDES}
+    doc["selftest_detail_same"] = {
+        key: all(selftest["parent"][key][k] == selftest["change"].get(key, {}).get(k) for k in ("verdict", "detail"))
+        for key in selftest["parent"]
+    }
     for command in CLI_COMMANDS:
         stdout = {side: _cli_stdout(dirs[side], command) for side in SIDES}
         doc[f"{command}_stdout"] = stdout
         doc[f"{command}_stdout_same"] = {
             name: stdout["parent"][name] == stdout["change"][name] for name in CLI_STATES
         }
+    bounds = {side: _cli(dirs[side], ["bounds", "--n", "10"]) for side in SIDES}
+    doc["bounds_stdout"] = bounds
+    doc["bounds_stdout_same"] = bounds["parent"] == bounds["change"]
     doc["src_lines"] = {side: _src_lines(dirs[side]) for side in SIDES}
     doc["machine"] = _machine(info)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
