@@ -427,7 +427,9 @@ def _hermitian_basis(d: int) -> np.ndarray:
 class _OrbitContraction:
     """The purification tensor laid out once per party, so that applying a
     stack of party unitaries and forming the data matrices M_t are reshapes
-    and batched products on a flat (restarts, dim) state.
+    and batched products on a flat (restarts, dim) state. Up to
+    _PAIR_TENSOR_MAX_DIM it also holds base (x) base unfolded once per party
+    (pairs), from which each M_t is one GEMM over the restarts.
 
     For the second-order steps each active party t moves as
     exp(i sum_k x_tk E_k) U_t, with E_k an orthonormal basis of the traceless

@@ -120,12 +120,7 @@ def _cmd_stabilizer(args) -> int:
 def _cmd_qfi(args) -> int:
     rho = _load(args.state, args.atol)
     split = Partition.parse(args.split)
-    ch._validate_bipartition(split, rho.nsub)
-    # one marginal test per group serves both verdicts
-    tests = [co._marginal_test(rho, group) for group in split.groups]
-    party = ch._party_index(args.party)
-    dec, reason = co._classical_quantum(rho, split.groups[party], tests[party])
-    verdict = co._noncommutativity(rho, tests)
+    (dec, reason), verdict = co._shared_verdicts(rho, split, args.party)
     ms = ch.modular_set(rho, split)  # one spectrum serves both parties
     _emit(
         {

@@ -295,6 +295,15 @@ def noncommutativity_verdict(rho: DensityMatrix, split: Partition) -> Noncommuta
     return _noncommutativity(rho, [_marginal_test(rho, group) for group in split.groups])
 
 
+def _shared_verdicts(rho: DensityMatrix, split: Partition, party):
+    """(is_classical_quantum, noncommutativity_verdict) of one state from one
+    _marginal_test per group, which both verdicts read."""
+    _validate_bipartition(split, rho.nsub)
+    tests = [_marginal_test(rho, group) for group in split.groups]
+    i = _party_index(party)
+    return _classical_quantum(rho, split.groups[i], tests[i]), _noncommutativity(rho, tests)
+
+
 def _noncommutativity(rho: DensityMatrix, tests) -> NoncommutativityVerdict:
     """noncommutativity_verdict given the _marginal_test of both groups."""
     comms, decs, gaps = zip(*tests)
