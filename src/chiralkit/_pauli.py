@@ -71,15 +71,20 @@ def pauli_conjugation_overlaps(psi: np.ndarray, n: int) -> np.ndarray:
     return _value_table(psi, n, conjugate_bra=False)
 
 
+def column_phases(z: int, x: int, n: int) -> np.ndarray:
+    """c with P(z, x)|b> = c_b |b ^ x> for every basis index b: the one
+    nonzero entry of each column of the string's matrix."""
+    b = np.arange(1 << n, dtype=np.uint64)
+    signs = (-1.0) ** np.bitwise_count(np.uint64(z) & b).astype(int)
+    return 1j ** (int(np.bitwise_count(np.uint64(z & x))) % 4) * signs
+
+
 def pauli_matrix(z: int, x: int, n: int) -> np.ndarray:
     """Dense 2^n matrix of the phase-free string encoded by bit masks (z, x)."""
     dim = 1 << n
     b = np.arange(dim)
-    rows = b ^ x
-    signs = (-1.0) ** np.bitwise_count(np.uint64(z) & b.astype(np.uint64)).astype(int)
-    phase = 1j ** (int(np.bitwise_count(np.uint64(z & x))) % 4)
     m = np.zeros((dim, dim), dtype=complex)
-    m[rows, b] = phase * signs
+    m[b ^ x, b] = column_phases(z, x, n)
     return m
 
 

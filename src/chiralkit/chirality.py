@@ -22,6 +22,7 @@ from . import _pauli
 from .qmat import (
     DensityMatrix,
     Partition,
+    _log_on_support,
     _support_mask,
     apply_local,
     dagger,
@@ -89,7 +90,8 @@ class ModularSet:
     identity and rotated into the eigenbasis (V† K V), each formed when it is
     first read, so a measure that needs one party never rotates the other.
     For a stack of states every field carries the same leading axes, and the
-    measures contracted from it return one value per member.
+    measures contracted from it return one value per member. Every array is
+    read-only, as modular_set hands the same set to consecutive calls.
     """
 
     p: np.ndarray
@@ -99,10 +101,16 @@ class ModularSet:
     groups: tuple[tuple[int, ...], tuple[int, ...]]
     marginal_k: tuple[np.ndarray, np.ndarray]
 
+    def __post_init__(self):
+        for a in (self.p, self.kappa, self.eigenvectors, *self.marginal_k):
+            a.flags.writeable = False
+
     def _rotated(self, party: int) -> np.ndarray:
         # V† K V as (K V)† V, K being Hermitian
         v = self.eigenvectors
-        return dagger(apply_local(self.marginal_k[party], self.dims, self.groups[party], v)) @ v
+        k = dagger(apply_local(self.marginal_k[party], self.dims, self.groups[party], v)) @ v
+        k.flags.writeable = False
+        return k
 
     @cached_property
     def k_a_eigbasis(self) -> np.ndarray:
@@ -123,18 +131,46 @@ def _validate_bipartition(split: Partition, nsub: int) -> None:
         raise ValueError(f"expected a bipartition, got {split.ngroups} groups")
 
 
+# (state, split groups, ModularSet) of the latest modular_set call, or None.
+# One slot: consecutive calls on one state share its spectral form, and no
+# more than one state's form is ever held.
+_held: tuple | None = None
+
+
 def modular_set(rho: DensityMatrix, split: Partition) -> ModularSet:
     """Diagonalize rho once, with one eigendecomposition per marginal for its
     modular Hamiltonian, each a single batched call on a stack of states.
     The rotations into the eigenbasis of rho wait until a measure reads
-    them (ModularSet)."""
+    them (ModularSet).
+
+    The set of the latest call is held: a call on the same DensityMatrix
+    object with equal split groups returns it, rotations included. Any other
+    call releases it before decomposing."""
     _validate_bipartition(split, rho.nsub)
+    held = _held
+    if held is not None and held[0] is rho and held[1] == split.groups:
+        return held[2]
+    return _hold_modular_set(rho, split)
+
+
+def _hold_modular_set(rho: DensityMatrix, split: Partition, marginal_decs=None) -> ModularSet:
+    """Release the held set, then build and hold the modular set of rho;
+    marginal_decs, when given, are the eigendecompositions of the groups'
+    reduced states, hermitized as partial_trace leaves them, and the marginal
+    Hamiltonians come from them."""
+    global _held
+    _held = None
     dec = eig_hermitian(rho.data)
     p = np.clip(dec.eigenvalues, 0.0, None)
     keep = _support_mask(p)
     kappa = np.where(keep, -np.log(np.where(keep, p, 1.0)), 0.0)
-    marginal_k = tuple(-marginal_log(rho, group) for group in split.groups)
-    return ModularSet(p, kappa, dec.eigenvectors, rho.dims, split.groups, marginal_k)
+    if marginal_decs is None:
+        marginal_k = tuple(-marginal_log(rho, group) for group in split.groups)
+    else:
+        marginal_k = tuple(-_log_on_support(d) for d in marginal_decs)
+    ms = ModularSet(p, kappa, dec.eigenvectors, rho.dims, split.groups, marginal_k)
+    _held = (rho, split.groups, ms)
+    return ms
 
 
 def _minus(x: np.ndarray) -> np.ndarray:

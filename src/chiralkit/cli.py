@@ -121,13 +121,12 @@ def _cmd_qfi(args) -> int:
     rho = _load(args.state, args.atol)
     split = Partition.parse(args.split)
     (dec, reason), verdict = co._shared_verdicts(rho, split, args.party)
-    ms = ch.modular_set(rho, split)  # one spectrum serves both parties
     _emit(
         {
             "state": args.state,
             "split": args.split,
-            "intrinsic_ip_A": _qty(co._intrinsic_ip(ms, "A"), INTRINSIC_IP_TOL),
-            "intrinsic_ip_B": _qty(co._intrinsic_ip(ms, "B"), INTRINSIC_IP_TOL),
+            "intrinsic_ip_A": _qty(co.intrinsic_ip(rho, split, "A"), INTRINSIC_IP_TOL),
+            "intrinsic_ip_B": _qty(co.intrinsic_ip(rho, split, "B"), INTRINSIC_IP_TOL),
             "classical_quantum": {
                 "party": args.party,
                 "detected": dec is not None,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chirality import ModularSet, _gamma, _minus, _party_index, _plus, _scalar, _sum2, modular_set
+from .chirality import _gamma, _hold_modular_set, _minus, _party_index, _plus, _scalar, _sum2, modular_set
 from .chirality import _validate_bipartition
 from .qmat import (
     DensityMatrix,
@@ -151,10 +151,6 @@ def qfi(rho: DensityMatrix, ham: np.ndarray) -> float:
     return _qfi_eigbasis(np.clip(dec.eigenvalues, 0.0, None), np.abs(v.conj().T @ ham @ v) ** 2)
 
 
-def _intrinsic_ip(ms: ModularSet, party):
-    return _qfi_eigbasis(ms.p, np.abs(ms.k_eigbasis(party)) ** 2)
-
-
 def intrinsic_ip(rho: DensityMatrix, split: Partition, party) -> float:
     """QFI with the chosen party's marginal modular Hamiltonian as generator.
 
@@ -162,7 +158,8 @@ def intrinsic_ip(rho: DensityMatrix, split: Partition, party) -> float:
     reduces (up to the factor-4 convention of qfi) to the variance of the
     marginal modular Hamiltonian on pure states.
     """
-    return _intrinsic_ip(modular_set(rho, split), party)
+    ms = modular_set(rho, split)
+    return _qfi_eigbasis(ms.p, np.abs(ms.k_eigbasis(party)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -297,9 +294,13 @@ def noncommutativity_verdict(rho: DensityMatrix, split: Partition) -> Noncommuta
 
 def _shared_verdicts(rho: DensityMatrix, split: Partition, party):
     """(is_classical_quantum, noncommutativity_verdict) of one state from one
-    _marginal_test per group, which both verdicts read."""
+    _marginal_test per group, which both verdicts read. It leaves rho's
+    modular set held by modular_set, its marginal Hamiltonians taken from
+    the tests' decompositions, so the intrinsic IPs that follow decompose
+    rho alone."""
     _validate_bipartition(split, rho.nsub)
     tests = [_marginal_test(rho, group) for group in split.groups]
+    _hold_modular_set(rho, split, [dec for _, dec, _ in tests])
     i = _party_index(party)
     return _classical_quantum(rho, split.groups[i], tests[i]), _noncommutativity(rho, tests)
 

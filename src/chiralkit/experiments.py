@@ -14,7 +14,7 @@ import numpy as np
 
 from .chirality import _scalar, _validate_bipartition, chiral_log_distance, j2
 from .qmat import DensityMatrix, Partition, bipartition, partial_trace, partial_transpose, pure_state_density
-from .sampling import derive_seed, haar_unitary, random_mixed_state
+from .sampling import derive_seed, haar_unitary, random_mixed_state, random_mixed_states
 from .states import purified_chiral_qutrit_qubit
 
 # spec'd sampling surface, re-exported under the names the experiments own
@@ -59,7 +59,7 @@ PEARSON_THRESHOLD = 0.3  # pilot-calibrated bound on |Pearson(E_N, |J2|)| that C
 
 def _scan_chunk(master_seed: int, start: int, stop: int) -> list[ScanRow]:
     seeds = [derive_seed(master_seed, i) for i in range(start, stop)]
-    rho = random_mixed_state((2, 2), [np.random.Generator(np.random.Philox(key=k)) for k in seeds])
+    rho = random_mixed_states((2, 2), master_seed, range(start, stop))
     split = bipartition([0], [1])
     e_n = log_negativity(rho, split).tolist()
     abs_j2 = np.abs(j2(rho, split)).tolist()

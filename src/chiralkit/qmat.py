@@ -83,7 +83,9 @@ class DensityMatrix:
     (..., prod dims, prod dims) stack of such matrices, which makes a stack of
     states on the same subsystems. Construction validates hermiticity,
     positivity and trace of every member; pass a larger atol to accept
-    sloppier input.
+    sloppier input. data is a private read-only copy of the array passed
+    in, so the caller's array stays writable and a later write to it cannot
+    reach the validated state.
     """
 
     dims: tuple[int, ...]
@@ -95,7 +97,7 @@ class DensityMatrix:
         if not dims or any(d < 1 for d in dims):
             raise StateInvariantError(f"subsystem dimensions must be positive, got {dims}")
         object.__setattr__(self, "dims", dims)
-        data = np.ascontiguousarray(self.data, dtype=complex)
+        data = np.array(self.data, dtype=complex, order="C")
         d = int(np.prod(dims))
         if data.shape[-2:] != (d, d):
             raise ShapeMismatchError(f"matrix shape {data.shape} does not match dims {dims}")

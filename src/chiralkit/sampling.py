@@ -30,18 +30,26 @@ def split_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_seed(master_seed, index)))
 
 
-def split_normals(master_seed: int, indices, size: int) -> np.ndarray:
-    """(len(indices), size): row k holds the first size standard normals of
-    split_rng(master_seed, indices[k]). One Philox is re-keyed per stream,
-    which gives the same bits as a new generator per stream at a quarter of
-    the cost."""
+def _rekeyed_streams(master_seed: int, indices):
+    """For each index in turn, a generator that draws what
+    split_rng(master_seed, index) would draw, valid until the next one is
+    yielded. One Philox is re-keyed per stream, which gives the same bits as
+    a new generator per stream at a quarter of the cost."""
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state  # counter 0 and an empty buffer
-    out = np.empty((len(indices), size))
-    for row, index in zip(out, indices):
+    for index in indices:
         fresh["state"]["key"] = np.array([derive_seed(master_seed, index), 0], dtype=np.uint64)
         bitgen.state = fresh
+        yield gen
+
+
+def split_normals(master_seed: int, indices, size: int) -> np.ndarray:
+    """(len(indices), size): row k holds the first size standard normals of
+    split_rng(master_seed, indices[k]), each drawn by one standard_normal
+    call on a re-keyed stream."""
+    out = np.empty((len(indices), size))
+    for row, gen in zip(out, _rekeyed_streams(master_seed, indices)):
         gen.standard_normal(out=row)
     return out
 
@@ -97,23 +105,34 @@ def simplex_point(d: int, rng: np.random.Generator) -> np.ndarray:
     return e / e.sum()
 
 
-def random_mixed_state(dims, rng) -> DensityMatrix:
-    """U diag(p) U† with U Haar and p a flat-simplex spectrum.
+def _mixed_state(dims, p: np.ndarray, z: np.ndarray) -> DensityMatrix:
+    """U diag(p) U† with U the rephased Q of the Ginibre matrices made from
+    the real normals z, member by member on stacks."""
+    u = _rephased_q(_complex_normal(z))
+    return DensityMatrix(dims, (u * p[..., None, :]) @ dagger(u))
 
-    Given a sequence of generators instead of one, returns the stack of the
-    states that each generator alone would give: every generator draws p,
-    then U's Ginibre matrix, as for a single state, and the QR, the
-    rephasing and the products run once on the whole stack.
-    """
+
+def random_mixed_state(dims, rng: np.random.Generator) -> DensityMatrix:
+    """U diag(p) U† with U Haar and p a flat-simplex spectrum, p drawn
+    first."""
     dims = tuple(int(x) for x in dims)
     d = int(np.prod(dims))
-    if isinstance(rng, np.random.Generator):
-        p, z = simplex_point(d, rng), _ginibre(d, rng)
-    else:
-        draws = [(simplex_point(d, g), _ginibre(d, g)) for g in rng]
-        p, z = np.stack([pz[0] for pz in draws]), np.stack([pz[1] for pz in draws])
-    u = _rephased_q(z)
-    return DensityMatrix(dims, (u * p[..., None, :]) @ dagger(u))
+    p = simplex_point(d, rng)
+    return _mixed_state(dims, p, rng.standard_normal((2, d, d)))
+
+
+def random_mixed_states(dims, master_seed: int, indices) -> DensityMatrix:
+    """The stack of the states random_mixed_state(dims, .) gives on the
+    streams split_rng(master_seed, i), i in indices: each stream draws its
+    exponentials and normals on a re-keyed Philox, and the QR, the rephasing
+    and the products run once on the whole stack."""
+    dims = tuple(int(x) for x in dims)
+    d = int(np.prod(dims))
+    e, z = np.empty((len(indices), d)), np.empty((len(indices), 2, d, d))
+    for ek, zk, gen in zip(e, z, _rekeyed_streams(master_seed, indices)):
+        gen.standard_exponential(out=ek)
+        gen.standard_normal(out=zk)
+    return _mixed_state(dims, e / e.sum(axis=-1, keepdims=True), z)
 
 
 def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -250,15 +250,25 @@ def parse_tableau(text: str, n: int | None = None) -> StabilizerGroup:
 
 
 def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
-    """Dense state 2^{k-n} prod_i (I + s_i P_i)/2 stabilized by the group."""
+    """Dense state 2^{k-n} prod_i (I + s_i P_i)/2 stabilized by the group.
+
+    With P|b> = c_b |b ^ x>, column b of A (I + s P) is A[:, b] + s c_b
+    A[:, b ^ x], so each factor is one column gather; every entry is dyadic,
+    so the result has the bits of the dense product."""
     n = group.n
-    dim = 1 << n
-    acc = np.eye(dim, dtype=complex)
+    b = np.arange(1 << n)
+    acc = np.eye(1 << n, dtype=complex)
     for i in range(group.k):
-        p = group.generator(i).matrix()
+        z, x = group.generator(i).basis_masks()
+        col = _pauli.column_phases(z, x, n)
         if group.signs[i]:
-            p = -p
-        acc = acc @ (np.eye(dim) + p) / 2.0
+            col = -col
+        # (acc + acc[:, b ^ x] * col) / 2, in place on the gathered copy
+        gathered = acc[:, b ^ x]
+        gathered *= col
+        gathered += acc
+        gathered *= 0.5
+        acc = gathered
     acc /= 2 ** (n - group.k)
     return DensityMatrix((2,) * n, acc, atol=1e-9)
 

@@ -4,12 +4,14 @@ structural invariants, and the orbit optimizer."""
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from chiralkit import chirality as ch
 from chiralkit import _pauli
+from chiralkit import correlations as co
 from chiralkit.qmat import (
     DensityMatrix,
     Partition,
@@ -277,17 +279,16 @@ class TestModularSet:
             assert abs(ch._j3_prime(ms) - want) <= 1e-14
 
     def test_one_party_reads_rotate_one_party(self, monkeypatch):
-        from chiralkit import correlations as co
-
-        rho = rho_rand((2, 3), 26)
-        ms = ch.modular_set(rho, SPLIT)
-        co._intrinsic_ip(ms, "A")
-        assert "k_a_eigbasis" in vars(ms) and "k_b_eigbasis" not in vars(ms)
         calls = []
         apply_local = ch.apply_local
         monkeypatch.setattr(ch, "apply_local", lambda *a: calls.append(a[2]) or apply_local(*a))
+        rho = rho_rand((2, 3), 26)
         co.intrinsic_ip(rho, SPLIT, "A")
         assert calls == [(0,)]
+        ms = ch.modular_set(rho, SPLIT)
+        assert "k_a_eigbasis" in vars(ms) and "k_b_eigbasis" not in vars(ms)
+        co.intrinsic_ip(rho, SPLIT, "B")
+        assert calls == [(0,), (1,)]
 
     def test_marginal_hamiltonians_commute(self):
         rho = rho_rand((2, 3), 22)
@@ -312,6 +313,76 @@ class TestModularSet:
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
         fn(rho)
         assert len(calls) == 3
+
+
+class TestModularSetSlot:
+    """modular_set holds the set of its latest call: a call on the same state
+    object with equal split groups reuses it, any other call releases it."""
+
+    CALLS = {
+        "measure_report": lambda rho: ch.measure_report(rho, SPLIT).entries,
+        "intrinsic_ip_A": lambda rho: co.intrinsic_ip(rho, SPLIT, "A"),
+        "intrinsic_ip_B": lambda rho: co.intrinsic_ip(rho, SPLIT, "B"),
+        "check_gamma_qfi_bound": lambda rho: co.check_gamma_qfi_bound(rho, SPLIT),
+    }
+
+    @staticmethod
+    def _count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: calls.append(np.shape(a)) or eigh(a, *r, **k))
+        return calls
+
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 8)])
+    def test_four_calls_decompose_once(self, monkeypatch, dims):
+        rho = rho_rand(dims, 70)
+        alone = {}
+        for name, call in self.CALLS.items():
+            alone[name] = call(DensityMatrix(dims, rho.data))
+        calls = self._count_eigh(monkeypatch)
+        shared = {name: call(rho) for name, call in self.CALLS.items()}
+        d = int(np.prod(dims))
+        assert calls == [(d, d), (dims[0],) * 2, (dims[1],) * 2]
+        assert shared == alone  # every value has the bits of a call on a fresh copy
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda rho: (rho, Partition(((1,), (0,)))),
+            lambda rho: (DensityMatrix(rho.dims, rho.data), SPLIT),
+            lambda rho: (DensityMatrix(rho.dims, rho.data[None]), SPLIT),
+        ],
+        ids=["other_split", "equal_data_copy", "stack"],
+    )
+    def test_misses(self, monkeypatch, other):
+        rho = rho_rand((2, 3), 71)
+        ms = ch.modular_set(rho, SPLIT)
+        calls = self._count_eigh(monkeypatch)
+        assert ch.modular_set(rho, SPLIT) is ms
+        assert calls == []
+        assert ch.modular_set(*other(rho)) is not ms
+        assert len(calls) == 3
+
+    def test_invalid_split_raises_when_warm(self):
+        rho = rho_rand((2, 3), 72)
+        ch.modular_set(rho, SPLIT)
+        with pytest.raises(ValueError, match="does not cover"):
+            ch.modular_set(rho, Partition(((0,), (2,))))
+        with pytest.raises(ValueError, match="expected a bipartition"):
+            ch.modular_set(rho, Partition(((0, 1),)))
+
+    def test_next_state_releases_the_held_set(self):
+        rho_a, rho_b = rho_rand((2, 2), 73), rho_rand((2, 2), 73, 1)
+        held = weakref.ref(ch.modular_set(rho_a, SPLIT))
+        assert held() is not None
+        ch.modular_set(rho_b, SPLIT)
+        assert held() is None
+
+    def test_held_arrays_are_read_only(self):
+        ms = ch.modular_set(rho_rand((2, 3), 74), SPLIT)
+        for a in (ms.p, ms.kappa, ms.eigenvectors, *ms.marginal_k, ms.k_a_eigbasis, ms.k_b_eigbasis):
+            with pytest.raises(ValueError, match="read-only"):
+                a[..., 0] = 0.0
 
 
 def _rank_two(dims, seed):

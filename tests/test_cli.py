@@ -212,8 +212,9 @@ class TestQfiCommand:
         assert doc["nonchirality"]["verdict"] == "undecided"
 
     def test_one_spectrum_for_both_ips(self, example_file, capsys, monkeypatch):
-        # both intrinsic IPs together cost one modular spectrum: 3 eigh calls
-        # beyond the verdicts' one marginal test per group
+        # both intrinsic IPs together cost one decomposition of rho beyond the
+        # verdicts' one marginal test per group, whose marginal decompositions
+        # the modular set reuses
         from chiralkit import correlations as co
         from chiralkit.qmat import Partition
 
@@ -227,7 +228,7 @@ class TestQfiCommand:
         calls.clear()
         assert main(["qfi", "--state", example_file, "--split", "0|1", "--party", "A"]) == 0
         capsys.readouterr()
-        assert len(calls) - rest == 3
+        assert len(calls) - rest == 1
 
     @pytest.mark.parametrize("party", ["A", "B"])
     def test_verdicts_share_one_marginal_test_per_group(self, example_file, capsys, monkeypatch, party):
@@ -244,8 +245,8 @@ class TestQfiCommand:
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: shapes.append(np.shape(a)) or eigh(a, *r, **k))
         assert main(["qfi", "--state", example_file, "--split", "0|1", "--party", party]) == 0
         doc = json.loads(capsys.readouterr().out)
-        # rho_A and rho_B for the verdicts, then rho, rho_A and rho_B for modular_set
-        assert shapes == [(3, 3), (2, 2), (6, 6), (3, 3), (2, 2)]
+        # rho_A and rho_B for the verdicts and the modular set, then rho
+        assert shapes == [(3, 3), (2, 2), (6, 6)]
         assert doc["classical_quantum"] == {"party": party, "detected": dec is not None, "reason": reason}
         assert doc["nonchirality"] == {"verdict": verdict.verdict, "condition": verdict.condition,
                                        "reason": verdict.reason}

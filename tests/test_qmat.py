@@ -406,3 +406,11 @@ class TestDensityMatrixInvariants:
         rho = rho_rand((2,), 17)
         with pytest.raises(ValueError):
             rho.data[0, 0] = 1.0
+
+    def test_data_is_a_private_copy(self):
+        m = rho_rand((2, 2), 17).data.copy()
+        rho = DensityMatrix((2, 2), m)
+        assert m.flags.writeable and rho.data is not m
+        m[0, 0] = 0.5  # would break the trace if rho still read m
+        assert np.trace(rho.data) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(rho.data, DensityMatrix((2, 2), rho.data).data)

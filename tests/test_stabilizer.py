@@ -209,6 +209,34 @@ class TestStabilizerState:
             assert np.max(np.abs(rho.data @ rho.data - rho.data / scale)) < 1e-10
 
 
+def dense_stabilizer_state(group):
+    """2^{k-n} prod_i (I + s_i P_i)/2 as dense matrix products."""
+    dim = 1 << group.n
+    acc = np.eye(dim, dtype=complex)
+    for i in range(group.k):
+        p = (-1) ** group.signs[i] * group.generator(i).matrix()
+        acc = acc @ (np.eye(dim) + p) / 2.0
+    return acc / 2 ** (group.n - group.k)
+
+
+class TestStabilizerStateGathers:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_dense_product(self, n):
+        # dyadic entries: the column gathers have the bits of the products
+        for t in range(8):
+            group = st.random_stabilizer_group(n, split_rng(63, 10 * n + t))
+            rho = st.stabilizer_state(group)
+            assert np.array_equal(rho.data, dense_stabilizer_state(group))
+
+    def test_column_phases_are_the_matrix_columns(self):
+        n = 3
+        b = np.arange(1 << n)
+        for z, x in itertools.product(range(1 << n), repeat=2):
+            m = _pauli.pauli_matrix(z, x, n)
+            assert np.array_equal(m[b ^ x, b], _pauli.column_phases(z, x, n))
+            assert np.count_nonzero(m) == 1 << n
+
+
 class TestConjugationPauli:
     def test_bell_is_real(self):
         group = st.group_from_labels(["XX", "ZZ"])

@@ -16,8 +16,10 @@ metric. Each workload also gets one traced run per side (seed 1) for the
 per-layer metrics. The recorder then runs the tier-1 test suite once per
 side and every selftest criterion once per side in a fresh interpreter,
 keeps each side's stdout of `chiralkit measure`, `qfi` and `logdist` on the
-bundled states and of `chiralkit bounds --n 10` (which runs the orbit
-optimizer), with one same/different flag per command and state, and one
+bundled states, of `chiralkit bounds --n 10` (which runs the orbit
+optimizer) and of `chiralkit scan --n 200 --seed 3` (the scan's summary,
+which reads every sample), with one same/different flag per command and
+state, and one
 flag per selftest criterion saying whether its verdict and detail are the
 same, seconds excluded (so the file shows whether the CLI bytes or a
 criterion's figures moved), and counts the lines of `src/`.
@@ -35,6 +37,7 @@ import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -202,6 +205,11 @@ def main(argv=None) -> int:
     bounds = {side: _cli(dirs[side], ["bounds", "--n", "10"]) for side in SIDES}
     doc["bounds_stdout"] = bounds
     doc["bounds_stdout_same"] = bounds["parent"] == bounds["change"]
+    with tempfile.TemporaryDirectory() as tmp:
+        scan = {side: _cli(dirs[side], ["scan", "--n", "200", "--seed", "3", "--out", f"{tmp}/{side}.csv"])
+                for side in SIDES}
+    doc["scan_stdout"] = scan
+    doc["scan_stdout_same"] = scan["parent"] == scan["change"]
     doc["src_lines"] = {side: _src_lines(dirs[side]) for side in SIDES}
     doc["machine"] = _machine(info)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
