@@ -336,9 +336,7 @@ class TestModularSetSlot:
     @pytest.mark.parametrize("dims", [(2, 2), (4, 8)])
     def test_four_calls_decompose_once(self, monkeypatch, dims):
         rho = rho_rand(dims, 70)
-        alone = {}
-        for name, call in self.CALLS.items():
-            alone[name] = call(DensityMatrix(dims, rho.data))
+        alone = {name: call(DensityMatrix(dims, rho.data)) for name, call in self.CALLS.items()}
         calls = self._count_eigh(monkeypatch)
         shared = {name: call(rho) for name, call in self.CALLS.items()}
         d = int(np.prod(dims))

@@ -77,12 +77,6 @@ class TestHaarUnitary:
         assert all(np.array_equal(a, b) for a, b in zip(stacks, oracle, strict=True))
         assert [s.shape for s in haar_unitaries(dims, 115, [])] == [(0, d, d) for d in dims]
 
-    @pytest.mark.parametrize("n", [1, 10, 1000])
-    def test_mixed_state_stack_matches_per_stream_draws(self, n):
-        stack = random_mixed_states((2, 2), 117, range(5, 5 + n))
-        oracle = [random_mixed_state((2, 2), split_rng(117, k)).data for k in range(5, 5 + n)]
-        assert stack.dims == (2, 2) and np.array_equal(stack.data, np.stack(oracle))
-
     def test_rekeyed_stream_normals_match_fresh_generators(self):
         indices = [0, 5, 3, 5, 10**6]
         normals = split_normals(116, indices, 37)
@@ -98,6 +92,12 @@ class TestMixedStateSampler:
         twin = split_rng(114, 0)
         p = simplex_point(4, twin)
         assert np.allclose(np.sort(rho.eigenvalues()), np.sort(p), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 10, 1000])
+    def test_mixed_state_stack_matches_per_stream_draws(self, n):
+        stack = random_mixed_states((2, 2), 117, range(5, 5 + n))
+        oracle = [random_mixed_state((2, 2), split_rng(117, k)).data for k in range(5, 5 + n)]
+        assert stack.dims == (2, 2) and np.array_equal(stack.data, np.stack(oracle))
 
     def test_purity_moment(self):
         # flat-simplex second moment: E[sum p^2] = 2/(d+1)
