@@ -39,6 +39,9 @@ IMAG_RESIDUE_TOL = 1e-8
 CERTIFICATE_TOL = 1e-8  # a best fidelity of at least 1 - CERTIFICATE_TOL certifies nonchirality
 # the best restart is the lowest index within this of the largest fidelity
 BEST_RESTART_TIE = 1e-13
+# chiral_log_distance: a restart sweeps until its gain per sweep falls below
+# sqrt(ORBIT_TOL), then stops once its stationarity is at most sqrt(ORBIT_TOL)
+ORBIT_TOL = 1e-12
 
 
 def _scalar(x: np.ndarray):
@@ -354,7 +357,7 @@ class OptimizationResult:
     (o = Tr U_t M_t). It is the norm of the gradient of |o| in party t's
     coordinates, does not change when any U_t takes a phase, and is 0
     exactly at a stationary point. stop_reasons says why the restart
-    stopped: "stationary" (stationarity at most sqrt(tol)), "target" (some
+    stopped: "stationary" (stationarity at most sqrt(ORBIT_TOL)), "target" (some
     restart reached target_fidelity first) or "cap" (its sweeps plus Newton
     steps reached max_iters). converged is stop_reasons == "stationary", and
     iterations_per_restart counts sweeps plus Newton steps.
@@ -763,7 +766,6 @@ def chiral_log_distance(
     partition: Partition,
     restarts: int = 20,
     max_iters: int = 1000,
-    tol: float = 1e-12,
     seed: int = 0,
     extra_inits: list[list[np.ndarray]] | None = None,
     target_fidelity: float | None = None,
@@ -777,8 +779,8 @@ def chiral_log_distance(
     per-party unitaries, ancilla optional), and the remaining restarts start
     Haar-random from streams seeded by (seed, restart), each stream drawing
     every party in turn (haar_unitaries). Each restart sweeps until its gain
-    per sweep falls below sqrt(tol) (at most 60 sweeps), then takes
-    trust-region Newton steps until its stationarity is at most sqrt(tol)
+    per sweep falls below sqrt(ORBIT_TOL) (at most 60 sweeps), then takes
+    trust-region Newton steps until its stationarity is at most sqrt(ORBIT_TOL)
     (alternating_orbit_overlap); max_iters caps its sweeps plus steps, and
     restarts that reach the cap raise a RuntimeWarning. Returns
     (-log best_fidelity, diagnostics); the value is an upper estimate of the
@@ -804,7 +806,7 @@ def chiral_log_distance(
         starts.append(np.concatenate([np.eye(d)[None], stacked, haar[t]]))
 
     fid, overlaps, us, iters, reasons, stationarity, best = alternating_orbit_overlap(
-        base, starts, max_iters, tol, target_fidelity
+        base, starts, max_iters, ORBIT_TOL, target_fidelity
     )
     stalled = reasons.count("cap")
     if stalled:
@@ -853,8 +855,6 @@ def pure_state_log_distance(
     psi: np.ndarray,
     dims,
     restarts: int = 20,
-    max_iters: int = 1000,
-    tol: float = 1e-12,
     seed: int = 0,
     extra_inits: list[list[np.ndarray]] | None = None,
 ) -> tuple[float, OptimizationResult]:
@@ -864,10 +864,7 @@ def pure_state_log_distance(
     dims = tuple(int(d) for d in dims)
     rho = pure_state_density(dims, psi)
     part = Partition(tuple((i,) for i in range(len(dims))))
-    return chiral_log_distance(
-        rho, part, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed,
-        extra_inits=extra_inits,
-    )
+    return chiral_log_distance(rho, part, restarts=restarts, seed=seed, extra_inits=extra_inits)
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,8 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _load(path: str, atol: float):
-    return parse_state_file(path, atol=atol)
-
-
 def _cmd_measure(args) -> int:
-    rho = _load(args.state, args.atol)
+    rho = parse_state_file(args.state, atol=args.atol)
     split = Partition.parse(args.split)
     report = ch.measure_report(rho, split, s_values=tuple(args.s))
     doc = {"state": args.state, "split": args.split, "measures": {}}
@@ -70,7 +66,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_logdist(args) -> int:
-    rho = _load(args.state, args.atol)
+    rho = parse_state_file(args.state, atol=args.atol)
     split = Partition.parse(args.split)
     value, res = ch.chiral_log_distance(
         rho, split, restarts=args.restarts, max_iters=args.max_iters, seed=args.seed
@@ -118,7 +114,7 @@ def _cmd_stabilizer(args) -> int:
 
 
 def _cmd_qfi(args) -> int:
-    rho = _load(args.state, args.atol)
+    rho = parse_state_file(args.state, atol=args.atol)
     split = Partition.parse(args.split)
     (dec, reason), verdict = co._shared_verdicts(rho, split, args.party)
     _emit(

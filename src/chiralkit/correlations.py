@@ -8,7 +8,7 @@ intrinsic interferometric power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .qmat import (
     DensityMatrix,
     Partition,
     apply_local,
+    conjugate,
     dagger,
     eig_hermitian,
     hermitize,
@@ -321,7 +322,7 @@ def _noncommutativity(rho: DensityMatrix, tests) -> NoncommutativityVerdict:
     if rho.dims == (2, 2):
         try:
             inv = makhlin_invariants(rho)
-            inv_conj = makhlin_invariants(DensityMatrix(rho.dims, rho.data.conj()))
+            inv_conj = makhlin_invariants(conjugate(rho))
         except ValueError as exc:
             return NoncommutativityVerdict("undecided", None, str(exc))
         dev = max(abs(a - b) for a, b in zip(inv, inv_conj))
@@ -354,28 +355,29 @@ class GammaQfiReport:
         return (self.slack_a, self.slack_b, self.slack_bound_a, self.slack_bound_b)
 
     @property
-    def min_slack(self) -> float:
-        """The smallest of the four slacks: the bound holds when it is at
-        least -GAMMA_QFI_TOL."""
-        return min(self.slacks)
+    def min_slack(self):
+        """The smallest of the four slacks, one per member of a stack: the
+        bound holds when it is at least -GAMMA_QFI_TOL."""
+        return _scalar(np.min(self.slacks, axis=0))
 
 
 def check_gamma_qfi_bound(rho: DensityMatrix, split: Partition) -> GammaQfiReport:
     """Assert gamma^2 <= Tr(rho_P K_P^2) * F^(other) for both parties, plus
-    the dimension-only form with c(d). Full-rank states only.
+    the dimension-only form with c(d). Full-rank states only; a stack gives
+    one value per member in every field.
 
     gamma, both intrinsic IPs and both log-moments come from one
     modular_set; the log-moment is Tr(rho_P K_P^2) = sum_ij p_i |(K_P)_ij|^2
-    in the eigenbasis of rho. Raises CorrelationBoundViolation with a state
-    dump if any slack drops below -GAMMA_QFI_TOL.
+    in the eigenbasis of rho. Raises CorrelationBoundViolation with the
+    report and matrix of the worst member if any slack drops below
+    -GAMMA_QFI_TOL.
     """
-    require_single(rho, "check_gamma_qfi_bound")
     ms = modular_set(rho, split)
     gamma = _gamma(ms)
     # |(K_P)_ij|^2 once per party serves its intrinsic IP and its log-moment
     k2 = [np.abs(ms.k_eigbasis(party)) ** 2 for party in (0, 1)]
     f_a, f_b = (_qfi_eigbasis(ms.p, h2) for h2 in k2)
-    moments = [float(np.sum(ms.p[:, None] * h2)) for h2 in k2]
+    moments = [_scalar(_sum2(ms.p[..., :, None] * h2)) for h2 in k2]
     g2 = gamma**2
     report = GammaQfiReport(
         gamma=gamma,
@@ -388,10 +390,14 @@ def check_gamma_qfi_bound(rho: DensityMatrix, split: Partition) -> GammaQfiRepor
         slack_bound_a=log_moment_bound(int(np.prod([rho.dims[i] for i in split.groups[0]]))) * f_b - g2,
         slack_bound_b=log_moment_bound(int(np.prod([rho.dims[i] for i in split.groups[1]]))) * f_a - g2,
     )
-    if report.min_slack < -GAMMA_QFI_TOL:
+    worst = np.reshape(report.min_slack, -1)
+    if worst.min(initial=np.inf) < -GAMMA_QFI_TOL:
+        k = int(np.argmin(worst))
+        member = GammaQfiReport(*(float(np.reshape(v, -1)[k]) for v in astuple(report)))
+        where = f"member {k} of the stack, " if rho.data.ndim > 2 else ""
         raise CorrelationBoundViolation(
-            f"gamma-QFI bound violated: slacks {report.slacks}, report {report!r}, "
-            f"state dims {rho.dims}, matrix {rho.data.tolist()!r}"
+            f"gamma-QFI bound violated: {where}slacks {member.slacks}, report {member!r}, "
+            f"state dims {rho.dims}, matrix {rho.data.reshape(-1, rho.dim, rho.dim)[k].tolist()!r}"
         )
     return report
 

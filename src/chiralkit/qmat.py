@@ -252,9 +252,11 @@ def imaginary_power(rho: DensityMatrix, s: float) -> np.ndarray:
 
 
 def tensor_product(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
-    require_single(rho, "tensor_product")
-    require_single(sigma, "tensor_product")
-    return DensityMatrix(rho.dims + sigma.dims, np.kron(rho.data, sigma.data))
+    """rho (x) sigma, member by member when either is a stack (the batch
+    axes broadcast): each member has the bits of np.kron on its pair."""
+    prod = rho.data[..., :, None, :, None] * sigma.data[..., None, :, None, :]
+    d = rho.dim * sigma.dim
+    return DensityMatrix(rho.dims + sigma.dims, prod.reshape(prod.shape[:-4] + (d, d)))
 
 
 def _reduced_data(rho: DensityMatrix, keep) -> tuple[tuple[int, ...], np.ndarray]:

@@ -60,10 +60,6 @@ def _complex_normal(z: np.ndarray) -> np.ndarray:
     return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
 
 
-def _ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
-    return _complex_normal(rng.standard_normal((2, d, d)))
-
-
 def _rephased_q(z: np.ndarray) -> np.ndarray:
     """Q of z = QR with the R diagonal rephased to unit modulus, member by
     member on a (..., d, d) stack."""
@@ -72,17 +68,10 @@ def _rephased_q(z: np.ndarray) -> np.ndarray:
     return q * (diag / abs(diag))[..., None, :]
 
 
-def haar_unitary(d: int, rng) -> np.ndarray:
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary: QR of a complex Ginibre matrix with the R diagonal
-    rephased to unit modulus.
-
-    Given a sequence of generators instead of one, returns the (N, d, d)
-    stack of the unitaries that each generator alone would give, with one QR
-    for the whole stack.
-    """
-    if isinstance(rng, np.random.Generator):
-        return _rephased_q(_ginibre(d, rng))
-    return _rephased_q(np.array([_ginibre(d, g) for g in rng], dtype=complex).reshape(-1, d, d))
+    rephased to unit modulus."""
+    return _rephased_q(_complex_normal(rng.standard_normal((2, d, d))))
 
 
 def haar_unitaries(dims, master_seed: int, indices) -> list[np.ndarray]:

@@ -825,9 +825,10 @@ class TestOrbitKernel:
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-10])
     @pytest.mark.parametrize("name", ["mixed0", "mixed6", "pure3q1", "C10"])
-    def test_stationary_restarts_meet_sqrt_tol(self, name, tol):
+    def test_stationary_restarts_meet_sqrt_tol(self, monkeypatch, name, tol):
         _, rho, part = next(c for c in ORBIT_CASES if c[0] == name)
-        _, res = ch.chiral_log_distance(rho, part, restarts=20, seed=93, tol=tol)
+        monkeypatch.setattr(ch, "ORBIT_TOL", tol)
+        _, res = ch.chiral_log_distance(rho, part, restarts=20, seed=93)
         reasons = np.array(res.stop_reasons)
         assert set(reasons) <= {"stationary", "target", "cap"}
         assert res.converged == list(reasons == "stationary")

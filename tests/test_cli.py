@@ -292,3 +292,17 @@ class TestSelftestCommand:
         assert main(["selftest", "--only", "C3"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("[PASS] C3")
+
+    def test_raised_bound_violation_fails_its_criterion(self, capsys, monkeypatch):
+        # with the tolerances below every slack and excess, C2 and C6 raise
+        # from the library; each is a FAIL line, and the criteria after
+        # them still run
+        from chiralkit import correlations as co
+        from chiralkit import stabilizer as st
+
+        monkeypatch.setattr(st, "MAGIC_BOUND_TOL", -1.0)
+        monkeypatch.setattr(co, "GAMMA_QFI_TOL", -1.0)
+        assert main(["selftest", "--only", "C2", "--only", "C3", "--only", "C6"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" ")[:2] for line in lines] == [["[FAIL]", "C2"], ["[PASS]", "C3"], ["[FAIL]", "C6"]]
+        assert "violated" in lines[0] and "gamma-QFI bound violated: member" in lines[2]

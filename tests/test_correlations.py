@@ -2,6 +2,7 @@
 power, classical-quantum detection, two-qubit invariants, bound checks."""
 
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from chiralkit.qmat import (
 from chiralkit.sampling import (
     haar_unitary,
     random_mixed_state,
+    random_mixed_states,
     random_pure_state,
     random_two_qubit_maximally_mixed,
     split_rng,
@@ -438,6 +440,31 @@ class TestGammaQfiBound:
         assert abs(rep.gamma) < 1e-9
         assert abs(rep.qfi_a) < 1e-9
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 8)])
+    def test_stack_matches_members(self, dims):
+        # every field of every member has the bits of the single-state call,
+        # and a single state's fields, min_slack included, are Python floats
+        stack = random_mixed_states(dims, 104, range(4))
+        rep = co.check_gamma_qfi_bound(stack, SPLIT)
+        assert rep.min_slack.shape == (4,)
+        for k in range(4):
+            single = co.check_gamma_qfi_bound(DensityMatrix(dims, stack.data[k]), SPLIT)
+            assert all(type(v) is float for v in astuple(single)) and type(single.min_slack) is float
+            assert astuple(single) == tuple(v[k] for v in astuple(rep))
+            assert single.min_slack == rep.min_slack[k]
+
+    def test_violation_names_the_worst_member(self, monkeypatch):
+        stack = random_mixed_states((2, 2), 105, range(6))
+        worst = int(np.argmin(co.check_gamma_qfi_bound(stack, SPLIT).min_slack))
+        monkeypatch.setattr(co, "GAMMA_QFI_TOL", -1.0)  # every slack now fails
+        with pytest.raises(co.CorrelationBoundViolation, match=f"member {worst} of the stack") as info:
+            co.check_gamma_qfi_bound(stack, SPLIT)
+        assert repr(stack.data[worst].tolist()) in str(info.value)
+        assert repr(stack.data[worst - 1].tolist()) not in str(info.value)
+        with pytest.raises(co.CorrelationBoundViolation) as info:
+            co.check_gamma_qfi_bound(DensityMatrix((2, 2), stack.data[0]), SPLIT)
+        assert "member" not in str(info.value)
+
     def test_c_of_d_values(self):
         assert co.log_moment_bound(2) == pytest.approx(0.563, abs=1e-3)
         assert co.log_moment_bound(3) == pytest.approx(np.log(3) ** 2, abs=1e-12)
@@ -489,7 +516,6 @@ def oracle_simplex_entropy_max(d, starts, iters, seed):
         ("is_classical_quantum", lambda rho: co.is_classical_quantum(rho, SPLIT, "A")),
         ("makhlin_invariants", lambda rho: co.makhlin_invariants(rho)),
         ("noncommutativity_verdict", lambda rho: co.noncommutativity_verdict(rho, SPLIT)),
-        ("check_gamma_qfi_bound", lambda rho: co.check_gamma_qfi_bound(rho, SPLIT)),
     ],
 )
 def test_single_state_functions_reject_stacks(name, call):

@@ -54,25 +54,13 @@ class TestHaarUnitary:
             rotated.append(abs((v @ u)[0, 0]) ** 2)
         assert abs(np.mean(base) - np.mean(rotated)) < 4 * np.std(base) / np.sqrt(2000)
 
-    @pytest.mark.parametrize("d", [1, 2, 4])
-    def test_generator_sequence_stacks_the_draws(self, d):
-        # each generator draws as it would alone, also across two calls on
-        # the same generators, and the stack takes one QR
-        gens = [split_rng(114, k) for k in range(5)]
-        alone = [split_rng(114, k) for k in range(5)]
-        for dim in (d, 2 * d):
-            stack = haar_unitary(dim, gens)
-            assert stack.shape == (5, dim, dim)
-            assert np.array_equal(stack, np.stack([haar_unitary(dim, g) for g in alone]))
-        assert haar_unitary(d, []).shape == (0, d, d)
-
     @pytest.mark.parametrize("dims", [(2, 2, 4), (3, 1, 2, 6), (1,)])
     def test_party_stacks_match_per_party_draws(self, dims):
         # one standard_normal call per stream for every party gives the bits
-        # of haar_unitary drawing party after party from the same streams
+        # of haar_unitary drawing party after party from each stream
         indices = range(1, 12)
-        oracle_gens = [split_rng(115, k) for k in indices]
-        oracle = [haar_unitary(d, oracle_gens) for d in dims]
+        per_stream = [[haar_unitary(d, gen) for d in dims] for gen in (split_rng(115, k) for k in indices)]
+        oracle = [np.stack(party) for party in zip(*per_stream)]
         stacks = haar_unitaries(dims, 115, indices)
         assert all(np.array_equal(a, b) for a, b in zip(stacks, oracle, strict=True))
         assert [s.shape for s in haar_unitaries(dims, 115, [])] == [(0, d, d) for d in dims]

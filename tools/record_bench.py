@@ -57,9 +57,7 @@ print(json.dumps(out))
 
 
 def _env(checkout: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
-    env.pop("CHIRALKIT_THREADS", None)
-    return env
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
 
 
 def _bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[str, dict]:
