@@ -26,8 +26,7 @@ from .qmat import (
     _support_mask,
     apply_local,
     dagger,
-    eig_hermitian,
-    marginal_log,
+    marginal,
     purify,
     require_single,
 )
@@ -142,35 +141,30 @@ _held: tuple | None = None
 
 def modular_set(rho: DensityMatrix, split: Partition) -> ModularSet:
     """Diagonalize rho once, with one eigendecomposition per marginal for its
-    modular Hamiltonian, each a single batched call on a stack of states.
-    The rotations into the eigenbasis of rho wait until a measure reads
-    them (ModularSet).
+    modular Hamiltonian (qmat.marginal), each a single batched call on a
+    stack of states. The rotations into the eigenbasis of rho wait until a
+    measure reads them (ModularSet).
 
     The set of the latest call is held: a call on the same DensityMatrix
     object with equal split groups returns it, rotations included. Any other
-    call releases it before decomposing."""
+    call releases it before it decomposes rho."""
     _validate_bipartition(split, rho.nsub)
-    held = _held
-    if held is not None and held[0] is rho and held[1] == split.groups:
-        return held[2]
-    return _hold_modular_set(rho, split)
+    if _held is not None and _held[0] is rho and _held[1] == split.groups:
+        return _held[2]
+    return _hold_modular_set(rho, split, [marginal(rho, group)[1] for group in split.groups])
 
 
-def _hold_modular_set(rho: DensityMatrix, split: Partition, marginal_decs=None) -> ModularSet:
-    """Release the held set, then build and hold the modular set of rho;
-    marginal_decs, when given, are the eigendecompositions of the groups'
-    reduced states, hermitized as partial_trace leaves them, and the marginal
-    Hamiltonians come from them."""
+def _hold_modular_set(rho: DensityMatrix, split: Partition, marginal_decs) -> ModularSet:
+    """Release the held set, then build and hold the modular set of rho from
+    marginal_decs, the eigendecompositions of the groups' reduced states
+    (qmat.marginal)."""
     global _held
     _held = None
-    dec = eig_hermitian(rho.data)
+    dec = rho.eig()
     p = np.clip(dec.eigenvalues, 0.0, None)
     keep = _support_mask(p)
     kappa = np.where(keep, -np.log(np.where(keep, p, 1.0)), 0.0)
-    if marginal_decs is None:
-        marginal_k = tuple(-marginal_log(rho, group) for group in split.groups)
-    else:
-        marginal_k = tuple(-_log_on_support(d) for d in marginal_decs)
+    marginal_k = tuple(-_log_on_support(d) for d in marginal_decs)
     ms = ModularSet(p, kappa, dec.eigenvectors, rho.dims, split.groups, marginal_k)
     _held = (rho, split.groups, ms)
     return ms
@@ -325,7 +319,7 @@ def modular_commutator(rho: DensityMatrix, split: Partition) -> float:
     if split.ngroups != 3:
         raise ValueError(f"expected a tripartition, got {split.ngroups} groups")
     ga, gb, gc = split.groups
-    k_ab, k_bc = -marginal_log(rho, ga + gb), -marginal_log(rho, gb + gc)
+    k_ab, k_bc = (-_log_on_support(marginal(rho, g)[1]) for g in (ga + gb, gb + gc))
     ab = lambda m: apply_local(k_ab, rho.dims, ga + gb, m)
     bc = lambda m: apply_local(k_bc, rho.dims, gb + gc, m)
     # Tr(rho [K_AB, K_BC]) = Tr(K_AB K_BC rho) - Tr(K_BC K_AB rho)

@@ -22,7 +22,7 @@ from . import experiments as ex
 from . import selftest
 from . import stabilizer as st
 from .io import StateFileError, parse_state_file
-from .qmat import Partition, ShapeMismatchError, StateInvariantError, eig_hermitian
+from .qmat import Partition, ShapeMismatchError, StateInvariantError
 from .sampling import random_mixed_state, random_pure_state, split_rng
 
 EXIT_OK = 0
@@ -104,8 +104,7 @@ def _cmd_stabilizer(args) -> int:
         "solution_set_log2": len(solutions.nullspace_basis),
     }
     if group.k == group.n:
-        dec = eig_hermitian(rho.data)
-        psi = dec.eigenvectors[:, -1]
+        psi = rho.eig().eigenvectors[:, -1]
         doc["nullity"] = st.stabilizer_nullity(psi, group.n)
         if group.n <= st.FIDELITY_ENUM_MAX_QUBITS:
             doc["stabilizer_fidelity"] = _qty(st.stabilizer_fidelity(psi, group.n), FIDELITY_TOL)
@@ -189,7 +188,8 @@ def build_parser() -> _Parser:
         p.add_argument("--state", required=True, help="path to a JSON state file")
         p.add_argument("--split", required=True, help='partition, e.g. "0|1" or "0,1|2"')
         p.add_argument("--atol", type=float, default=1e-8,
-                       help="state-invariant validation tolerance")
+                       help="tolerance of the state's hermiticity, trace and positivity checks; "
+                            "its reduced states are checked at max(atol, 1e-9)")
 
     p = sub.add_parser("measure", help="nested-commutator chirality measures")
     add_state_args(p)

@@ -20,8 +20,8 @@ from .qmat import (
     apply_local,
     conjugate,
     dagger,
-    eig_hermitian,
     hermitize,
+    marginal,
     partial_trace,
     require_hermitian,
     require_single,
@@ -67,7 +67,7 @@ def sld_apply(rho: DensityMatrix, op: np.ndarray) -> np.ndarray:
     p_j + p_k at most SLD_PAIR_CUTOFF are zeroed.
     """
     require_single(rho, "sld_apply")
-    dec = eig_hermitian(rho.data)
+    dec = rho.eig()
     p = np.clip(dec.eigenvalues, 0.0, None)
     v = dec.eigenvectors
     ob = v.conj().T @ np.asarray(op, dtype=complex) @ v
@@ -116,7 +116,7 @@ def sld_integral_form(rho: DensityMatrix, op: np.ndarray) -> np.ndarray:
     the quadrature truncation (the sech transform of e^{iks} is 1/cosh(k/2)).
     """
     require_single(rho, "sld_integral_form")
-    dec = eig_hermitian(rho.data)
+    dec = rho.eig()
     p = dec.eigenvalues
     if p[0] <= FULL_RANK_MIN_EIGENVALUE:
         raise ValueError(f"full-rank state required (min eigenvalue {p[0]:.3e})")
@@ -147,7 +147,7 @@ def qfi(rho: DensityMatrix, ham: np.ndarray) -> float:
     require_single(rho, "qfi")
     ham = np.asarray(ham, dtype=complex)
     require_hermitian(ham)
-    dec = eig_hermitian(rho.data)
+    dec = rho.eig()
     v = dec.eigenvectors
     return _qfi_eigbasis(np.clip(dec.eigenvalues, 0.0, None), np.abs(v.conj().T @ ham @ v) ** 2)
 
@@ -185,12 +185,11 @@ def _marginal_test(rho: DensityMatrix, group):
     eigendecomposition of rho_P and its smallest eigenvalue gap (inf for a
     one-level P). rho commutes with the marginal when the norm is at most
     COMMUTATOR_TOL; the marginal is degenerate when the gap is below GAP_TOL."""
-    marg = partial_trace(rho, group)
+    marg, dec = marginal(rho, group)
     # rho (rho_P (x) I) = ((rho_P (x) I) rho†)† for the Hermitian rho_P
-    left = apply_local(marg.data, rho.dims, group, rho.data)
-    right = dagger(apply_local(marg.data, rho.dims, group, dagger(rho.data)))
+    left = apply_local(marg, rho.dims, group, rho.data)
+    right = dagger(apply_local(marg, rho.dims, group, dagger(rho.data)))
     comm = float(np.linalg.norm(left - right))
-    dec = eig_hermitian(marg.data)
     gaps = np.diff(dec.eigenvalues)
     return comm, dec, float(gaps.min()) if gaps.size else np.inf
 
@@ -296,9 +295,9 @@ def noncommutativity_verdict(rho: DensityMatrix, split: Partition) -> Noncommuta
 def _shared_verdicts(rho: DensityMatrix, split: Partition, party):
     """(is_classical_quantum, noncommutativity_verdict) of one state from one
     _marginal_test per group, which both verdicts read. It leaves rho's
-    modular set held by modular_set, its marginal Hamiltonians taken from
-    the tests' decompositions, so the intrinsic IPs that follow decompose
-    rho alone."""
+    modular set held by modular_set, built from the tests' marginal
+    decompositions as modular_set builds it, so the intrinsic IPs that
+    follow hit it."""
     _validate_bipartition(split, rho.nsub)
     tests = [_marginal_test(rho, group) for group in split.groups]
     _hold_modular_set(rho, split, [dec for _, dec, _ in tests])

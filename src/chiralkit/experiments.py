@@ -18,16 +18,8 @@ from .sampling import derive_seed, haar_unitary, random_mixed_state, random_mixe
 from .states import purified_chiral_qutrit_qubit
 
 # spec'd sampling surface, re-exported under the names the experiments own
-def sample_haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    return haar_unitary(d, rng)
-
-
-def sample_mixed_state(dims, rng: np.random.Generator) -> DensityMatrix:
-    return random_mixed_state(dims, rng)
-
-
-sample_haar_unitary.__doc__ = haar_unitary.__doc__
-sample_mixed_state.__doc__ = random_mixed_state.__doc__
+sample_haar_unitary = haar_unitary
+sample_mixed_state = random_mixed_state
 
 
 def log_negativity(rho: DensityMatrix, split: Partition) -> float:

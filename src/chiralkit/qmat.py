@@ -22,9 +22,11 @@ SUPPORT_CUTOFF = 1e-12
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
-# reduced states carry the rounding of the partial trace, so they are checked looser
+# reduced states carry the rounding of the partial trace, so they are checked
+# at their parent's atol, and never tighter than this
 MARGINAL_ATOL = 1e-9
-# largest hermiticity defect that eig_hermitian and correlations.qfi accept
+# largest hermiticity defect of a raw matrix that eig_hermitian and
+# correlations.qfi accept
 DECOMPOSITION_ATOL = 1e-8
 
 
@@ -115,6 +117,12 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(hermitize(self.data))
+
+    def eig(self) -> EigenDecomposition:
+        """Eigendecomposition of every member, eigenvalues ascending. The
+        state passed its own check at construction, so no hermiticity gate
+        runs here (eig_hermitian keeps one for raw matrices)."""
+        return EigenDecomposition(*np.linalg.eigh(hermitize(self.data)))
 
     def rank(self):
         """Number of eigenvalues above SUPPORT_CUTOFF times the largest: an
@@ -224,26 +232,13 @@ def matrix_log_on_support(rho: DensityMatrix) -> np.ndarray:
     """log(rho) restricted to the support: eigenvalues below the relative
     cutoff SUPPORT_CUTOFF contribute nothing (the kernel projector is simply
     excluded)."""
-    return _log_on_support(eig_hermitian(rho.data))
-
-
-def marginal_log(rho: DensityMatrix, keep) -> np.ndarray:
-    """matrix_log_on_support(partial_trace(rho, keep)) with one
-    eigendecomposition per member: the marginal's density-matrix checks run
-    at partial_trace's atol, the PSD check reading the eigenvalues of the
-    decomposition that the log uses."""
-    _, reduced = _reduced_data(rho, keep)
-    # hermitize left the reduced matrices Hermitian to the bit, so eigh reads
-    # them as they are: eig_hermitian would hermitize them to the same bits
-    dec = EigenDecomposition(*np.linalg.eigh(reduced))
-    check_density(reduced, MARGINAL_ATOL, eigenvalues=dec.eigenvalues)
-    return _log_on_support(dec)
+    return _log_on_support(rho.eig())
 
 
 def imaginary_power(rho: DensityMatrix, s: float) -> np.ndarray:
     """rho^{is}, acting as the identity on the kernel so the result is
     unitary; one unitary per member of a stack."""
-    dec = eig_hermitian(rho.data)
+    dec = rho.eig()
     p = np.clip(dec.eigenvalues, 0.0, None)
     keep = _support_mask(p)
     phases = np.where(keep, np.exp(1j * s * np.log(np.where(keep, p, 1.0))), 1.0)
@@ -282,10 +277,23 @@ def _reduced_data(rho: DensityMatrix, keep) -> tuple[tuple[int, ...], np.ndarray
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced density matrix on the listed subsystems (output dims follow
-    the order of ``keep``), member by member on a stack. Tracing out
-    everything is rejected."""
+    the order of ``keep``), member by member on a stack, validated at
+    max(rho.atol, MARGINAL_ATOL). Tracing out everything is rejected."""
     kept_dims, reduced = _reduced_data(rho, keep)
-    return DensityMatrix(kept_dims, reduced, atol=MARGINAL_ATOL)
+    return DensityMatrix(kept_dims, reduced, atol=max(rho.atol, MARGINAL_ATOL))
+
+
+def marginal(rho: DensityMatrix, keep) -> tuple[np.ndarray, EigenDecomposition]:
+    """The reduced matrices of partial_trace(rho, keep), checked at the same
+    atol, and their eigendecomposition: one eigh per member, whose
+    eigenvalues the positivity check reads, so no eigvalsh runs. Every
+    marginal modular Hamiltonian and marginal test starts here."""
+    _, reduced = _reduced_data(rho, keep)
+    # hermitize left the reduced matrices Hermitian to the bit, so eigh reads
+    # them as they are: eig_hermitian would hermitize them to the same bits
+    dec = EigenDecomposition(*np.linalg.eigh(reduced))
+    check_density(reduced, max(rho.atol, MARGINAL_ATOL), eigenvalues=dec.eigenvalues)
+    return reduced, dec
 
 
 def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
@@ -331,8 +339,9 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def conjugate(rho: DensityMatrix) -> DensityMatrix:
-    """Entry-wise complex conjugation in the computational product basis."""
-    return DensityMatrix(rho.dims, rho.data.conj())
+    """Entry-wise complex conjugation in the computational product basis,
+    checked at rho's atol, which it meets exactly as rho does."""
+    return DensityMatrix(rho.dims, rho.data.conj(), atol=rho.atol)
 
 
 def purify(rho: DensityMatrix) -> np.ndarray:
@@ -343,7 +352,7 @@ def purify(rho: DensityMatrix) -> np.ndarray:
     is returned flat with the system index major.
     """
     require_single(rho, "purify")
-    dec = eig_hermitian(rho.data)
+    dec = rho.eig()
     p = np.clip(dec.eigenvalues, 0.0, None)
     keep = np.nonzero(_support_mask(p))[0]
     # columns of (d x r): sqrt(p_i) |phi_i>, ancilla index = position in `keep`

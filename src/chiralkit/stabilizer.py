@@ -228,9 +228,10 @@ def group_from_labels(labels, signs=None, n: int | None = None) -> StabilizerGro
     return StabilizerGroup(n, z_rows, x_rows, signs)
 
 
-def parse_tableau(text: str, n: int | None = None) -> StabilizerGroup:
+def parse_tableau(text: str) -> StabilizerGroup:
     """Parse the tableau text format: one generator per line, characters
-    I/X/Y/Z with an optional leading + or - (ASCII or U+2212) sign."""
+    I/X/Y/Z with an optional leading + or - (ASCII or U+2212) sign. Blank
+    lines are skipped; a tableau with no generator is rejected."""
     labels, signs = [], []
     for raw in text.splitlines():
         line = raw.strip()
@@ -244,9 +245,9 @@ def parse_tableau(text: str, n: int | None = None) -> StabilizerGroup:
             raise ValueError(f"sign without generator in line {raw!r}")
         labels.append(line)
         signs.append(sign)
-    if not labels and n is None:
-        raise ValueError("empty tableau and no qubit count given")
-    return group_from_labels(labels, signs, n=n if labels == [] else None)
+    if not labels:
+        raise ValueError("empty tableau")
+    return group_from_labels(labels, signs)
 
 
 def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
@@ -270,7 +271,7 @@ def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
         gathered *= 0.5
         acc = gathered
     acc /= 2 ** (n - group.k)
-    return DensityMatrix((2,) * n, acc, atol=1e-9)
+    return DensityMatrix((2,) * n, acc)
 
 
 @dataclass(frozen=True)

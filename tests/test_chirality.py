@@ -340,7 +340,7 @@ class TestModularSetSlot:
         calls = self._count_eigh(monkeypatch)
         shared = {name: call(rho) for name, call in self.CALLS.items()}
         d = int(np.prod(dims))
-        assert calls == [(d, d), (dims[0],) * 2, (dims[1],) * 2]
+        assert calls == [(dims[0],) * 2, (dims[1],) * 2, (d, d)]
         assert shared == alone  # every value has the bits of a call on a fresh copy
 
     @pytest.mark.parametrize(
@@ -375,6 +375,21 @@ class TestModularSetSlot:
         assert held() is not None
         ch.modular_set(rho_b, SPLIT)
         assert held() is None
+
+    def test_held_set_is_dead_when_the_next_state_is_decomposed(self, monkeypatch):
+        rho_a, rho_b = rho_rand((4, 4), 75), rho_rand((4, 4), 75, 1)
+        held = weakref.ref(ch.modular_set(rho_a, SPLIT))
+        alive = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *r, **k):
+            if np.shape(a) == (16, 16):
+                alive.append(held() is not None)
+            return eigh(a, *r, **k)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        ch.modular_set(rho_b, SPLIT)
+        assert alive == [False]
 
     def test_held_arrays_are_read_only(self):
         ms = ch.modular_set(rho_rand((2, 3), 74), SPLIT)

@@ -71,6 +71,54 @@ class TestStateFileErrors:
         assert "usage" in capsys.readouterr().err
 
 
+def _write_matrix(path, dims, m) -> str:
+    """A state file holding m as it is, with no validation on the way."""
+    path.write_text(json.dumps({"dims": list(dims), "matrix": np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist()}))
+    return str(path)
+
+
+class TestStateTolerance:
+    """A state accepted at --atol is accepted by every reduced state and
+    decomposition the command takes from it."""
+
+    COMMANDS = ["measure", "qfi", "logdist"]
+
+    @pytest.fixture()
+    def trace_off_file(self, tmp_path):
+        m = random_mixed_state((2, 2), split_rng(12, 0)).data * (1 + 5e-9)
+        return _write_matrix(tmp_path / "trace.json", (2, 2), m)
+
+    @pytest.fixture()
+    def skew_file(self, tmp_path):
+        m = random_mixed_state((2, 2), split_rng(12, 1)).data.copy()
+        m[0, 1] += 1e-7
+        return _write_matrix(tmp_path / "skew.json", (2, 2), m)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_trace_error_within_default_atol(self, trace_off_file, capsys, command):
+        assert main([command, "--state", trace_off_file, "--split", "0|1"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_hermiticity_defect_within_atol(self, skew_file, capsys, command):
+        assert main([command, "--state", skew_file, "--split", "0|1", "--atol", "1e-6"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_conjugate_keeps_the_atol(self, tmp_path, capsys):
+        # a Bell state 5e-10 off Hermitian still commutes with its marginals,
+        # so the verdict compares the invariants of the state and its conjugate
+        m = bell_state().data.copy()
+        m[0, 1] += 5e-10
+        path = _write_matrix(tmp_path / "bell.json", (2, 2), m)
+        assert main(["qfi", "--state", path, "--split", "0|1", "--atol", "1e-9"]) == 0
+        assert json.loads(capsys.readouterr().out)["nonchirality"]["condition"] == 3
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_hermiticity_defect_rejected_at_parse(self, skew_file, capsys, command):
+        assert main([command, "--state", skew_file, "--split", "0|1"]) == 4
+        assert capsys.readouterr().err == "error: state invariant violated: not Hermitian: max |M - M†| = 1.000e-07\n"
+
+
 class TestStateFileIO:
     @staticmethod
     def per_entry_text(rho, label):
@@ -202,6 +250,14 @@ class TestStabilizerCommand:
         assert doc["solution_set_log2"] == 3  # 2n - k
 
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+    def test_empty_tableau_exit_64(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.tab"
+        path.write_text(text)
+        assert main(["stabilizer", "--tableau", str(path)]) == 64
+        assert capsys.readouterr().err == "error: empty tableau\n"
+
+
 class TestQfiCommand:
     def test_block_state_verdicts(self, example_file, capsys):
         assert main(["qfi", "--state", example_file, "--split", "0|1", "--party", "A"]) == 0
@@ -250,6 +306,16 @@ class TestQfiCommand:
         assert doc["classical_quantum"] == {"party": party, "detected": dec is not None, "reason": reason}
         assert doc["nonchirality"] == {"verdict": verdict.verdict, "condition": verdict.condition,
                                        "reason": verdict.reason}
+
+    def test_one_eigvalsh_the_parse_check(self, example_file, capsys, monkeypatch):
+        # the reduced states are checked on their eigh eigenvalues, so the
+        # parse is the one eigvalsh
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: calls.append(np.shape(a)) or eigvalsh(a, *r, **k))
+        assert main(["qfi", "--state", example_file, "--split", "0|1"]) == 0
+        capsys.readouterr()
+        assert calls == [(6, 6)]
 
     @pytest.mark.parametrize("split,groups", [("0|1|2", 3), ("0,1,2", 1)])
     def test_split_must_be_a_bipartition(self, tmp_path, capsys, split, groups):

@@ -15,6 +15,7 @@ from chiralkit.qmat import (
     StateInvariantError,
     bipartition,
     conjugate,
+    eig_hermitian,
     embed_operator,
     matrix_log_on_support,
     partial_trace,
@@ -324,6 +325,29 @@ class TestMarginalGapRule:
         assert (dec is not None) is nondegenerate, reason
         assert (v.verdict == "nonchiral-certified") is nondegenerate, v.reason
         assert v.condition == (2 if nondegenerate else None)
+
+
+class TestMarginalTest:
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 8)])
+    def test_one_eigh_with_the_partial_trace_bits(self, monkeypatch, dims):
+        # the reduced state is checked on the eigenvalues of its one eigh,
+        # which has the bits of decomposing partial_trace's state
+        rho = rho_rand(dims, 96)
+        oracle = [eig_hermitian(partial_trace(rho, [g]).data) for g in (0, 1)]
+        calls = []
+
+        def spy(name):
+            fn = getattr(np.linalg, name)
+            return lambda a, *r, **k: calls.append(name) or fn(a, *r, **k)
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        for g, want in zip((0, 1), oracle):
+            calls.clear()
+            _, dec, _ = co._marginal_test(rho, [g])
+            assert calls == ["eigh"]
+            assert np.array_equal(dec.eigenvalues, want.eigenvalues)
+            assert np.array_equal(dec.eigenvectors, want.eigenvectors)
 
 
 class TestMakhlin:

@@ -23,6 +23,10 @@ SPLIT = bipartition([0], [1])
 
 
 class TestHaarUnitary:
+    def test_experiment_names_alias_the_samplers(self):
+        assert ex.sample_haar_unitary is haar_unitary
+        assert ex.sample_mixed_state is random_mixed_state
+
     def test_unitarity_and_columns(self):
         rng = split_rng(110, 0)
         for d in (1, 2, 4, 6):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chiralkit.qmat import (
+    MARGINAL_ATOL,
     DensityMatrix,
     Partition,
     ShapeMismatchError,
@@ -13,6 +14,7 @@ from chiralkit.qmat import (
     eig_hermitian,
     embed_operator,
     imaginary_power,
+    marginal,
     matrix_log_on_support,
     partial_trace,
     partial_transpose,
@@ -153,6 +155,15 @@ class TestTensorAndTrace:
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError, match="full trace"):
             partial_trace(bell_state(), [])
+
+    def test_reduced_state_takes_the_parent_atol(self):
+        # a state accepted at atol 1e-8 with trace 1 + 5e-9: its marginals
+        # carry the same trace error, so they are checked at its atol
+        rho = DensityMatrix((2, 2), rho_rand((2, 2), 7).data * (1 + 5e-9), atol=1e-8)
+        reduced = partial_trace(rho, [0])
+        assert reduced.atol == 1e-8
+        assert np.array_equal(marginal(rho, [0])[0], reduced.data)
+        assert partial_trace(bell_state(), [0]).atol == MARGINAL_ATOL
 
 
 class TestPartialTranspose:

@@ -17,9 +17,10 @@ per-layer metrics. The recorder then runs the tier-1 test suite once per
 side and every selftest criterion once per side in a fresh interpreter,
 keeps each side's stdout of `chiralkit measure`, `qfi` and `logdist` on the
 bundled states, of `chiralkit bounds --n 10` (which runs the orbit
-optimizer) and of `chiralkit scan --n 200 --seed 3` (the scan's summary,
-which reads every sample), with one same/different flag per command and
-state, and one
+optimizer), of `chiralkit scan --n 200 --seed 3` (the scan's summary,
+which reads every sample) and of `chiralkit stabilizer` on a pure and a
+mixed tableau (each written once, so both sides print the same path),
+with one same/different flag per command and state or tableau, and one
 flag per selftest criterion saying whether its verdict and detail are the
 same, seconds excluded (so the file shows whether the CLI bytes or a
 criterion's figures moved), and counts the lines of `src/`.
@@ -45,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 CLI_COMMANDS = ("measure", "qfi", "logdist")
 CLI_STATES = ("bell.json", "example1.json")
+TABLEAUX = {"ghz.tab": "+XXX\n+ZZI\n+IZZ\n", "mixed.tab": "+XYZ\n-ZZI\n"}
 SELFTEST = """
 import json
 from chiralkit import selftest
@@ -206,8 +208,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         scan = {side: _cli(dirs[side], ["scan", "--n", "200", "--seed", "3", "--out", f"{tmp}/{side}.csv"])
                 for side in SIDES}
+        for name, text in TABLEAUX.items():
+            Path(tmp, name).write_text(text)
+        tableaux = {side: {name: _cli(dirs[side], ["stabilizer", "--tableau", f"{tmp}/{name}"]) for name in TABLEAUX}
+                    for side in SIDES}
     doc["scan_stdout"] = scan
     doc["scan_stdout_same"] = scan["parent"] == scan["change"]
+    doc["stabilizer_stdout"] = tableaux
+    doc["stabilizer_stdout_same"] = {name: tableaux["parent"][name] == tableaux["change"][name] for name in TABLEAUX}
     doc["src_lines"] = {side: _src_lines(dirs[side]) for side in SIDES}
     doc["machine"] = _machine(info)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
