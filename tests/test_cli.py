@@ -249,7 +249,6 @@ class TestStabilizerCommand:
         assert "nullity" not in doc
         assert doc["solution_set_log2"] == 3  # 2n - k
 
-
     @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
     def test_empty_tableau_exit_64(self, tmp_path, capsys, text):
         path = tmp_path / "empty.tab"
