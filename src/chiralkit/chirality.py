@@ -26,7 +26,7 @@ from .qmat import (
     _support_mask,
     apply_local,
     dagger,
-    marginal,
+    partial_trace,
     purify,
     require_single,
 )
@@ -141,9 +141,9 @@ _held: tuple | None = None
 
 def modular_set(rho: DensityMatrix, split: Partition) -> ModularSet:
     """Diagonalize rho once, with one eigendecomposition per marginal for its
-    modular Hamiltonian (qmat.marginal), each a single batched call on a
-    stack of states. The rotations into the eigenbasis of rho wait until a
-    measure reads them (ModularSet).
+    modular Hamiltonian (partial_trace(rho, group).eig()), each a single
+    batched call on a stack of states. The rotations into the eigenbasis of
+    rho wait until a measure reads them (ModularSet).
 
     The set of the latest call is held: a call on the same DensityMatrix
     object with equal split groups returns it, rotations included. Any other
@@ -151,13 +151,12 @@ def modular_set(rho: DensityMatrix, split: Partition) -> ModularSet:
     _validate_bipartition(split, rho.nsub)
     if _held is not None and _held[0] is rho and _held[1] == split.groups:
         return _held[2]
-    return _hold_modular_set(rho, split, [marginal(rho, group)[1] for group in split.groups])
+    return _hold_modular_set(rho, split, [partial_trace(rho, group).eig() for group in split.groups])
 
 
 def _hold_modular_set(rho: DensityMatrix, split: Partition, marginal_decs) -> ModularSet:
     """Release the held set, then build and hold the modular set of rho from
-    marginal_decs, the eigendecompositions of the groups' reduced states
-    (qmat.marginal)."""
+    marginal_decs, the eigendecompositions of the groups' reduced states."""
     global _held
     _held = None
     dec = rho.eig()
@@ -319,7 +318,7 @@ def modular_commutator(rho: DensityMatrix, split: Partition) -> float:
     if split.ngroups != 3:
         raise ValueError(f"expected a tripartition, got {split.ngroups} groups")
     ga, gb, gc = split.groups
-    k_ab, k_bc = (-_log_on_support(marginal(rho, g)[1]) for g in (ga + gb, gb + gc))
+    k_ab, k_bc = (-_log_on_support(partial_trace(rho, g).eig()) for g in (ga + gb, gb + gc))
     ab = lambda m: apply_local(k_ab, rho.dims, ga + gb, m)
     bc = lambda m: apply_local(k_bc, rho.dims, gb + gc, m)
     # Tr(rho [K_AB, K_BC]) = Tr(K_AB K_BC rho) - Tr(K_BC K_AB rho)

@@ -188,8 +188,7 @@ def build_parser() -> _Parser:
         p.add_argument("--state", required=True, help="path to a JSON state file")
         p.add_argument("--split", required=True, help='partition, e.g. "0|1" or "0,1|2"')
         p.add_argument("--atol", type=float, default=1e-8,
-                       help="tolerance of the state's hermiticity, trace and positivity checks; "
-                            "its reduced states are checked at max(atol, 1e-9)")
+                       help="tolerance of the state file's hermiticity, trace and positivity checks")
 
     p = sub.add_parser("measure", help="nested-commutator chirality measures")
     add_state_args(p)

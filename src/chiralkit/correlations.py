@@ -21,7 +21,6 @@ from .qmat import (
     conjugate,
     dagger,
     hermitize,
-    marginal,
     partial_trace,
     require_hermitian,
     require_single,
@@ -185,10 +184,11 @@ def _marginal_test(rho: DensityMatrix, group):
     eigendecomposition of rho_P and its smallest eigenvalue gap (inf for a
     one-level P). rho commutes with the marginal when the norm is at most
     COMMUTATOR_TOL; the marginal is degenerate when the gap is below GAP_TOL."""
-    marg, dec = marginal(rho, group)
+    marg = partial_trace(rho, group)
+    dec = marg.eig()
     # rho (rho_P (x) I) = ((rho_P (x) I) rho†)† for the Hermitian rho_P
-    left = apply_local(marg, rho.dims, group, rho.data)
-    right = dagger(apply_local(marg, rho.dims, group, dagger(rho.data)))
+    left = apply_local(marg.data, rho.dims, group, rho.data)
+    right = dagger(apply_local(marg.data, rho.dims, group, dagger(rho.data)))
     comm = float(np.linalg.norm(left - right))
     gaps = np.diff(dec.eigenvalues)
     return comm, dec, float(gaps.min()) if gaps.size else np.inf

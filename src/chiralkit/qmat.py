@@ -11,7 +11,7 @@ no batch axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from math import prod
 
 import numpy as np
@@ -22,9 +22,6 @@ SUPPORT_CUTOFF = 1e-12
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
-# reduced states carry the rounding of the partial trace, so they are checked
-# at their parent's atol, and never tighter than this
-MARGINAL_ATOL = 1e-9
 # largest hermiticity defect of a raw matrix that eig_hermitian and
 # correlations.qfi accept
 DECOMPOSITION_ATOL = 1e-8
@@ -53,14 +50,16 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(abs(m - dagger(m)).max()) if m.size else 0.0
 
 
-def check_density(data: np.ndarray, atol: float = HERMITICITY_ATOL, eigenvalues=None) -> None:
-    """Raise StateInvariantError unless every member of the (..., d, d) stack
-    is Hermitian within atol, has unit trace and no eigenvalue below -atol
-    (the trace and PSD tolerances never drop below TRACE_ATOL and PSD_ATOL).
-    Each message quotes the worst member. eigenvalues, if given, are the
-    ascending eigenvalues of hermitize(data) from a decomposition the caller
-    has already made.
+def check_density(data: np.ndarray, atol: float = HERMITICITY_ATOL) -> None:
+    """Raise StateInvariantError unless every entry of the (..., d, d) stack
+    is finite and every member is Hermitian within atol, has unit trace and
+    no eigenvalue below -atol (the trace and PSD tolerances never drop below
+    TRACE_ATOL and PSD_ATOL). Each message quotes the first non-finite entry
+    or the worst member.
     """
+    if not np.isfinite(data).all():
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(data))[0])
+        raise StateInvariantError(f"non-finite entry {complex(data[index])} at index {index}")
     defect = hermiticity_defect(data)
     if defect > atol:
         raise StateInvariantError(f"not Hermitian: max |M - M†| = {defect:.3e}")
@@ -69,9 +68,7 @@ def check_density(data: np.ndarray, atol: float = HERMITICITY_ATOL, eigenvalues=
     if off.max(initial=0.0) > max(atol, TRACE_ATOL):
         worst = np.reshape(tr, -1)[np.argmax(off)]
         raise StateInvariantError(f"trace {complex(worst)} differs from 1")
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvalsh(hermitize(data))
-    lowest = eigenvalues[..., 0].min(initial=np.inf)
+    lowest = np.linalg.eigvalsh(hermitize(data))[..., 0].min(initial=np.inf)
     if lowest < -max(atol, PSD_ATOL):
         raise StateInvariantError(f"negative eigenvalue {lowest:.3e}")
 
@@ -83,18 +80,19 @@ class DensityMatrix:
     dims lists the local dimensions in tensor order; data is the
     (prod dims) x (prod dims) matrix in the computational product basis, or a
     (..., prod dims, prod dims) stack of such matrices, which makes a stack of
-    states on the same subsystems. Construction validates hermiticity,
-    positivity and trace of every member; pass a larger atol to accept
-    sloppier input. data is a private read-only copy of the array passed
-    in, so the caller's array stays writable and a later write to it cannot
-    reach the validated state.
+    states on the same subsystems. A state is checked once, where its data
+    enters: the constructor checks every member at atol (pass a larger one
+    to accept sloppier input) and keeps a private read-only copy of data, so
+    a later write to the caller's array cannot reach the checked state.
+    States derived from checked ones or built exactly (_derived) are never
+    re-checked, so the atol is not kept.
     """
 
     dims: tuple[int, ...]
     data: np.ndarray
-    atol: float = field(default=HERMITICITY_ATOL, compare=False)
+    atol: InitVar[float] = HERMITICITY_ATOL
 
-    def __post_init__(self):
+    def __post_init__(self, atol):
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise StateInvariantError(f"subsystem dimensions must be positive, got {dims}")
@@ -103,9 +101,20 @@ class DensityMatrix:
         d = int(np.prod(dims))
         if data.shape[-2:] != (d, d):
             raise ShapeMismatchError(f"matrix shape {data.shape} does not match dims {dims}")
-        check_density(data, self.atol)
+        check_density(data, atol)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _derived(cls, dims: tuple[int, ...], data: np.ndarray) -> DensityMatrix:
+        """A state the library derived from checked states or built exactly:
+        data, a fresh complex (..., d, d) array, is taken as it is, unchecked
+        and uncopied, and made read-only."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "dims", dims)
+        data.flags.writeable = False
+        object.__setattr__(rho, "data", data)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -119,9 +128,9 @@ class DensityMatrix:
         return np.linalg.eigvalsh(hermitize(self.data))
 
     def eig(self) -> EigenDecomposition:
-        """Eigendecomposition of every member, eigenvalues ascending. The
-        state passed its own check at construction, so no hermiticity gate
-        runs here (eig_hermitian keeps one for raw matrices)."""
+        """Eigendecomposition of every member, eigenvalues ascending. A state
+        is Hermitian by its check or by its construction, so no hermiticity
+        gate runs here (eig_hermitian keeps one for raw matrices)."""
         return EigenDecomposition(*np.linalg.eigh(hermitize(self.data)))
 
     def rank(self):
@@ -129,6 +138,9 @@ class DensityMatrix:
         int, or an array of them for a stack."""
         r = np.sum(_support_mask(self.eigenvalues()), axis=-1)
         return int(r) if r.ndim == 0 else r
+
+
+del DensityMatrix.atol  # the InitVar's default, which would answer rho.atol
 
 
 def require_single(rho: DensityMatrix, name: str) -> None:
@@ -251,12 +263,15 @@ def tensor_product(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
     axes broadcast): each member has the bits of np.kron on its pair."""
     prod = rho.data[..., :, None, :, None] * sigma.data[..., None, :, None, :]
     d = rho.dim * sigma.dim
-    return DensityMatrix(rho.dims + sigma.dims, prod.reshape(prod.shape[:-4] + (d, d)))
+    return DensityMatrix._derived(rho.dims + sigma.dims, prod.reshape(prod.shape[:-4] + (d, d)))
 
 
-def _reduced_data(rho: DensityMatrix, keep) -> tuple[tuple[int, ...], np.ndarray]:
-    """Kept dims and the hermitized (..., d_keep, d_keep) reduced matrices,
-    not yet validated."""
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Reduced density matrix on the listed subsystems (output dims follow
+    the order of ``keep``), member by member on a stack; tracing out
+    everything is rejected. Hermitized to the bit and not re-checked: a check
+    at the parent's atol a could reject it, since a parent eigenvalue of -a
+    can leave one of -a times the traced dimension."""
     keep = [int(i) for i in keep]
     if not keep:
         raise ValueError("empty keep list: the full trace is a scalar, not a state")
@@ -272,28 +287,7 @@ def _reduced_data(rho: DensityMatrix, keep) -> tuple[tuple[int, ...], np.ndarray
     reduced = np.einsum(tens, [Ellipsis] + row + col, [Ellipsis] + out)
     kept_dims = tuple(dims[i] for i in keep)
     d = int(np.prod(kept_dims))
-    return kept_dims, hermitize(reduced.reshape(batch + (d, d)))
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix on the listed subsystems (output dims follow
-    the order of ``keep``), member by member on a stack, validated at
-    max(rho.atol, MARGINAL_ATOL). Tracing out everything is rejected."""
-    kept_dims, reduced = _reduced_data(rho, keep)
-    return DensityMatrix(kept_dims, reduced, atol=max(rho.atol, MARGINAL_ATOL))
-
-
-def marginal(rho: DensityMatrix, keep) -> tuple[np.ndarray, EigenDecomposition]:
-    """The reduced matrices of partial_trace(rho, keep), checked at the same
-    atol, and their eigendecomposition: one eigh per member, whose
-    eigenvalues the positivity check reads, so no eigvalsh runs. Every
-    marginal modular Hamiltonian and marginal test starts here."""
-    _, reduced = _reduced_data(rho, keep)
-    # hermitize left the reduced matrices Hermitian to the bit, so eigh reads
-    # them as they are: eig_hermitian would hermitize them to the same bits
-    dec = EigenDecomposition(*np.linalg.eigh(reduced))
-    check_density(reduced, max(rho.atol, MARGINAL_ATOL), eigenvalues=dec.eigenvalues)
-    return reduced, dec
+    return DensityMatrix._derived(kept_dims, hermitize(reduced.reshape(batch + (d, d))))
 
 
 def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
@@ -340,8 +334,8 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def conjugate(rho: DensityMatrix) -> DensityMatrix:
     """Entry-wise complex conjugation in the computational product basis,
-    checked at rho's atol, which it meets exactly as rho does."""
-    return DensityMatrix(rho.dims, rho.data.conj(), atol=rho.atol)
+    with rho's spectrum and defects, so not re-checked."""
+    return DensityMatrix._derived(rho.dims, rho.data.conj())
 
 
 def purify(rho: DensityMatrix) -> np.ndarray:

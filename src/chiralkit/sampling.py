@@ -96,9 +96,9 @@ def simplex_point(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def _mixed_state(dims, p: np.ndarray, z: np.ndarray) -> DensityMatrix:
     """U diag(p) U† with U the rephased Q of the Ginibre matrices made from
-    the real normals z, member by member on stacks."""
+    the real normals z, member by member on stacks: a state by construction."""
     u = _rephased_q(_complex_normal(z))
-    return DensityMatrix(dims, (u * p[..., None, :]) @ dagger(u))
+    return DensityMatrix._derived(dims, (u * p[..., None, :]) @ dagger(u))
 
 
 def random_mixed_state(dims, rng: np.random.Generator) -> DensityMatrix:
@@ -143,7 +143,7 @@ MAXIMALLY_MIXED_MIN_EIG = 1e-3  # smallest eigenvalue random_two_qubit_maximally
 def random_two_qubit_maximally_mixed(rng: np.random.Generator) -> DensityMatrix:
     """Random two-qubit state with both marginals exactly I/2: a uniform
     correlation matrix on sigma_i (x) sigma_j, rejection-sampled for
-    positivity with margin MAXIMALLY_MIXED_MIN_EIG."""
+    positivity with margin MAXIMALLY_MIXED_MIN_EIG (its only check)."""
     eye = np.eye(4, dtype=complex) / 4.0
     while True:
         b = rng.uniform(-1.0, 1.0, size=(3, 3))
@@ -152,4 +152,4 @@ def random_two_qubit_maximally_mixed(rng: np.random.Generator) -> DensityMatrix:
             for j in range(3):
                 data += (b[i, j] / 8.0) * np.kron(_PAULIS[i], _PAULIS[j])
         if np.linalg.eigvalsh(data)[0] > MAXIMALLY_MIXED_MIN_EIG:
-            return DensityMatrix((2, 2), data)
+            return DensityMatrix._derived((2, 2), data)

@@ -216,10 +216,9 @@ class StabilizerGroup:
         return "\n".join(lines)
 
 
-def group_from_labels(labels, signs=None, n: int | None = None) -> StabilizerGroup:
+def group_from_labels(labels, signs=None) -> StabilizerGroup:
     paulis = [PauliString.from_label(lbl) for lbl in labels]
-    if n is None:
-        n = paulis[0].n if paulis else 0
+    n = paulis[0].n if paulis else 0
     if any(p.n != n for p in paulis):
         raise ValueError("generator labels have inconsistent lengths")
     z_rows = tuple(sum(b << j for j, b in enumerate(p.z_bits)) for p in paulis)
@@ -255,7 +254,7 @@ def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
 
     With P|b> = c_b |b ^ x>, column b of A (I + s P) is A[:, b] + s c_b
     A[:, b ^ x], so each factor is one column gather; every entry is dyadic,
-    so the result has the bits of the dense product."""
+    so the result has the bits of the dense product: exact, not re-checked."""
     n = group.n
     b = np.arange(1 << n)
     acc = np.eye(1 << n, dtype=complex)
@@ -271,7 +270,7 @@ def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
         gathered *= 0.5
         acc = gathered
     acc /= 2 ** (n - group.k)
-    return DensityMatrix((2,) * n, acc)
+    return DensityMatrix._derived((2,) * n, acc)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,47 @@ class TestStateTolerance:
         m[0, 1] += 1e-7
         return _write_matrix(tmp_path / "skew.json", (2, 2), m)
 
+    @pytest.fixture()
+    def probe_file(self, tmp_path):
+        # diag(1 + 16a, 0, ..., 0, -a, ..., -a) on (2, 16) with a = 9e-9 and
+        # -a on the last 16 entries: accepted at the default --atol, while its
+        # A marginal has the eigenvalue -16a = -1.44e-7
+        a = 9e-9
+        p = np.zeros(32)
+        p[0], p[16:] = 1 + 16 * a, -a
+        return _write_matrix(tmp_path / "probe.json", (2, 16), np.diag(p).astype(complex))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_reduced_states_are_not_rechecked(self, probe_file, capsys, command):
+        assert main([command, "--state", probe_file, "--split", "0|1"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("state", ["bell.json", "example1.json", "probe"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_check_the_parse(self, probe_file, capsys, monkeypatch, command, state):
+        from chiralkit import qmat
+
+        shapes = []
+        check = qmat.check_density
+        monkeypatch.setattr(qmat, "check_density", lambda m, *a, **k: shapes.append(np.shape(m)) or check(m, *a, **k))
+        with resources.as_file(resources.files("chiralkit.data") / state) as bundled:
+            path = probe_file if state == "probe" else str(bundled)
+            assert main([command, "--state", path, "--split", "0|1"]) == 0
+        capsys.readouterr()
+        assert shapes == [{"bell.json": (4, 4), "example1.json": (6, 6), "probe": (32, 32)}[state]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_finite_entry_rejected_at_parse(self, tmp_path, capsys, command):
+        # json reads NaN; every comparison with it is false, so only the
+        # finiteness check stops it
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 0] = np.nan
+        path = _write_matrix(tmp_path / "nan.json", (2, 2), m)
+        assert main([command, "--state", path, "--split", "0|1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state invariant violated: non-finite entry (nan+0j) at index (0, 0)\n"
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_trace_error_within_default_atol(self, trace_off_file, capsys, command):
         assert main([command, "--state", trace_off_file, "--split", "0|1"]) == 0
@@ -307,8 +348,8 @@ class TestQfiCommand:
                                        "reason": verdict.reason}
 
     def test_one_eigvalsh_the_parse_check(self, example_file, capsys, monkeypatch):
-        # the reduced states are checked on their eigh eigenvalues, so the
-        # parse is the one eigvalsh
+        # the reduced states are not re-checked, so the parse is the one
+        # eigvalsh
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: calls.append(np.shape(a)) or eigvalsh(a, *r, **k))

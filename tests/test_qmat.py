@@ -1,20 +1,22 @@
 """Matrix-substrate tests: worked examples plus the module invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from chiralkit import qmat
 from chiralkit.qmat import (
-    MARGINAL_ATOL,
     DensityMatrix,
     Partition,
     ShapeMismatchError,
     StateInvariantError,
     apply_local,
+    check_density,
     conjugate,
     eig_hermitian,
     embed_operator,
     imaginary_power,
-    marginal,
     matrix_log_on_support,
     partial_trace,
     partial_transpose,
@@ -25,7 +27,14 @@ from chiralkit.qmat import (
     uhlmann_fidelity,
 )
 from chiralkit.io import state_document
-from chiralkit.sampling import haar_unitary, random_mixed_state, random_mixed_states, split_rng
+from chiralkit.sampling import (
+    haar_unitary,
+    random_mixed_state,
+    random_mixed_states,
+    random_two_qubit_maximally_mixed,
+    split_rng,
+)
+from chiralkit.stabilizer import random_stabilizer_group, stabilizer_state
 from chiralkit.states import bell_state, chiral_qutrit_qubit, purified_chiral_qutrit_qubit
 
 Y = np.array([[0, -1j], [1j, 0]])
@@ -158,12 +167,21 @@ class TestTensorAndTrace:
 
     def test_reduced_state_takes_the_parent_atol(self):
         # a state accepted at atol 1e-8 with trace 1 + 5e-9: its marginals
-        # carry the same trace error, so they are checked at its atol
+        # carry the same trace error and are not re-checked
         rho = DensityMatrix((2, 2), rho_rand((2, 2), 7).data * (1 + 5e-9), atol=1e-8)
-        reduced = partial_trace(rho, [0])
-        assert reduced.atol == 1e-8
-        assert np.array_equal(marginal(rho, [0])[0], reduced.data)
-        assert partial_trace(bell_state(), [0]).atol == MARGINAL_ATOL
+        for keep in ([0], [1]):
+            reduced = partial_trace(rho, keep)
+            assert abs(np.trace(reduced.data) - np.trace(rho.data)) < 1e-15
+            assert np.array_equal(reduced.data, reduced.data.conj().T)
+
+    def test_product_of_states_accepted_at_a_looser_atol(self):
+        # two factors accepted at atol 1e-8 with trace 1 + 5e-9: their
+        # product, trace (1 + 5e-9)^2, is not re-checked at the default atol
+        a = DensityMatrix((2,), random_mixed_states((2,), 41, range(3)).data * (1 + 5e-9), atol=1e-8)
+        b = DensityMatrix((3,), random_mixed_states((3,), 42, range(3)).data * (1 + 5e-9), atol=1e-8)
+        prod = tensor_product(a, b)
+        for k in range(3):
+            assert np.array_equal(prod.data[k], np.kron(a.data[k], b.data[k]))
 
 
 class TestPartialTranspose:
@@ -421,6 +439,23 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ShapeMismatchError, match=f"{name} takes a single state"):
             call(stack, single)
 
+    @pytest.mark.parametrize("entry", [np.nan, complex(0.25, np.nan), np.inf], ids=["nan", "nan-imag", "inf"])
+    def test_rejects_non_finite_entry(self, entry):
+        # every comparison with NaN is false, so without this check a NaN
+        # entry would pass the hermiticity, trace and eigenvalue tests
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 1] = entry
+        with pytest.raises(StateInvariantError, match=r"non-finite entry .* at index \(1, 1\)"):
+            DensityMatrix((2, 2), m)
+        good = rho_rand((2, 2), 18).data
+        with pytest.raises(StateInvariantError, match=r"non-finite entry .* at index \(2, 1, 1\)"):
+            DensityMatrix((2, 2), np.stack([good, good, m]))
+
+    def test_atol_is_not_kept(self):
+        rho = DensityMatrix((2,), np.eye(2) / 2, atol=1e-6)
+        assert not hasattr(rho, "atol") and not hasattr(DensityMatrix, "atol")
+        assert not hasattr(partial_trace(bell_state(), [0]), "atol")
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             DensityMatrix((2, 2), np.eye(2, dtype=complex) / 2)
@@ -437,3 +472,64 @@ class TestDensityMatrixInvariants:
         m[0, 0] = 0.5  # would break the trace if rho still read m
         assert np.trace(rho.data) == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(rho.data, DensityMatrix((2, 2), rho.data).data)
+
+
+class TestDerivedStatesPassTheCheck:
+    """The states the library derives from checked states or builds exactly
+    are not re-checked (DensityMatrix._derived); the check they skip is
+    their oracle here, at the default tolerances."""
+
+    def test_partial_trace_every_keep_order(self):
+        dims = (2, 3, 4)
+        mixed = random_mixed_states(dims, 43, range(4))
+        rng = split_rng(43, 100)
+        psi = rng.standard_normal((4, 24)) + 1j * rng.standard_normal((4, 24))
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        pure = DensityMatrix(dims, psi[:, :, None] * psi[:, None, :].conj())
+        rank_two = DensityMatrix(dims, 0.5 * (pure.data[0] + pure.data[1]))
+        for r in (1, 2, 3):
+            for keep in itertools.permutations(range(3), r):
+                for rho in (mixed, pure, rank_two):
+                    check_density(partial_trace(rho, keep).data)
+
+    def test_conjugate_and_broadcast_tensor_product(self):
+        a = random_mixed_states((2,), 44, range(5))
+        b = random_mixed_states((3,), 45, range(5))
+        check_density(conjugate(random_mixed_states((2, 3), 46, range(5))).data)
+        check_density(tensor_product(a, b).data)
+        check_density(tensor_product(a, DensityMatrix((3,), b.data[0])).data)
+        column = DensityMatrix((2,), a.data[:2, None])
+        assert tensor_product(column, b).data.shape == (2, 5, 6, 6)
+        check_density(tensor_product(column, b).data)
+
+    def test_stabilizer_states(self):
+        rng = split_rng(47, 0)
+        for n in range(1, 8):
+            sizes = [0, n] + [None] * 28  # k = 0 and k = n, then random sizes
+            for k in sizes:
+                check_density(stabilizer_state(random_stabilizer_group(n, rng, k)).data)
+
+    def test_samplers(self):
+        check_density(random_mixed_state((2, 3), split_rng(48, 0)).data)
+        check_density(random_mixed_states((4, 4), 48, range(20)).data)
+        for i in range(20):
+            check_density(random_two_qubit_maximally_mixed(split_rng(49, i)).data)
+
+    def test_no_check_and_no_eigvalsh(self, monkeypatch):
+        rho = random_mixed_states((2, 3), 50, range(3))
+        group = random_stabilizer_group(4, split_rng(50, 1), 2)
+        checks, eigvalsh_args = [], []
+        monkeypatch.setattr(qmat, "check_density", lambda *a, **k: checks.append(1))
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: eigvalsh_args.append(a) or eigvalsh(a, *r, **k))
+        partial_trace(rho, [1])
+        conjugate(rho)
+        tensor_product(rho, rho)
+        stabilizer_state(group)
+        random_mixed_state((2, 2), split_rng(50, 2))
+        random_mixed_states((2, 2), 50, range(4))
+        assert checks == [] and eigvalsh_args == []
+        # the maximally-mixed sampler's one eigvalsh per draw is its own
+        # rejection test, and the last draw is the state it returns
+        drawn = random_two_qubit_maximally_mixed(split_rng(50, 3))
+        assert checks == [] and np.array_equal(eigvalsh_args[-1], drawn.data)

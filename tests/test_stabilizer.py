@@ -166,7 +166,7 @@ class TestStabilizerGroup:
 
     def test_too_many_generators_rejected(self):
         with pytest.raises(ValueError, match="cannot be independent"):
-            st.group_from_labels(["X", "Z"], n=1)
+            st.group_from_labels(["X", "Z"])
 
     def test_tableau_round_trip(self):
         text = "+XX\n-ZZ"
