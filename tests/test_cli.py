@@ -117,9 +117,8 @@ class TestStateTolerance:
         shapes = []
         check = qmat.check_density
         monkeypatch.setattr(qmat, "check_density", lambda m, *a, **k: shapes.append(np.shape(m)) or check(m, *a, **k))
-        with resources.as_file(resources.files("chiralkit.data") / state) as bundled:
-            path = probe_file if state == "probe" else str(bundled)
-            assert main([command, "--state", path, "--split", "0|1"]) == 0
+        path = probe_file if state == "probe" else str(resources.files("chiralkit.data") / state)
+        assert main([command, "--state", path, "--split", "0|1"]) == 0
         capsys.readouterr()
         assert shapes == [{"bell.json": (4, 4), "example1.json": (6, 6), "probe": (32, 32)}[state]]
 
