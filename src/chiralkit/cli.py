@@ -104,9 +104,11 @@ def _cmd_stabilizer(args) -> int:
         "solution_set_log2": len(solutions.nullspace_basis),
     }
     if group.k == group.n:
-        psi = rho.eig().eigenvectors[:, -1]
+        # rho = |psi><psi| exactly, so its column j is psi conj(psi_j)
+        j = int(np.argmax(rho.data.diagonal().real))
+        psi = rho.data[:, j] / np.sqrt(rho.data[j, j].real)
         doc["nullity"] = st.stabilizer_nullity(psi, group.n)
-        if group.n <= st.FIDELITY_ENUM_MAX_QUBITS:
+        if group.n <= st.FIDELITY_MAX_QUBITS:
             doc["stabilizer_fidelity"] = _qty(st.stabilizer_fidelity(psi, group.n), FIDELITY_TOL)
     _emit(doc)
     return EXIT_OK

@@ -73,7 +73,7 @@ def check_density(data: np.ndarray, atol: float = HERMITICITY_ATOL) -> None:
         raise StateInvariantError(f"negative eigenvalue {lowest:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Unit-trace Hermitian PSD matrix tagged with subsystem dimensions.
 
@@ -85,7 +85,7 @@ class DensityMatrix:
     to accept sloppier input) and keeps a private read-only copy of data, so
     a later write to the caller's array cannot reach the checked state.
     States derived from checked ones or built exactly (_derived) are never
-    re-checked, so the atol is not kept.
+    re-checked, so the atol is not kept. States compare and hash by identity.
     """
 
     dims: tuple[int, ...]

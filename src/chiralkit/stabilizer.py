@@ -335,7 +335,8 @@ def conjugation_pauli(group: StabilizerGroup) -> PauliString:
 # Magic monotones for pure states
 # ---------------------------------------------------------------------------
 
-FIDELITY_ENUM_MAX_QUBITS = 4
+ENUMERATION_MAX_QUBITS = 4  # pure_stabilizer_states: 36,720 rows at n = 4, 2,423,520 at n = 5
+FIDELITY_MAX_QUBITS = 5  # stabilizer_fidelity: about 40 MB of transient overlaps at n = 5
 NULLITY_TOL = 1e-8  # P is definite on psi when |<psi|P|psi>| > 1 - NULLITY_TOL
 MAGIC_BOUND_TOL = 1e-7  # verify_magic_bounds lets each inequality fail by this much
 
@@ -357,18 +358,70 @@ def stabilizer_nullity(psi: np.ndarray, n: int) -> int:
     return n - k
 
 
+def _bit_rows(width: int) -> np.ndarray:
+    """(2^width, width) array: row v holds the bits of v, bit 0 first."""
+    return (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+
+
+@lru_cache(maxsize=None)
+def _support_index(n: int, k: int) -> np.ndarray:
+    """Basis indices x = c ^ (y B) of every k-dimensional affine subspace of
+    GF(2)^n: one row per subspace, one column per y in GF(2)^k, bit i of y
+    taking row i of B. B runs over every reduced-row-echelon basis and c
+    over every offset that is zero at B's pivot bits, so each subspace is
+    listed once, with y = 0 at x = c. Rows are ordered by basis, then
+    offset. The array is cached and shared, so it is read-only."""
+    idx = np.arange(1 << n)
+    supports = []
+    for pivots in itertools.combinations(range(n), k):
+        offsets = idx[(idx & sum(1 << p for p in pivots)) == 0]
+        free = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots]
+        for bits in itertools.product((0, 1), repeat=len(free)):
+            rows = [1 << p for p in pivots]
+            for (i, j), b in zip(free, bits):
+                rows[i] |= b << j
+            span = np.zeros(1 << k, dtype=int)  # span[y] = y B
+            for i, row in enumerate(rows):
+                span[1 << i : 2 << i] = span[: 1 << i] ^ row
+            supports.append(offsets[:, None] ^ span)
+    index = np.concatenate(supports)
+    index.flags.writeable = False
+    return index
+
+
 @lru_cache(maxsize=None)
 def _phase_block(k: int) -> np.ndarray:
     """Rows i^{l.y} (-1)^{q(y)} over y in GF(2)^k, l.y summed as integers:
     one row per l in GF(2)^k and per upper-triangular quadratic form q
     (diagonal included), q major."""
-    y = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    y = _bit_rows(k)
     iu, ju = np.triu_indices(k)
-    monomials = y[:, iu] * y[:, ju]
-    q = (np.arange(1 << len(iu))[:, None] >> np.arange(len(iu))) & 1
-    power = 2 * (q @ monomials.T)[:, None, :] + (y @ y.T)[None, :, :]
+    power = 2 * (_bit_rows(len(iu)) @ (y[:, iu] * y[:, ju]).T)[:, None, :] + (y @ y.T)[None, :, :]
     block = (1j ** (power % 4)).reshape(-1, 1 << k)
     block.flags.writeable = False  # cached: every caller shares this array
+    return block
+
+
+@lru_cache(maxsize=None)
+def _sign_block(k: int) -> np.ndarray:
+    """Rows (-1)^{q(y)} over y in GF(2)^k, one per strictly upper-triangular
+    quadratic form q: the (2^{k(k-1)/2}, 2^k) sign table. Cached, read-only."""
+    y = _bit_rows(k)
+    iu, ju = np.triu_indices(k, 1)
+    block = 1.0 - 2.0 * ((_bit_rows(len(iu)) @ (y[:, iu] * y[:, ju]).T) % 2)
+    block.flags.writeable = False
+    return block
+
+
+@lru_cache(maxsize=None)
+def _z4_block(k: int) -> np.ndarray:
+    """The (2^k, 4^k) transform i^{c.y} 2^{-k/2}, row y in GF(2)^k, column
+    c in Z4^k (base-4 digits, digit 0 first), c.y summed as integers: the
+    k-fold tensor power of [[1, 1, 1, 1], [1, i, -1, -i]] / sqrt(2). Cached,
+    read-only."""
+    c = (np.arange(1 << 2 * k)[:, None] >> 2 * np.arange(k)) & 3
+    block = 1j ** ((_bit_rows(k) @ c.T) % 4) / np.sqrt(1 << k)
+    block.flags.writeable = False
     return block
 
 
@@ -379,47 +432,57 @@ def pure_stabilizer_states(n: int) -> np.ndarray:
     Built from the normal form of Dehaene & De Moor, PRA 68, 042318 (2003):
     every pure stabilizer state is 2^{-k/2} sum_{x in A} i^{l(x)} (-1)^{q(x)}
     |x> with A an affine subspace of dimension k, q quadratic and l linear.
-    A = c + span(B) runs over every reduced-row-echelon basis B and every
-    offset c that is zero at B's pivot bits; x = c ^ (y B) for y in GF(2)^k,
-    and the phases over y are the rows of one block per k. Each state is
-    listed once, with amplitude 2^{-k/2} at x = c. Rows are ordered by k,
-    then basis, then offset, then phase row. The array is cached and shared,
-    so it is read-only."""
-    if n > FIDELITY_ENUM_MAX_QUBITS:
+    A runs over the rows of _support_index(n, k), x = c ^ (y B), and the
+    phases over y are the rows of one block per k. Each state is listed
+    once, with amplitude 2^{-k/2} at x = c. Rows are ordered by k, then
+    basis, then offset, then phase row. The array is cached and shared, so
+    it is read-only."""
+    if n > ENUMERATION_MAX_QUBITS:
         raise ValueError(
-            f"stabilizer-state enumeration grows like 2^(n^2/2); max {FIDELITY_ENUM_MAX_QUBITS} "
-            "qubits supported. Use stabilizer_nullity or the Pauli-restricted "
+            f"stabilizer-state enumeration grows like 2^(n^2/2); max {ENUMERATION_MAX_QUBITS} "
+            "qubits supported. Use stabilizer_fidelity (up to "
+            f"{FIDELITY_MAX_QUBITS} qubits), stabilizer_nullity or the Pauli-restricted "
             "log-distance for larger systems."
         )
-    idx = np.arange(1 << n)
     blocks = []
     for k in range(n + 1):
+        support = _support_index(n, k)
         phases = _phase_block(k) / np.sqrt(1 << k)
-        for pivots in itertools.combinations(range(n), k):
-            offsets = idx[(idx & sum(1 << p for p in pivots)) == 0]
-            free = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots]
-            for bits in itertools.product((0, 1), repeat=len(free)):
-                rows = [1 << p for p in pivots]
-                for (i, j), b in zip(free, bits):
-                    rows[i] |= b << j
-                span = np.zeros(1 << k, dtype=int)  # span[y] = y B
-                for i, row in enumerate(rows):
-                    span[1 << i : 2 << i] = span[: 1 << i] ^ row
-                linear = np.zeros((len(phases), 1 << n), dtype=complex)
-                linear[:, span] = phases
-                # the state on c + span(B) is the one on span(B) read at x ^ c
-                blocks.append(linear[:, offsets[:, None] ^ idx].swapaxes(0, 1).reshape(-1, 1 << n))
+        block = np.zeros((len(support), len(phases), 1 << n), dtype=complex)
+        block[np.arange(len(support))[:, None, None], np.arange(len(phases))[:, None], support[:, None, :]] = phases
+        blocks.append(block.reshape(-1, 1 << n))
     states = np.concatenate(blocks)
     states.flags.writeable = False
     return states
 
 
 def stabilizer_fidelity(psi: np.ndarray, n: int) -> float:
-    """Maximal squared overlap of psi with any pure stabilizer state."""
-    psi = _pauli.qubit_vector(psi, n)
-    states = pure_stabilizer_states(n)
-    # |<s|psi>| = |<psi*|s*>|: conjugate the state, not the cached enumeration
-    return float(np.max(np.abs(states @ psi.conj()) ** 2))
+    """Maximal squared overlap of psi with any pure stabilizer state.
+
+    In the normal form of pure_stabilizer_states, a state on a support of
+    dimension k has amplitude 2^{-k/2} i^{l.y} (-1)^{q(y)} at x = c ^ (y B).
+    The diagonal of q merges with l into one linear form c in Z4^k
+    (y_j^2 = y_j), and what is left of q is the sign pattern of its
+    off-diagonal part. So every overlap with a state of support dimension k
+    is an entry of
+        (psi*[_support_index(n, k)] * _sign_block(k)) @ _z4_block(k):
+    one gather, one multiply by the sign table and one GEMM with the Z4
+    transform. F is the largest |.|^2 over the n + 1 blocks. The tables
+    are built on first use and cached; at n = 4 they hold under 100 KB."""
+    if n > FIDELITY_MAX_QUBITS:
+        raise ValueError(
+            f"stabilizer fidelity maximises over 2^(n^2/2) states; max {FIDELITY_MAX_QUBITS} "
+            "qubits supported. Use stabilizer_nullity or the Pauli-restricted "
+            "log-distance for larger systems."
+        )
+    # sum_x s(x) psi*(x) = <psi|s>: conjugate the state, not the tables
+    bra = _pauli.qubit_vector(psi, n).conj()
+    largest = 0.0
+    for k in range(n + 1):
+        signed = bra[_support_index(n, k)][:, None, :] * _sign_block(k)
+        overlaps = signed.reshape(-1, 1 << k) @ _z4_block(k)
+        largest = max(largest, float(np.max(np.abs(overlaps))))
+    return largest**2
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,27 @@ class TestStabilizerCommand:
         assert doc["stabilizer_fidelity"]["value"] == pytest.approx(1.0, abs=1e-9)
         assert doc["solution_set_log2"] == 3
 
+    def test_five_qubit_fidelity_without_eigh(self, tmp_path, capsys, monkeypatch):
+        # psi is read off a column of the exact rho, not an eigendecomposition
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        path = tmp_path / "ghz5.tab"
+        path.write_text("+XXXXX\n+ZZIII\n+IZZII\n+IIZZI\n+IIIZZ\n")
+        assert main(["stabilizer", "--tableau", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["nullity"] == 0
+        assert doc["stabilizer_fidelity"]["value"] == pytest.approx(1.0, abs=1e-12)
+        assert calls == []
+
+    def test_six_qubits_skip_the_fidelity(self, tmp_path, capsys):
+        path = tmp_path / "ghz6.tab"
+        path.write_text("+XXXXXX\n+ZZIIII\n+IZZIII\n+IIZZII\n+IIIZZI\n+IIIIZZ\n")
+        assert main(["stabilizer", "--tableau", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["nullity"] == 0
+        assert "stabilizer_fidelity" not in doc
+
     def test_mixed_group_skips_pure_monotones(self, tmp_path, capsys):
         path = tmp_path / "mixed.tab"
         path.write_text("+XX\n")

@@ -374,6 +374,15 @@ class TestEmbedAndPartition:
 
 
 class TestDensityMatrixInvariants:
+    def test_equality_and_hash_by_identity(self):
+        # a dataclass __eq__ would compare the arrays and raise; states are
+        # compared with `is`, so == and hash follow identity
+        rho = rho_rand((2,), 17)
+        twin = DensityMatrix(rho.dims, rho.data)
+        assert rho == rho and rho != twin
+        assert hash(rho) == object.__hash__(rho)
+        assert len({rho, twin, rho}) == 2
+
     def test_rejects_bad_trace(self):
         with pytest.raises(StateInvariantError, match="trace"):
             DensityMatrix((2,), np.eye(2, dtype=complex))

@@ -354,6 +354,12 @@ class TestEnumerationAndFidelity:
         with pytest.raises(ValueError):
             st._phase_block(1)[0, 0] = 0
 
+    @pytest.mark.parametrize("table", [lambda: st._support_index(3, 2), lambda: st._sign_block(3),
+                                       lambda: st._z4_block(2)], ids=["support", "sign", "z4"])
+    def test_fidelity_tables_are_read_only(self, table):
+        with pytest.raises(ValueError):
+            table()[0, 0] = 0
+
     def test_t_state_value(self):
         assert st.stabilizer_fidelity(t_state_vector(), 1) == pytest.approx(
             np.cos(np.pi / 8) ** 2, abs=1e-9
@@ -364,14 +370,57 @@ class TestEnumerationAndFidelity:
         assert st.stabilizer_fidelity(psi, 2) == pytest.approx(np.cos(np.pi / 8) ** 2, abs=1e-9)
 
     def test_matches_conjugated_enumeration(self):
-        # the value conjugates psi; the oracle conjugates the enumeration
+        # the value sums over each support in Z4 blocks; the oracle conjugates
+        # the enumeration and sums over all 2^n entries
         from chiralkit.sampling import random_pure_state
 
-        states = st.pure_stabilizer_states(4)
-        for i in range(20):
-            psi = random_pure_state(16, split_rng(67, i))
-            oracle = float(np.max(np.abs(states.conj() @ psi) ** 2))
-            assert abs(st.stabilizer_fidelity(psi, 4) - oracle) <= 1e-15
+        for n in (1, 2, 3, 4):
+            states = st.pure_stabilizer_states(n)
+            for i in range(50):
+                psi = random_pure_state(1 << n, split_rng(67 + n, i))
+                oracle = float(np.max(np.abs(states.conj() @ psi) ** 2))
+                assert abs(st.stabilizer_fidelity(psi, n) - oracle) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_row_count_identity(self, n):
+        # sum_k supports_k 2^{k(k-1)/2} 4^k = 2^n prod_{k=1}^n (2^k + 1)
+        rows = sum(len(st._support_index(n, k)) * len(st._sign_block(k)) * st._z4_block(k).shape[1]
+                   for k in range(n + 1))
+        assert rows == (1 << n) * math.prod((1 << k) + 1 for k in range(1, n + 1))
+        if n <= st.ENUMERATION_MAX_QUBITS:
+            assert rows == len(st.pure_stabilizer_states(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_full_tableau_states_give_one(self, n):
+        for t in range(4):
+            group = st.random_stabilizer_group(n, split_rng(75, 10 * n + t), k=n)
+            rho = st.stabilizer_state(group).data
+            j = int(np.argmax(rho.diagonal().real))
+            psi = rho[:, j] / np.sqrt(rho[j, j].real)
+            assert abs(st.stabilizer_fidelity(psi, n) - 1.0) <= 1e-12
+
+    def test_five_qubit_t_state(self):
+        psi = np.array([1.0], dtype=complex)
+        for _ in range(5):
+            psi = np.kron(psi, t_state_vector())
+        assert abs(st.stabilizer_fidelity(psi, 5) - np.cos(np.pi / 8) ** 10) <= 1e-14
+
+    def test_five_qubit_products_multiply(self):
+        # the stabilizer fidelity is multiplicative over factors of at most
+        # three qubits (Bravyi et al., Quantum 3, 181 (2019))
+        from chiralkit.sampling import random_pure_state
+
+        for i in range(4):
+            singles = [random_pure_state(2, split_rng(76, 5 * i + j)) for j in range(5)]
+            psi = np.array([1.0], dtype=complex)
+            for v in singles:
+                psi = np.kron(psi, v)
+            product = math.prod(st.stabilizer_fidelity(v, 1) for v in singles)
+            assert abs(st.stabilizer_fidelity(psi, 5) - product) <= 1e-14
+            a = random_pure_state(4, split_rng(77, i))
+            b = random_pure_state(8, split_rng(78, i))
+            product = st.stabilizer_fidelity(a, 2) * st.stabilizer_fidelity(b, 3)
+            assert abs(st.stabilizer_fidelity(np.kron(a, b), 5) - product) <= 1e-14
 
     def test_matches_tableau_oracle_fidelity(self):
         # the oracle's eigh vectors are off by up to 1.1e-15 in F on these
@@ -406,8 +455,12 @@ class TestEnumerationAndFidelity:
             assert abs(value - exact) <= 5e-16
 
     def test_large_n_rejected_with_guidance(self):
+        with pytest.raises(ValueError, match="max 5"):
+            st.stabilizer_fidelity(np.ones(64) / 8, 6)
+
+    def test_enumeration_keeps_its_four_qubit_limit(self):
         with pytest.raises(ValueError, match="max 4"):
-            st.stabilizer_fidelity(np.ones(32) / np.sqrt(32), 5)
+            st.pure_stabilizer_states(5)
 
     def test_monotones_invariant_under_pauli_conjugation(self):
         # Clifford-orbit spot check: conjugating by any Pauli string fixes both
@@ -492,6 +545,15 @@ class TestMagicBounds:
         rep = st.verify_magic_bounds(psi, 2, restarts=5, seed=70)
         assert rep.pauli_log_distance < 1e-9
         assert rep.nullity == 2
+
+    def test_five_qubit_chain(self):
+        from chiralkit.sampling import random_pure_state
+
+        for i in range(20):
+            psi = random_pure_state(32, split_rng(79, i))
+            rep = st.verify_magic_bounds(psi, 5, seed=i)
+            assert rep.worst_excess <= st.MAGIC_BOUND_TOL
+            assert 0.0 < rep.stabilizer_fid < 1.0
 
     def test_random_state_chain(self):
         from chiralkit.sampling import random_pure_state
