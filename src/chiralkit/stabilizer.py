@@ -336,7 +336,7 @@ def conjugation_pauli(group: StabilizerGroup) -> PauliString:
 # ---------------------------------------------------------------------------
 
 ENUMERATION_MAX_QUBITS = 4  # pure_stabilizer_states: 36,720 rows at n = 4, 2,423,520 at n = 5
-FIDELITY_MAX_QUBITS = 5  # stabilizer_fidelity: about 40 MB of transient overlaps at n = 5
+FIDELITY_MAX_QUBITS = 5  # stabilizer_fidelity: about 32 MB of transient overlaps at n = 5
 NULLITY_TOL = 1e-8  # P is definite on psi when |<psi|P|psi>| > 1 - NULLITY_TOL
 MAGIC_BOUND_TOL = 1e-7  # verify_magic_bounds lets each inequality fail by this much
 
