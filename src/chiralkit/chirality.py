@@ -94,6 +94,9 @@ class ModularSet:
     For a stack of states every field carries the same leading axes, and the
     measures contracted from it return one value per member. Every array is
     read-only, as modular_set hands the same set to consecutive calls.
+    scalars holds, from their first read through kept, the values that more
+    than one measure reads: gamma, and each party's intrinsic IP and
+    log-moment.
     """
 
     p: np.ndarray
@@ -102,6 +105,7 @@ class ModularSet:
     dims: tuple[int, ...]
     groups: tuple[tuple[int, ...], tuple[int, ...]]
     marginal_k: tuple[np.ndarray, np.ndarray]
+    scalars: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for a in (self.p, self.kappa, self.eigenvectors, *self.marginal_k):
@@ -125,6 +129,17 @@ class ModularSet:
     def k_eigbasis(self, party) -> np.ndarray:
         """The rotated marginal modular Hamiltonian of party A/0 or B/1."""
         return self.k_b_eigbasis if _party_index(party) else self.k_a_eigbasis
+
+    def kept(self, key, compute):
+        """scalars[key], from compute() on the first read; the values of a
+        stack are read-only, as the arrays are."""
+        if key not in self.scalars:
+            value = compute()
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, np.ndarray):
+                    v.flags.writeable = False
+            self.scalars[key] = value
+        return self.scalars[key]
 
 
 def _validate_bipartition(split: Partition, nsub: int) -> None:
@@ -214,6 +229,10 @@ def _phi_s(ms: ModularSet, s: float) -> float:
 
 
 def _gamma(ms: ModularSet):
+    return ms.kept("gamma", lambda: _gamma_contraction(ms))
+
+
+def _gamma_contraction(ms: ModularSet):
     p = ms.p
     if not _support_mask(p)[..., 0].all():
         ratio = np.min(p[..., 0] / p[..., -1])
@@ -582,16 +601,29 @@ class _OrbitContraction:
         return np.abs(o) ** 2, 2.0 * np.real(o.conj()[:, None] * g), hess
 
     def rotate(self, us, x: np.ndarray) -> list[np.ndarray]:
-        """The unitaries exp(i sum_k x_tk E_k) U_t; the exponential is
+        """The unitaries exp(i sum_k x_tk E_k) U_t. For a qubit h = x.sigma / sqrt(2)
+        squares to theta^2 I with theta = |x| / sqrt(2), so its exponential is
+        cos(theta) I + i sin(theta)/theta h; larger parties take
         V e^{i lambda} V^dagger from eigh."""
         out = list(us)
         start = 0
         for t in self.active:
-            basis = _hermitian_basis(self.shapes[t][1])
-            h = np.tensordot(x[:, start:start + len(basis)], basis, axes=1)
+            d = self.shapes[t][1]
+            basis = _hermitian_basis(d)
+            xt = x[:, start:start + len(basis)]
+            h = np.tensordot(xt, basis, axes=1)
             start += len(basis)
-            w, v = np.linalg.eigh(h)
-            out[t] = (v * np.exp(1j * w)[:, None, :]) @ dagger(v) @ us[t]
+            if d == 2:
+                theta = np.sqrt(0.5 * np.sum(xt * xt, axis=1))
+                sinc = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0.0)
+                exp = (1j * sinc)[:, None, None] * h
+                cos = np.cos(theta)
+                exp[:, 0, 0] += cos
+                exp[:, 1, 1] += cos
+            else:
+                w, v = np.linalg.eigh(h)
+                exp = (v * np.exp(1j * w)[:, None, :]) @ dagger(v)
+            out[t] = exp @ us[t]
         return out
 
 
@@ -607,8 +639,21 @@ def _trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray):
     (More & Sorensen 1983; Nocedal & Wright, Numerical Optimization,
     Alg. 4.3). If grad has no weight on the lowest curvature (the hard
     case) ||x|| stays below the radius there and the step falls short.
+
+    As in More & Sorensen, a Cholesky factorization of B comes first: when it
+    succeeds on every row and every Newton step B^{-1} grad fits, those steps
+    are the answer, with increase grad.x / 2, and no eigendecomposition runs.
     """
-    beta, q = np.linalg.eigh(-hess)
+    b = -hess
+    try:
+        np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        pass  # some B is not positive definite
+    else:
+        x = np.linalg.solve(b, grad[:, :, None])[:, :, 0]
+        if np.all(np.sum(x * x, axis=1) <= radius**2):
+            return x, 0.5 * np.sum(grad * x, axis=1)
+    beta, q = np.linalg.eigh(b)
     gamma = np.einsum("rji,rj->ri", q, grad)  # the gradient in the eigenbasis
     lam = np.maximum(0.0, -beta[:, 0]) + 1e-12 * (1.0 + np.abs(beta).max(axis=1))
     newton = beta[:, 0] > 0.0
@@ -713,42 +758,54 @@ def alternating_orbit_overlap(
     radius = np.full(nres, _TRUST_RADIUS_START)
     hit = False
     live = np.arange(nres)
+    lean = False  # this pass is the sweep alone (see its rule below)
     while True:
-        stop = np.where(iters[live] >= max_iters, _CAP, _GOING)
-        if hit:
-            stop[:] = _TARGET
-        newton = orbit.rows is not None and finishing[live[stop == _GOING]].all()
-        # a Newton step needs every restart's stationarity; otherwise only a
-        # restart that has settled or must stop does
-        check = (stop != _GOING) | settled[live] | newton
-        if check.any():
-            theta = orbit.apply([u[live[check]] for u in us])
-            stationarity[live[check]] = orbit.stationarity(theta)
-        small = stationarity[live] <= stat_tol
-        stop[small & (settled[live] | (stop != _GOING))] = _STATIONARY
-        reasons[live] = stop
-        keep = stop == _GOING
-        live, small = live[keep], small[keep]
-        if not live.size:
-            break
-        # the restarts still sweeping to globalise, or, once none is, all
-        move = live if finishing[live].all() else live[~finishing[live]]
-        if move.size == nres:
-            move = slice(None)  # views of every restart, no gather or scatter copies
-        current = [u[move] for u in us]
+        if not lean:
+            stop = np.where(iters[live] >= max_iters, _CAP, _GOING)
+            if hit:
+                stop[:] = _TARGET
+            newton = orbit.rows is not None and finishing[live[stop == _GOING]].all()
+            # a Newton step needs every restart's stationarity; otherwise only a
+            # restart that has settled or must stop does
+            check = (stop != _GOING) | settled[live] | newton
+            if check.any():
+                theta = orbit.apply([u[live[check]] for u in us])
+                stationarity[live[check]] = orbit.stationarity(theta)
+            small = stationarity[live] <= stat_tol
+            stop[small & (settled[live] | (stop != _GOING))] = _STATIONARY
+            reasons[live] = stop
+            keep = stop == _GOING
+            live, small = live[keep], small[keep]
+            if not live.size:
+                break
+            # the restarts still sweeping to globalise, or, once none is, all
+            everyone = finishing[live].all()
+            move = live if everyone else live[~finishing[live]]
+            if move.size == nres:
+                move = slice(None)  # views of every restart, no gather copies
+            current = [u[move] for u in us]
         if newton:
             settled[move] = small
-            moved, fid[move], radius[move] = _newton_iteration(orbit, current, theta[keep], radius[move])
+            current, fid[move], radius[move] = _newton_iteration(orbit, current, theta[keep], radius[move])
         else:
-            moved, new_fid = _sweep(orbit, current, fid[move])
+            current, new_fid = _sweep(orbit, current, fid[move])
             gain = new_fid - fid[move]
             fid[move] = new_fid
-            finishing[move] |= (gain < stat_tol) | (iters[move] + 1 >= _SWEEP_BUDGET)
+            switch = (gain < stat_tol) | (iters[move] + 1 >= _SWEEP_BUDGET)
+            finishing[move] |= switch
             settled[move] = finishing[move] & (gain < tol) & (orbit.rows is None)
         iters[move] += 1
-        for t in orbit.active:
-            us[t][move] = moved[t]
         hit = target_fidelity is not None and fid.max() >= target_fidelity
+        # the next pass sweeps the same restarts and its stop checks stop none
+        # when no restart entered its finish (unless all had), none is
+        # settled, no target was hit and no cap is in reach. It is then the
+        # sweep alone, on the stack this one left, and the unitaries go back
+        # to us only before a pass that runs the checks.
+        lean = not (newton or hit or settled[live].any() or (switch.any() and not everyone))
+        lean = lean and iters[move].max() < max_iters
+        if not lean:
+            for t in orbit.active:
+                us[t][move] = current[t]
     best = int(np.argmax(fid >= fid.max() - BEST_RESTART_TIE))
     names = [_STOP_REASONS[r] for r in reasons]
     return np.minimum(fid, 1.0), orbit.overlaps(us), us, iters, names, stationarity, best
@@ -903,8 +960,10 @@ def measure_report(rho: DensityMatrix, split: Partition, s_values=(0.7,)) -> Mea
     ms = modular_set(rho, split)
     entries: dict[str, float] = {"J2": _j2(ms), "J3": _j3(ms), "J3_prime": _j3_prime(ms)}
     for s in s_values:
-        entries[f"gamma_s[{s:g}]"] = _gamma_s(ms, s)
-        entries[f"phi_s[{s:g}]"] = _phi_s(ms, s)
+        # the short form names s when it reads back as s; repr always does
+        name = f"{s:g}" if float(f"{s:g}") == s else repr(s)
+        entries[f"gamma_s[{name}]"] = _gamma_s(ms, s)
+        entries[f"phi_s[{name}]"] = _phi_s(ms, s)
     notes: dict[str, str] = {}
     try:
         entries["gamma"] = _gamma(ms)

@@ -158,8 +158,20 @@ def intrinsic_ip(rho: DensityMatrix, split: Partition, party) -> float:
     reduces (up to the factor-4 convention of qfi) to the variance of the
     marginal modular Hamiltonian on pure states.
     """
-    ms = modular_set(rho, split)
-    return _qfi_eigbasis(ms.p, np.abs(ms.k_eigbasis(party)) ** 2)
+    return _party_scalars(modular_set(rho, split), party)[0]
+
+
+def _party_scalars(ms, party) -> tuple:
+    """(intrinsic IP, log-moment Tr(rho_P K_P^2)) of one party, both from one
+    table |(K_P)_ij|^2 in the eigenbasis of rho, the log-moment being
+    sum_ij p_i |(K_P)_ij|^2; kept on ms."""
+    i = _party_index(party)
+
+    def compute():
+        h2 = np.abs(ms.k_eigbasis(i)) ** 2
+        return _qfi_eigbasis(ms.p, h2), _scalar(_sum2(ms.p[..., :, None] * h2))
+
+    return ms.kept(("party", i), compute)
 
 
 @dataclass(frozen=True)
@@ -366,28 +378,27 @@ def check_gamma_qfi_bound(rho: DensityMatrix, split: Partition) -> GammaQfiRepor
     one value per member in every field.
 
     gamma, both intrinsic IPs and both log-moments come from one
-    modular_set; the log-moment is Tr(rho_P K_P^2) = sum_ij p_i |(K_P)_ij|^2
-    in the eigenbasis of rho. Raises CorrelationBoundViolation with the
-    report and matrix of the worst member if any slack drops below
-    -GAMMA_QFI_TOL.
+    modular_set, which keeps them for the other measures that read them
+    (_party_scalars). A one-level party has K_P = 0, so its log-moment and
+    its c(d) term are 0. Raises CorrelationBoundViolation with the report
+    and matrix of the worst member if any slack drops below -GAMMA_QFI_TOL.
     """
     ms = modular_set(rho, split)
     gamma = _gamma(ms)
-    # |(K_P)_ij|^2 once per party serves its intrinsic IP and its log-moment
-    k2 = [np.abs(ms.k_eigbasis(party)) ** 2 for party in (0, 1)]
-    f_a, f_b = (_qfi_eigbasis(ms.p, h2) for h2 in k2)
-    moments = [_scalar(_sum2(ms.p[..., :, None] * h2)) for h2 in k2]
+    (f_a, moment_a), (f_b, moment_b) = (_party_scalars(ms, party) for party in (0, 1))
+    sizes = [int(np.prod([rho.dims[i] for i in group])) for group in split.groups]
+    c_a, c_b = (0.0 if d == 1 else log_moment_bound(d) for d in sizes)
     g2 = gamma**2
     report = GammaQfiReport(
         gamma=gamma,
         qfi_a=f_a,
         qfi_b=f_b,
-        log_moment_a=moments[0],
-        log_moment_b=moments[1],
-        slack_a=moments[0] * f_b - g2,
-        slack_b=moments[1] * f_a - g2,
-        slack_bound_a=log_moment_bound(int(np.prod([rho.dims[i] for i in split.groups[0]]))) * f_b - g2,
-        slack_bound_b=log_moment_bound(int(np.prod([rho.dims[i] for i in split.groups[1]]))) * f_a - g2,
+        log_moment_a=moment_a,
+        log_moment_b=moment_b,
+        slack_a=moment_a * f_b - g2,
+        slack_b=moment_b * f_a - g2,
+        slack_bound_a=c_a * f_b - g2,
+        slack_bound_b=c_b * f_a - g2,
     )
     worst = np.reshape(report.min_slack, -1)
     if worst.min(initial=np.inf) < -GAMMA_QFI_TOL:

@@ -1020,6 +1020,139 @@ class TestOrbitKernel:
         assert res.best_fidelity >= 1.0 - 1e-4 and "target" in res.stop_reasons
         assert set(res.stop_reasons) <= {"target", "stationary"}
 
+    # (iterations per restart, first letters of the stop reasons) of
+    # chiral_log_distance(restarts=20, seed=92), as the loop gave them when it
+    # ran the stop checks on every pass
+    PINNED_COURSES = {
+        "mixed0": ([63, 67, 65, 69, 63, 65, 64, 70, 63, 68, 66, 67, 63, 67, 64, 63, 67, 68, 63, 63], "s" * 20),
+        "mixed1": ([28, 61, 60, 54, 47, 57, 52, 40, 38, 62, 32, 63, 63, 63, 63, 63, 46, 48, 51, 50], "s" * 20),
+        "mixed2": ([16, 31, 38, 32, 36, 45, 45, 33, 63, 28, 63, 36, 32, 28, 36, 39, 27, 40, 38, 36], "s" * 20),
+        "mixed3": ([55, 65, 65, 66, 63, 64, 64, 64, 64, 63, 66, 62, 66, 63, 66, 63, 66, 60, 64, 64], "s" * 20),
+        "mixed4": ([63, 50, 63, 63, 66, 63, 63, 63, 67, 53, 63, 65, 65, 63, 63, 58, 56, 63, 63, 64], "s" * 20),
+        "mixed5": ([30, 58, 44, 55, 51, 38, 41, 63, 51, 35, 56, 55, 45, 42, 61, 38, 36, 63, 45, 35], "s" * 20),
+        "mixed6": ([63, 66, 64, 69, 65, 67, 68, 67, 64, 63, 63, 69, 66, 68, 71, 66, 65, 67, 68, 65], "s" * 20),
+        "mixed7": ([65, 66, 64, 63, 65, 66, 64, 63, 63, 68, 64, 64, 65, 63, 63, 65, 63, 64, 63, 64], "s" * 20),
+        "mixed8": ([63, 63, 70, 64, 69, 63, 71, 66, 64, 63, 64, 64, 70, 65, 64, 63, 70, 70, 63, 70], "s" * 20),
+        "mixed9": ([37, 64, 65, 64, 64, 65, 63, 65, 66, 53, 65, 63, 64, 63, 64, 64, 64, 66, 65, 64], "s" * 20),
+        "pure3q0": ([63, 34, 33, 32, 46, 32, 30, 32, 63, 63, 26, 40, 33, 37, 34, 63, 67, 32, 35, 57], "s" * 20),
+        "pure3q1": ([63, 59, 53, 63, 46, 62, 64, 63, 63, 55, 63, 54, 63, 63, 63, 63, 43, 45, 16, 63], "s" * 20),
+        "pure3q2": ([60, 26, 33, 32, 35, 32, 30, 54, 43, 32, 33, 44, 39, 46, 33, 23, 48, 38, 33, 40], "s" * 20),
+        "pure3q3": ([62, 63, 63, 47, 62, 65, 63, 62, 63, 63, 63, 57, 31, 46, 51, 63, 62, 43, 63, 25], "s" * 20),
+        "pure3q4": ([48, 61, 41, 38, 63, 47, 31, 40, 63, 22, 63, 53, 34, 62, 45, 62, 56, 57, 63, 52], "s" * 20),
+        "C10": ([63, 43, 46, 63, 45, 44, 64, 63, 48, 48, 50, 49, 58, 64, 53, 51, 64, 42, 65, 40], "s" * 20),
+    }
+    # the same with no Hessian rows (restarts=5, seed=97, max_iters=20000)
+    PINNED_SWEEP_COURSES = {
+        "mixed4": ([272, 145, 212, 175, 176], "s" * 5),
+        "pure3q2": ([96, 82, 73, 99, 65], "s" * 5),
+        "C10": ([320, 310, 102, 471, 401], "s" * 5),
+    }
+
+    @staticmethod
+    def _course(res):
+        return res.iterations_per_restart, "".join(r[0] for r in res.stop_reasons)
+
+    @pytest.mark.parametrize("name", list(PINNED_COURSES))
+    def test_pinned_courses(self, name):
+        _, rho, part = next(c for c in ORBIT_CASES if c[0] == name)
+        _, res = ch.chiral_log_distance(rho, part, restarts=20, seed=92)
+        assert self._course(res) == self.PINNED_COURSES[name]
+
+    @pytest.mark.parametrize("name", list(PINNED_SWEEP_COURSES))
+    def test_pinned_sweep_courses(self, monkeypatch, name):
+        monkeypatch.setattr(ch, "_SECOND_ORDER_MAX_ENTRIES", 0)
+        _, rho, part = next(c for c in ORBIT_CASES if c[0] == name)
+        _, res = ch.chiral_log_distance(rho, part, restarts=5, seed=97, max_iters=20000)
+        assert self._course(res) == self.PINNED_SWEEP_COURSES[name]
+
+    def test_pinned_target_course(self):
+        rho = random_two_qubit_maximally_mixed(split_rng(1212, 0))
+        _, res = ch.chiral_log_distance(rho, SPLIT, restarts=100, seed=3_000_000, target_fidelity=1.0 - 1e-4)
+        assert self._course(res) == ([14] * 100, "t" * 100)
+
+    def test_qubit_exponential_matches_eigh(self):
+        # rotate's closed form on qubit parties against V e^{i lambda} V^dagger
+        # and a 40-digit exponential, for x = 0 and |x| from 1e-16 to the
+        # largest trust-region step, 1.1 pi
+        import mpmath
+
+        base, _ = ch._fused_purification(pure_state_density((2, 2), random_pure_state(4, split_rng(111, 0))), SPLIT)
+        orbit = ch._OrbitContraction(base)
+        assert [orbit.shapes[t][1] for t in orbit.active] == [2, 2]
+        x = split_rng(111, 1).standard_normal((80, 2, 3))
+        x *= (np.logspace(-16, np.log10(1.1 * np.pi), 80)[:, None] / np.linalg.norm(x, axis=2))[:, :, None]
+        x[0] = 0.0
+        eye = np.broadcast_to(np.eye(2, dtype=complex), (80, 2, 2))
+        rotated = orbit.rotate([eye, eye], x.reshape(80, 6))
+        basis = ch._hermitian_basis(2)
+        for t in orbit.active:
+            h = np.tensordot(x[:, t], basis, axes=1)
+            w, v = np.linalg.eigh(h)
+            oracle = (v * np.exp(1j * w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+            assert np.max(np.abs(rotated[t] - oracle)) <= 1e-15
+            assert unitarity_defect(rotated[t]) <= 1e-15
+            with mpmath.workdps(40):
+                for r in range(1, 80, 8):
+                    exact = mpmath.expm(1j * mpmath.matrix(h[r].tolist()))
+                    exact = np.array(exact.tolist(), dtype=complex)
+                    assert np.max(np.abs(rotated[t][r] - exact)) <= 5e-16
+        assert np.array_equal(rotated[0][0], np.eye(2))
+
+
+class TestTrustRegionStep:
+    """The Cholesky-first step against the eigendecomposition path, which a
+    stack takes when some B = -hess is not positive definite or some Newton
+    step does not fit."""
+
+    @staticmethod
+    def stack(seed, nres=30, n=21):
+        rng = split_rng(seed, 0)
+        a = rng.standard_normal((nres, n, n))
+        b = a @ np.swapaxes(a, 1, 2) / n + 0.05 * np.eye(n)
+        return 1e-2 * rng.standard_normal((nres, n)), -b
+
+    @staticmethod
+    def eigh_step(monkeypatch, grad, hess, radius):
+        def refuse(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", refuse)
+            return ch._trust_region_step(grad, hess, radius)
+
+    @staticmethod
+    def count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(np.shape(a)) or eigh(a))
+        return calls
+
+    def test_cholesky_step_matches_eigh_step(self, monkeypatch):
+        grad, hess = self.stack(112)
+        radius = np.full(len(grad), 10.0)
+        reference = self.eigh_step(monkeypatch, grad, hess, radius)
+        calls = self.count_eigh(monkeypatch)
+        x, increase = ch._trust_region_step(grad, hess, radius)
+        assert calls == []
+        assert np.max(np.abs(x - reference[0])) <= 1e-12
+        assert np.max(np.abs(increase - reference[1])) <= 1e-12
+        assert np.max(np.abs(np.einsum("rij,rj->ri", -hess, x) - grad)) <= 1e-14
+
+    @pytest.mark.parametrize("case", ["indefinite", "too_long"])
+    def test_other_stacks_keep_the_eigh_bits(self, monkeypatch, case):
+        grad, hess = self.stack(113)
+        radius = np.full(len(grad), 10.0)
+        if case == "indefinite":
+            hess[3] += 2.0 * np.linalg.eigvalsh(-hess[3])[-1] * np.eye(21)
+            assert np.linalg.eigvalsh(-hess[3])[0] < 0.0
+        else:
+            radius[5] = 0.5 * np.linalg.norm(np.linalg.solve(-hess[5], grad[5]))
+        reference = self.eigh_step(monkeypatch, grad, hess, radius)
+        calls = self.count_eigh(monkeypatch)
+        x, increase = ch._trust_region_step(grad, hess, radius)
+        assert calls == [hess.shape]
+        assert np.array_equal(x, reference[0]) and np.array_equal(increase, reference[1])
+
 
 class TestPolarMax:
     @staticmethod

@@ -219,6 +219,24 @@ class TestMeasureCommand:
         main(["measure", "--state", example_file, "--split", "0|1", "--s", "0.3"])
         assert capsys.readouterr().out == first
 
+    def test_close_flow_parameters_keep_their_own_entries(self, example_file, capsys):
+        # 0.7000001 and 1.00000001e-7 print as 0.7 and 1e-07 under {:g}, so
+        # they are named by repr and overwrite no other entry
+        from chiralkit import chirality as ch
+        from chiralkit.qmat import Partition
+
+        args = ["measure", "--state", example_file, "--split", "0|1"]
+        s_values = [0.7, 0.7000001, 1e-7, 1.00000001e-7]
+        assert main(args + [a for s in s_values for a in ("--s", repr(s))]) == 0
+        measures = json.loads(capsys.readouterr().out)["measures"]
+        rho, split = parse_state_file(example_file), Partition.parse("0|1")
+        for name, s in zip(["0.7", "0.7000001", "1e-07", "1.00000001e-07"], s_values):
+            assert measures[f"gamma_s[{name}]"]["value"] == ch.gamma_s(rho, split, s)
+            assert measures[f"phi_s[{name}]"]["value"] == ch.phi_s(rho, split, s)
+        assert len([k for k in measures if k.startswith(("gamma_s[", "phi_s["))]) == 8
+        assert main(args) == 0
+        assert {"gamma_s[0.7]", "phi_s[0.7]"} <= set(json.loads(capsys.readouterr().out)["measures"])
+
 
     def test_d1024_classical_quantum_state(self, tmp_path, capsys):
         # (32, 32) block state sum_a p_a |a><a| (x) sigma_a: K_A commutes with

@@ -489,6 +489,36 @@ class TestGammaQfiBound:
             co.check_gamma_qfi_bound(DensityMatrix((2, 2), stack.data[0]), SPLIT)
         assert "member" not in str(info.value)
 
+    @pytest.mark.parametrize("dims", [(1, 4), (4, 1)])
+    def test_one_level_party(self, dims):
+        # K_P = 0 on a one-level party: its c(d) term is 0, not c(1)
+        rep = co.check_gamma_qfi_bound(rho_rand(dims, 106), SPLIT)
+        assert rep.min_slack >= -co.GAMMA_QFI_TOL
+        assert abs(rep.gamma) <= 1e-12
+
+    def test_warm_set_reads_the_kept_scalars(self, monkeypatch):
+        # after measure_report and both intrinsic IPs the bound check forms no
+        # gamma and no |K_P|^2 table again
+        from chiralkit import chirality as ch
+
+        rho = rho_rand((2, 3), 107)
+        calls = []
+        contraction, qfi_eigbasis = ch._gamma_contraction, co._qfi_eigbasis
+        monkeypatch.setattr(ch, "_gamma_contraction", lambda ms: calls.append("gamma") or contraction(ms))
+        monkeypatch.setattr(co, "_qfi_eigbasis", lambda p, h2: calls.append("qfi") or qfi_eigbasis(p, h2))
+        ch.measure_report(rho, SPLIT)
+        f_a, f_b = co.intrinsic_ip(rho, SPLIT, "A"), co.intrinsic_ip(rho, SPLIT, 1)
+        rep = co.check_gamma_qfi_bound(rho, SPLIT)
+        assert calls == ["gamma", "qfi", "qfi"]
+        assert (rep.qfi_a, rep.qfi_b) == (f_a, f_b)
+
+    def test_kept_stack_values_are_read_only(self):
+        stack = random_mixed_states((2, 2), 108, range(3))
+        rep = co.check_gamma_qfi_bound(stack, SPLIT)
+        for value in (rep.gamma, rep.qfi_a, rep.log_moment_b):
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0.0
+
     def test_c_of_d_values(self):
         assert co.log_moment_bound(2) == pytest.approx(0.563, abs=1e-3)
         assert co.log_moment_bound(3) == pytest.approx(np.log(3) ** 2, abs=1e-12)

@@ -12,8 +12,9 @@ number of pairs the change won, counting a win in the direction
 `BENCHMARK.json` names. A metric shows a gain when the change won at least
 nine in ten of at least ten pairs and its median beats the parent's by more
 than the parent's interquartile range; the `claim` block lists every such
-metric. Each workload also gets one traced run per side (seed 1) for the
-per-layer metrics. The recorder then runs the tier-1 test suite once per
+metric. Each workload also gets three traced runs per side (seeds 1-3), and
+each per-layer metric is recorded as their median, so one noisy traced run
+does not read as a layer that moved. The recorder then runs the tier-1 test suite once per
 side and every selftest criterion once per side in a fresh interpreter,
 keeps each side's stdout of `chiralkit measure`, `qfi` and `logdist` on the
 bundled states, of `chiralkit bounds --n 10` (which runs the orbit
@@ -44,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TRACE_SEEDS = (1, 2, 3)
 CLI_COMMANDS = ("measure", "qfi", "logdist")
 CLI_STATES = ("bell.json", "example1.json")
 TABLEAUX = {"ghz.tab": "+XXX\n+ZZI\n+IZZ\n", "mixed.tab": "+XYZ\n-ZZI\n"}
@@ -183,13 +185,16 @@ def main(argv=None) -> int:
         for workload, entry in doc["workloads"].items()
         for metric in better if entry[metric]["gain_met"]
     ]
-    doc["per_layer_traced_seed1"] = {}
+    doc["per_layer_traced_median"] = {"seeds": list(TRACE_SEEDS)}
     for workload in doc["workloads"]:
         entry = {}
         for side in SIDES:
-            info, result = _bench(dirs[side], workload, 1, seconds, trace=1)
-            entry[side] = {name: m["value"] for name, m in result["metrics"].items()}
-        doc["per_layer_traced_seed1"][workload] = entry
+            runs = []
+            for seed in TRACE_SEEDS:
+                info, result = _bench(dirs[side], workload, seed, seconds, trace=1)
+                runs.append(result["metrics"])
+            entry[side] = {name: statistics.median(r[name]["value"] for r in runs) for name in runs[0]}
+        doc["per_layer_traced_median"][workload] = entry
     doc["tier1_one_run_each"] = {side: _tier1(dirs[side]) for side in SIDES}
     selftest = {side: doc["tier1_one_run_each"][side]["selftest"] for side in SIDES}
     doc["selftest_detail_same"] = {
