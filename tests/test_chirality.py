@@ -1120,18 +1120,11 @@ class TestTrustRegionStep:
             m.setattr(np.linalg, "cholesky", refuse)
             return ch._trust_region_step(grad, hess, radius)
 
-    @staticmethod
-    def count_eigh(monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(np.shape(a)) or eigh(a))
-        return calls
-
     def test_cholesky_step_matches_eigh_step(self, monkeypatch):
         grad, hess = self.stack(112)
         radius = np.full(len(grad), 10.0)
         reference = self.eigh_step(monkeypatch, grad, hess, radius)
-        calls = self.count_eigh(monkeypatch)
+        calls = TestModularSetSlot._count_eigh(monkeypatch)
         x, increase = ch._trust_region_step(grad, hess, radius)
         assert calls == []
         assert np.max(np.abs(x - reference[0])) <= 1e-12
@@ -1148,7 +1141,7 @@ class TestTrustRegionStep:
         else:
             radius[5] = 0.5 * np.linalg.norm(np.linalg.solve(-hess[5], grad[5]))
         reference = self.eigh_step(monkeypatch, grad, hess, radius)
-        calls = self.count_eigh(monkeypatch)
+        calls = TestModularSetSlot._count_eigh(monkeypatch)
         x, increase = ch._trust_region_step(grad, hess, radius)
         assert calls == [hess.shape]
         assert np.array_equal(x, reference[0]) and np.array_equal(increase, reference[1])
