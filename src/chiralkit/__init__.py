@@ -14,9 +14,7 @@ from .chirality import (
     j3_prime,
     measure_report,
     modular_commutator,
-    modular_flowed_k,
     modular_set,
-    orbit_overlap,
     pauli_log_distance,
     phi_s,
     pure_state_log_distance,
@@ -39,8 +37,6 @@ from .experiments import (
     log_negativity,
     nonmonotonicity_demo,
     run_chirality_entanglement_scan,
-    sample_haar_unitary,
-    sample_mixed_state,
     scan_to_csv,
 )
 from .io import parse_state_file, write_state_file
@@ -52,14 +48,11 @@ from .qmat import (
     StateInvariantError,
     bipartition,
     conjugate,
-    eig_hermitian,
-    imaginary_power,
     matrix_log_on_support,
     partial_trace,
     partial_transpose,
     purify,
     tensor_product,
-    trace_norm,
     uhlmann_fidelity,
 )
 from .stabilizer import (

@@ -262,36 +262,16 @@ def j3_prime(rho: DensityMatrix, split: Partition) -> float:
     return _j3_prime(modular_set(rho, split))
 
 
-def modular_flowed_k(
-    rho: DensityMatrix, split: Partition, party, s: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Even/odd parts of the marginal modular Hamiltonian under modular flow.
-
-    Returns (K_plus, K_minus) with K_plus = (K_P(s) + K_P(-s))/2 and
-    K_minus = i (K_P(s) - K_P(-s))/2, where the flow conjugates by
-    exp(i s K_AB), i.e. K_P(s) = K_P + is[K_AB, K_P] + (is)^2/2! [...] + ...
-    In the eigenbasis of rho the flow is the phase exp(i s (kappa_i - kappa_j)),
-    so K_plus and K_minus scale entry (i, j) of K_P by cos and -sin of
-    s (kappa_i - kappa_j). K_plus is Hermitian; K_minus is anti-Hermitian (its
-    expansion starts at -s [K_AB, K_P]) and Tr(rho K_minus) vanishes
-    identically.
-    """
-    ms = modular_set(rho, split)
-    k = ms.k_eigbasis(party)
-    phase = s * _minus(ms.kappa)
-    v = ms.eigenvectors
-    vd = dagger(v)
-    return v @ (np.cos(phase) * k) @ vd, v @ (-np.sin(phase) * k) @ vd
-
-
 def gamma_s(rho: DensityMatrix, split: Partition, s: float) -> float:
-    """i Tr(rho [K_plus_A(s), K_B]), the even-flow nested-commutator measure.
+    """i Tr(rho [K_plus_A(s), K_B]), the even-flow nested-commutator measure,
+    with K_plus = (K_A(s) + K_A(-s))/2 and K_A(s) = e^{is K_AB} K_A e^{-is K_AB}.
     Eigenbasis kernel cos(s (kappa_i - kappa_j)) (p_i - p_j)."""
     return _gamma_s(modular_set(rho, split), s)
 
 
 def phi_s(rho: DensityMatrix, split: Partition, s: float) -> float:
-    """i Tr(rho {K_minus_A(s), K_B}), the odd-flow anticommutator measure.
+    """i Tr(rho {K_minus_A(s), K_B}), the odd-flow anticommutator measure,
+    with K_minus = i (K_A(s) - K_A(-s))/2.
     Eigenbasis kernel -sin(s (kappa_i - kappa_j)) (p_i + p_j)."""
     return _phi_s(modular_set(rho, split), s)
 
@@ -880,25 +860,6 @@ def chiral_log_distance(
     # -log 1 is -0.0; a distance is reported as +0.0
     value = max(0.0, -float(np.log(max(result.best_fidelity, 1e-300))))
     return value, result
-
-
-def orbit_overlap(
-    rho: DensityMatrix,
-    partition: Partition,
-    unitaries: list[np.ndarray],
-) -> complex:
-    """Recompute <conj purification| ((x)U) |purification> for given unitaries
-    (one per partition group, then the ancilla). Independent check of the
-    overlap reported by the optimizer."""
-    require_single(rho, "orbit_overlap")
-    base, party_dims = _fused_purification(rho, partition)
-    theta = base
-    for t, u in enumerate(unitaries):
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (party_dims[t], party_dims[t]):
-            raise ValueError(f"unitary {t} has shape {u.shape}, expected {party_dims[t]}")
-        theta = np.moveaxis(np.moveaxis(theta, t, -1) @ u.T, -1, t)
-    return complex(np.sum(base * theta))
 
 
 def pure_state_log_distance(

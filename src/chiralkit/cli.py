@@ -44,6 +44,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _finite_float(text: str) -> float:
+    """An argument type: a float that is not NaN or infinite, which JSON
+    output cannot print."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _qty(value: float, tolerance: float) -> dict:
     return {"value": float(value), "tolerance": float(tolerance)}
 
@@ -137,6 +149,8 @@ def _cmd_qfi(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.n < 1:  # with no sample the worst gap and slack stay -inf and inf, not JSON
+        raise ValueError("n_samples must be >= 1")
     failures = 0
     worst_gap = -np.inf
     for i in range(args.n):
@@ -194,7 +208,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("measure", help="nested-commutator chirality measures")
     add_state_args(p)
-    p.add_argument("--s", type=float, action="append", default=None,
+    p.add_argument("--s", type=_finite_float, action="append", default=None,
                    help="flow parameter(s) for gamma_s/phi_s (default 0.7)")
     p.set_defaults(fn=_cmd_measure, post=lambda a: setattr(a, "s", a.s or [0.7]))
 

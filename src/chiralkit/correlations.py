@@ -183,13 +183,6 @@ class CQDecomposition:
     probabilities: np.ndarray
     conditional_states: tuple[np.ndarray, ...]
 
-    def reconstruct(self, dims_party: int, dims_rest: int) -> np.ndarray:
-        out = np.zeros((dims_party * dims_rest,) * 2, dtype=complex)
-        for i, (p, cond) in enumerate(zip(self.probabilities, self.conditional_states)):
-            proj = np.outer(self.basis[:, i], self.basis[:, i].conj())
-            out += p * np.kron(proj, cond)
-        return out
-
 
 def _marginal_test(rho: DensityMatrix, group):
     """For one group P: the Frobenius norm of [rho, rho_P (x) I], the

@@ -14,12 +14,8 @@ import numpy as np
 
 from .chirality import _scalar, _validate_bipartition, chiral_log_distance, j2
 from .qmat import DensityMatrix, Partition, bipartition, partial_trace, partial_transpose, pure_state_density
-from .sampling import derive_seed, haar_unitary, random_mixed_state, random_mixed_states
+from .sampling import derive_seed, random_mixed_states
 from .states import purified_chiral_qutrit_qubit
-
-# spec'd sampling surface, re-exported under the names the experiments own
-sample_haar_unitary = haar_unitary
-sample_mixed_state = random_mixed_state
 
 
 def log_negativity(rho: DensityMatrix, split: Partition) -> float:

@@ -12,7 +12,7 @@ from .qmat import DensityMatrix, ShapeMismatchError, require_single
 
 
 class StateFileError(ValueError):
-    """Malformed state-file document (bad JSON or missing fields)."""
+    """Malformed state file (not UTF-8 text, or missing or malformed fields)."""
 
 
 def parse_state_document(doc: dict, atol: float = 1e-8) -> DensityMatrix:
@@ -50,7 +50,10 @@ def parse_state_document(doc: dict, atol: float = 1e-8) -> DensityMatrix:
 
 def parse_state_file(path, atol: float = 1e-8) -> DensityMatrix:
     """Load and validate a state file from disk."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"state file is not UTF-8 text: {exc}") from exc
     doc = json.loads(text)  # json.JSONDecodeError for malformed input
     return parse_state_document(doc, atol=atol)
 

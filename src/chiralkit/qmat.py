@@ -22,8 +22,7 @@ SUPPORT_CUTOFF = 1e-12
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
-# largest hermiticity defect of a raw matrix that eig_hermitian and
-# correlations.qfi accept
+# largest hermiticity defect of a generator that correlations.qfi accepts
 DECOMPOSITION_ATOL = 1e-8
 
 
@@ -82,8 +81,10 @@ class DensityMatrix:
     (..., prod dims, prod dims) stack of such matrices, which makes a stack of
     states on the same subsystems. A state is checked once, where its data
     enters: the constructor checks every member at atol (pass a larger one
-    to accept sloppier input) and keeps a private read-only copy of data, so
-    a later write to the caller's array cannot reach the checked state.
+    to accept sloppier input; a NaN, infinite or negative atol is a plain
+    ValueError, not a failed check) and keeps a private read-only copy of
+    data, so a later write to the caller's array cannot reach the checked
+    state.
     States derived from checked ones or built exactly (_derived) are never
     re-checked, so the atol is not kept. States compare and hash by identity.
     """
@@ -93,6 +94,8 @@ class DensityMatrix:
     atol: InitVar[float] = HERMITICITY_ATOL
 
     def __post_init__(self, atol):
+        if not 0.0 <= atol < np.inf:  # NaN would pass every check, -1 fail every one
+            raise ValueError(f"atol must be finite and non-negative, got {atol}")
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise StateInvariantError(f"subsystem dimensions must be positive, got {dims}")
@@ -130,7 +133,7 @@ class DensityMatrix:
     def eig(self) -> EigenDecomposition:
         """Eigendecomposition of every member, eigenvalues ascending. A state
         is Hermitian by its check or by its construction, so no hermiticity
-        gate runs here (eig_hermitian keeps one for raw matrices)."""
+        gate runs here."""
         return EigenDecomposition(*np.linalg.eigh(hermitize(self.data)))
 
     def rank(self):
@@ -204,26 +207,12 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
-
 
 def require_hermitian(m: np.ndarray) -> None:
     """Raise StateInvariantError unless m is Hermitian within DECOMPOSITION_ATOL."""
     defect = hermiticity_defect(m)
     if defect > DECOMPOSITION_ATOL:
         raise StateInvariantError(f"not Hermitian: max |M - M†| = {defect:.3e} > {DECOMPOSITION_ATOL:.1e}")
-
-
-def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix or a (..., d, d) stack of
-    them, eigenvalues ascending along the last axis; m must pass
-    require_hermitian."""
-    m = np.asarray(m, dtype=complex)
-    require_hermitian(m)
-    evals, evecs = np.linalg.eigh(hermitize(m))
-    return EigenDecomposition(evals, evecs)
 
 
 def _support_mask(p: np.ndarray) -> np.ndarray:
@@ -245,17 +234,6 @@ def matrix_log_on_support(rho: DensityMatrix) -> np.ndarray:
     cutoff SUPPORT_CUTOFF contribute nothing (the kernel projector is simply
     excluded)."""
     return _log_on_support(rho.eig())
-
-
-def imaginary_power(rho: DensityMatrix, s: float) -> np.ndarray:
-    """rho^{is}, acting as the identity on the kernel so the result is
-    unitary; one unitary per member of a stack."""
-    dec = rho.eig()
-    p = np.clip(dec.eigenvalues, 0.0, None)
-    keep = _support_mask(p)
-    phases = np.where(keep, np.exp(1j * s * np.log(np.where(keep, p, 1.0))), 1.0)
-    v = dec.eigenvectors
-    return (v * phases[..., None, :]) @ dagger(v)
 
 
 def tensor_product(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
@@ -302,13 +280,6 @@ def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
     perm += [i if i in part else n + i for i in range(n)]
     tens = tens.transpose(list(range(b)) + [b + i for i in perm])
     return tens.reshape(batch + (rho.dim, rho.dim))
-
-
-def trace_norm(m: np.ndarray):
-    """Sum of singular values of the last two axes: a float for one matrix,
-    one value per member for an (N, d, d) stack."""
-    norms = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum(axis=-1)
-    return float(norms) if norms.ndim == 0 else norms
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -381,40 +352,3 @@ def apply_local(op: np.ndarray, dims, subsystems, m: np.ndarray) -> np.ndarray:
     ob = out.ndim - n - 1
     back = list(range(ob)) + [ob + j for j in np.argsort(order)] + [ob + n]
     return out.transpose(back).reshape(out.shape[:ob] + m.shape[-2:])
-
-
-def embed_operator(op: np.ndarray, dims, subsystems) -> np.ndarray:
-    """Embed an operator acting on the listed subsystems (in that order) into
-    the full space, tensoring identity on the rest; a (..., d_sub, d_sub)
-    stack embeds member by member. The dense form of apply_local, kept as
-    its oracle."""
-    dims = tuple(int(d) for d in dims)
-    subsystems = [int(i) for i in subsystems]
-    n = len(dims)
-    sub_dims = tuple(dims[i] for i in subsystems)
-    ds = int(np.prod(sub_dims))
-    op = np.asarray(op, dtype=complex)
-    if op.shape[-2:] != (ds, ds):
-        raise ShapeMismatchError(f"operator shape {op.shape} does not match subsystems {subsystems}")
-    rest = [i for i in range(n) if i not in subsystems]
-    batch = op.shape[:-2]
-    optens = op.reshape(batch + sub_dims + sub_dims)
-    k = len(subsystems)
-    # einsum indices: operator rows/cols on its subsystems, identity on the rest
-    op_idx = [dims_axis for dims_axis in range(2 * k)]
-    out_row = [0] * n
-    out_col = [0] * n
-    for pos, i in enumerate(subsystems):
-        out_row[i] = op_idx[pos]
-        out_col[i] = op_idx[k + pos]
-    operands = [optens, [Ellipsis] + op_idx]
-    next_idx = 2 * k
-    for i in rest:
-        eye = np.eye(dims[i])
-        operands += [eye, [next_idx, next_idx + 1]]
-        out_row[i] = next_idx
-        out_col[i] = next_idx + 1
-        next_idx += 2
-    full = np.einsum(*operands, [Ellipsis] + out_row + out_col)
-    d = int(np.prod(dims))
-    return full.reshape(batch + (d, d))

@@ -52,17 +52,6 @@ class F2Solution:
     rank: int
     ncols: int
 
-    def all_solutions(self):
-        """Iterate the full affine solution set (2^dim(nullspace) vectors)."""
-        if not self.feasible:
-            return
-        for picks in itertools.product((0, 1), repeat=len(self.nullspace)):
-            v = self.solution
-            for take, basis in zip(picks, self.nullspace):
-                if take:
-                    v ^= basis
-            yield v
-
 
 def f2_solve(system: F2System) -> F2Solution:
     """Gaussian elimination to reduced row echelon form.
@@ -153,10 +142,6 @@ class PauliString:
         z, x = self.basis_masks()
         return _pauli.pauli_matrix(z, x, self.n)
 
-    def factors(self) -> list[np.ndarray]:
-        z, x = self.basis_masks()
-        return _pauli.single_qubit_factors(z, x, self.n)
-
     @staticmethod
     def from_label(label: str) -> "PauliString":
         try:
@@ -207,13 +192,6 @@ class StabilizerGroup:
         z = tuple((self.z_rows[i] >> j) & 1 for j in range(self.n))
         x = tuple((self.x_rows[i] >> j) & 1 for j in range(self.n))
         return PauliString(z, x)
-
-    def to_tableau(self) -> str:
-        lines = []
-        for i in range(self.k):
-            sign = "-" if self.signs[i] else "+"
-            lines.append(sign + self.generator(i).label)
-        return "\n".join(lines)
 
 
 def group_from_labels(labels, signs=None) -> StabilizerGroup:

@@ -1,10 +1,11 @@
-"""Reference states used across the test suites and the CLI examples."""
+"""Reference states of the acceptance criteria: the chiral block states and
+their purification, and the single-qubit magic state."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .qmat import DensityMatrix, pure_state_density
+from .qmat import DensityMatrix
 
 # Qubit states whose pairwise overlaps carry an incompatible phase pattern:
 # <b0|b1> and <b0|b2> are real while <b1|b2> is not, which obstructs any
@@ -14,19 +15,6 @@ _B1 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 _B2 = np.array([1.0, np.sqrt(3.0) * 1j], dtype=complex) / 2.0
 
 CHIRAL_TRIPLE = (_B0, _B1, _B2)
-
-
-def bell_state() -> DensityMatrix:
-    """Two-qubit |00>+|11> projector."""
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1.0 / np.sqrt(2.0)
-    return pure_state_density((2, 2), v)
-
-
-def ghz_vector(n: int = 3) -> np.ndarray:
-    v = np.zeros(2**n, dtype=complex)
-    v[0] = v[-1] = 1.0 / np.sqrt(2.0)
-    return v
 
 
 def t_state_vector() -> np.ndarray:

@@ -18,9 +18,6 @@ from chiralkit.qmat import (
     ShapeMismatchError,
     bipartition,
     conjugate,
-    eig_hermitian,
-    embed_operator,
-    imaginary_power,
     matrix_log_on_support,
     partial_trace,
     pure_state_density,
@@ -34,6 +31,7 @@ from chiralkit.sampling import (
     split_rng,
 )
 from chiralkit.states import chiral_qutrit_qubit, commuting_chiral_qudit_qubit, t_state_vector
+from support import embed_operator, flowed_k, modular_hamiltonians, orbit_overlap
 
 SPLIT = bipartition([0], [1])
 
@@ -52,18 +50,9 @@ def classical_state(seed):
 # --- independent eigenbasis oracles (explicit index sums, no matrix algebra)
 
 
-def modular_hamiltonians(rho, split):
-    """(K_AB, K_A (x) I, I (x) K_B) built densely, independent of modular_set."""
-    ks = [-matrix_log_on_support(rho)]
-    for group in split.groups:
-        k = -matrix_log_on_support(partial_trace(rho, group))
-        ks.append(embed_operator(k, rho.dims, group))
-    return tuple(ks)
-
-
 def _modular_pieces(rho, split):
     k_ab, k_a, k_b = modular_hamiltonians(rho, split)
-    dec = eig_hermitian(rho.data)
+    dec = rho.eig()
     v = dec.eigenvectors
     rot = lambda m: v.conj().T @ m @ v
     return dec.eigenvalues, rot(k_ab), rot(k_a), rot(k_b), rot(rho.data)
@@ -152,8 +141,6 @@ def oracle_phi_s(rho, split, s):
 
 def oracle_modular_commutator(rho, split):
     groups = split.groups
-    from chiralkit.qmat import embed_operator, matrix_log_on_support, partial_trace
-
     kab = embed_operator(
         -matrix_log_on_support(partial_trace(rho, groups[0] + groups[1])),
         rho.dims,
@@ -519,14 +506,14 @@ class TestModularFlow:
     def test_s_zero(self):
         rho = rho_rand((2, 2), 30)
         _, k_a, _ = modular_hamiltonians(rho, SPLIT)
-        kp, km = ch.modular_flowed_k(rho, SPLIT, "A", 0.0)
+        kp, km = flowed_k(rho, SPLIT, "A", 0.0)
         assert np.allclose(kp, k_a, atol=1e-12)
         assert np.max(np.abs(km)) < 1e-12
 
     def test_product_state_flow_is_trivial(self):
         prod = tensor_product(rho_rand((2,), 31), rho_rand((2,), 31, 1))
         _, _, k_b = modular_hamiltonians(prod, SPLIT)
-        kp, km = ch.modular_flowed_k(prod, SPLIT, "B", 1.3)
+        kp, km = flowed_k(prod, SPLIT, "B", 1.3)
         assert np.max(np.abs(kp - k_b)) < 1e-9
         assert np.max(np.abs(km)) < 1e-9
 
@@ -534,24 +521,25 @@ class TestModularFlow:
         rho = rho_rand((2, 2), 32)
         k_ab, k_a, _ = modular_hamiltonians(rho, SPLIT)
         s = 1e-4
-        _, km = ch.modular_flowed_k(rho, SPLIT, "A", s)
+        _, km = flowed_k(rho, SPLIT, "A", s)
         lead = -s * (k_ab @ k_a - k_a @ k_ab)
         assert np.max(np.abs(km - lead)) < 1e-10
 
     def test_phase_form_equals_dense_flow(self):
-        # K_P(s) = u K_P u† with u = exp(i s K_AB) = rho^{-is}
+        # the eigenbasis phase kernels of gamma_s and phi_s against the dense
+        # flow K_P(s) = u K_P u† with u = exp(i s K_AB) = rho^{-is}
         rho = rho_rand((2, 3), 39)
-        _, k_a, _ = modular_hamiltonians(rho, SPLIT)
-        s = 0.9
-        u = imaginary_power(rho, -s)
-        ud = u.conj().T
-        kp, km = ch.modular_flowed_k(rho, SPLIT, "A", s)
-        assert np.max(np.abs(kp - 0.5 * (u @ k_a @ ud + ud @ k_a @ u))) < 1e-12
-        assert np.max(np.abs(km - 0.5j * (u @ k_a @ ud - ud @ k_a @ u))) < 1e-12
+        _, _, k_b = modular_hamiltonians(rho, SPLIT)
+        for s in (0.9, -2.3):
+            kp, km = flowed_k(rho, SPLIT, "A", s)
+            gamma = np.real(1j * np.trace(rho.data @ (kp @ k_b - k_b @ kp)))
+            phi = np.real(1j * np.trace(rho.data @ (km @ k_b + k_b @ km)))
+            assert abs(ch.gamma_s(rho, SPLIT, s) - gamma) < 1e-12
+            assert abs(ch.phi_s(rho, SPLIT, s) - phi) < 1e-12
 
     def test_trace_against_state_vanishes(self):
         rho = rho_rand((2, 3), 33)
-        _, km = ch.modular_flowed_k(rho, SPLIT, "A", 0.9)
+        _, km = flowed_k(rho, SPLIT, "A", 0.9)
         assert abs(np.trace(rho.data @ km)) < 1e-10
 
     def test_gamma_phi_at_zero(self):
@@ -612,7 +600,7 @@ class TestGammaIntegral:
 
         rho = rho_rand((2, 2), 42)
         _, k_a, k_b = modular_hamiltonians(rho, SPLIT)
-        dec = eig_hermitian(rho.data)
+        dec = rho.eig()
         sq = (dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0, None))) @ dec.eigenvectors.conj().T
         c = rho.data @ k_b - k_b @ rho.data
         oracle = np.real(-1j * np.trace(k_a @ sq @ sld_apply(rho, c) @ sq))
@@ -643,7 +631,6 @@ class TestGammaIntegral:
     "name,call",
     [
         ("chiral_log_distance", lambda rho: ch.chiral_log_distance(rho, SPLIT, restarts=1)),
-        ("orbit_overlap", lambda rho: ch.orbit_overlap(rho, SPLIT, [np.eye(2)] * 3)),
         ("measure_report", lambda rho: ch.measure_report(rho, SPLIT)),
     ],
 )
@@ -706,7 +693,7 @@ class TestLogDistanceOptimizer:
         val, res = ch.chiral_log_distance(rho, SPLIT, restarts=8, seed=49)
         assert val >= -1e-12
         assert res.best_fidelity <= 1 + 1e-12
-        recomputed = ch.orbit_overlap(rho, SPLIT, res.unitaries)
+        recomputed = orbit_overlap(rho, SPLIT, res.unitaries)
         assert abs(recomputed - res.overlap) < 1e-9
         assert abs(abs(recomputed) ** 2 - res.best_fidelity) < 1e-9
 
@@ -823,7 +810,7 @@ class TestOrbitKernel:
         assert abs(fid.max() - long_fid.max()) <= 1e-10
         assert fid.max() >= oracle_orbit_overlap(base, inits, 1000, tol, target)[0].max() - 1e-12
         assert max(unitarity_defect(u) for u in us) <= 1e-12
-        assert abs(abs(ch.orbit_overlap(rho, part, res.unitaries)) ** 2 - res.best_fidelity) <= 1e-12
+        assert abs(abs(orbit_overlap(rho, part, res.unitaries)) ** 2 - res.best_fidelity) <= 1e-12
 
     def test_best_restart_is_lowest_index_among_ties(self):
         # a real state starts at fidelity 1 from I and from e^{i phi} I; the
@@ -836,7 +823,7 @@ class TestOrbitKernel:
             fid, overlaps, _, _, _, _, best = ch.alternating_orbit_overlap(base, starts, 0, 1e-12)
             assert abs(fid[1] - fid[0]) <= ch.BEST_RESTART_TIE and fid.max() == pytest.approx(1.0, abs=1e-14)
             assert best == 0
-            assert overlaps[best] == ch.orbit_overlap(rho, SPLIT, [s[0] for s in starts])
+            assert overlaps[best] == orbit_overlap(rho, SPLIT, [s[0] for s in starts])
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-10])
     @pytest.mark.parametrize("name", ["mixed0", "mixed6", "pure3q1", "C10"])

@@ -11,7 +11,8 @@ from chiralkit.cli import main
 from chiralkit.io import StateFileError, parse_state_document, parse_state_file, write_state_file
 from chiralkit.qmat import DensityMatrix, pure_state_density
 from chiralkit.sampling import random_mixed_state, random_pure_state, split_rng
-from chiralkit.states import bell_state, chiral_qutrit_qubit, commuting_chiral_qudit_qubit
+from chiralkit.states import chiral_qutrit_qubit, commuting_chiral_qudit_qubit
+from support import bell_state
 
 
 @pytest.fixture()
@@ -63,6 +64,14 @@ class TestStateFileErrors:
         path = tmp_path / "inv.json"
         path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix}))
         assert main(["measure", "--state", str(path), "--split", "0|1"]) == 4
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["measure", "--state", str(bad), "--split", "0|1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unreadable input: state file is not UTF-8 text:")
 
     def test_unknown_flag_exit_64(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -154,6 +163,21 @@ class TestStateTolerance:
         assert json.loads(capsys.readouterr().out)["nonchirality"]["condition"] == 3
 
     @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("atol", ["nan", "inf", "-1"])
+    def test_bad_atol_is_a_usage_error(self, tmp_path, capsys, command, atol):
+        # NaN would pass every check and -1 fail every one: a state that is
+        # neither Hermitian nor of unit trace, one with a negative
+        # eigenvalue, and an exact state are all refused for the atol alone
+        states = (np.array([[0.9, 0.7], [0.1, 0.3]]), np.diag([2.0, -1.0]), np.eye(2) / 2)
+        for k, m in enumerate(states):
+            path = _write_matrix(tmp_path / f"s{k}.json", (2,), m.astype(complex))
+            split = "0" if command == "logdist" else "0|1"
+            assert main([command, "--state", path, "--split", split, "--atol", atol]) == 64
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: atol must be finite and non-negative, got {float(atol)}\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_hermiticity_defect_rejected_at_parse(self, skew_file, capsys, command):
         assert main([command, "--state", skew_file, "--split", "0|1"]) == 4
         assert capsys.readouterr().err == "error: state invariant violated: not Hermitian: max |M - M†| = 1.000e-07\n"
@@ -237,6 +261,16 @@ class TestMeasureCommand:
         assert main(args) == 0
         assert {"gamma_s[0.7]", "phi_s[0.7]"} <= set(json.loads(capsys.readouterr().out)["measures"])
 
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+    def test_non_finite_flow_parameter_is_a_usage_error(self, example_file, capsys, s):
+        # gamma_s and phi_s at a non-finite s are NaN, which JSON cannot hold
+        with pytest.raises(SystemExit) as info:
+            main(["measure", "--state", example_file, "--split", "0|1", "--s", "0.3", f"--s={s}"])
+        assert info.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --s: must be finite, got {s!r}\n")
 
     def test_d1024_classical_quantum_state(self, tmp_path, capsys):
         # (32, 32) block state sum_a p_a |a><a| (x) sigma_a: K_A commutes with
@@ -410,6 +444,16 @@ class TestBoundsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["violations"] == 0
         assert doc["magic_bounds_worst_excess"]["value"] <= 1e-7
+
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_no_samples_is_a_usage_error(self, capsys, n):
+        # with no sample the worst excess and slack stay -inf and inf, which
+        # printed as -Infinity and Infinity, not JSON
+        assert main(["bounds", "--n", n]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_samples must be >= 1\n"
 
 
 class TestScanCommand:

@@ -17,43 +17,40 @@ from chiralkit.sampling import (
     split_normals,
     split_rng,
 )
-from chiralkit.states import bell_state, chiral_qutrit_qubit
+from chiralkit.states import chiral_qutrit_qubit
+from support import bell_state
 
 SPLIT = bipartition([0], [1])
 
 
 class TestHaarUnitary:
-    def test_experiment_names_alias_the_samplers(self):
-        assert ex.sample_haar_unitary is haar_unitary
-        assert ex.sample_mixed_state is random_mixed_state
-
     def test_unitarity_and_columns(self):
         rng = split_rng(110, 0)
         for d in (1, 2, 4, 6):
-            u = ex.sample_haar_unitary(d, rng)
+            u = haar_unitary(d, rng)
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-10
             assert np.allclose(np.linalg.norm(u, axis=0), 1, atol=1e-10)
 
     def test_d1_is_a_phase(self):
         rng = split_rng(111, 0)
-        u = ex.sample_haar_unitary(1, rng)
+        u = haar_unitary(1, rng)
         assert abs(abs(u[0, 0]) - 1) < 1e-12
 
     def test_first_entry_moment(self):
         # E|U_11|^2 = 1/d for the invariant measure; |U_11|^2 ~ Beta(1, d-1)
         rng = split_rng(112, 0)
         d, n = 2, 10_000
-        vals = np.array([abs(ex.sample_haar_unitary(d, rng)[0, 0]) ** 2 for _ in range(n)])
+        vals = np.array([abs(haar_unitary(d, rng)[0, 0]) ** 2 for _ in range(n)])
         sigma = np.sqrt((d - 1) / (d**2 * (d + 1)) / n)
         assert abs(vals.mean() - 1 / d) < 3 * sigma
 
     def test_left_invariance_statistic(self):
         # distribution of |(<0| V U |0>)|^2 matches |<0|U|0>|^2 for fixed V
         rng = split_rng(113, 0)
-        v = ex.sample_haar_unitary(3, rng)
+        v = haar_unitary(3, rng)
         base, rotated = [], []
         for i in range(2000):
-            u = ex.sample_haar_unitary(3, split_rng(113, 10 + i))
+            u = haar_unitary(3, split_rng(113, 10 + i))
             base.append(abs(u[0, 0]) ** 2)
             rotated.append(abs((v @ u)[0, 0]) ** 2)
         assert abs(np.mean(base) - np.mean(rotated)) < 4 * np.std(base) / np.sqrt(2000)
@@ -78,7 +75,7 @@ class TestHaarUnitary:
 class TestMixedStateSampler:
     def test_valid_state_and_spectrum(self):
         rng = split_rng(114, 0)
-        rho = ex.sample_mixed_state((2, 2), rng)
+        rho = random_mixed_state((2, 2), rng)
         assert abs(np.trace(rho.data) - 1) < 1e-12
         # eigenvalues reproduce the simplex draw of a twin generator
         twin = split_rng(114, 0)
@@ -137,7 +134,7 @@ class TestScan:
         rows, _ = ex.run_chirality_entanglement_scan(200, 321)
         for r in rows:
             rng = np.random.Generator(np.random.Philox(key=r.seed))
-            rho = ex.sample_mixed_state((2, 2), rng)
+            rho = random_mixed_state((2, 2), rng)
             min_pt = np.linalg.eigvalsh(partial_transpose(rho, [1]))[0]
             if r.e_n > 1e-10:
                 assert min_pt < 1e-10
@@ -161,7 +158,7 @@ class TestScan:
         u = np.kron(haar_unitary(2, split_rng(130, 0)), haar_unitary(2, split_rng(130, 1)))
         base, rotated = np.empty(n), np.empty(n)
         for i in range(n):
-            rho = ex.sample_mixed_state((2, 2), split_rng(131, i))
+            rho = random_mixed_state((2, 2), split_rng(131, i))
             base[i] = abs(j2(rho, SPLIT))
             rot = DensityMatrix((2, 2), u @ rho.data @ u.conj().T)
             rotated[i] = abs(j2(rot, SPLIT))

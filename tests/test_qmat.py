@@ -14,16 +14,12 @@ from chiralkit.qmat import (
     apply_local,
     check_density,
     conjugate,
-    eig_hermitian,
-    embed_operator,
-    imaginary_power,
     matrix_log_on_support,
     partial_trace,
     partial_transpose,
     pure_state_density,
     purify,
     tensor_product,
-    trace_norm,
     uhlmann_fidelity,
 )
 from chiralkit.io import state_document
@@ -35,7 +31,8 @@ from chiralkit.sampling import (
     split_rng,
 )
 from chiralkit.stabilizer import random_stabilizer_group, stabilizer_state
-from chiralkit.states import bell_state, chiral_qutrit_qubit, purified_chiral_qutrit_qubit
+from chiralkit.states import chiral_qutrit_qubit, purified_chiral_qutrit_qubit
+from support import bell_state, embed_operator, imaginary_power
 
 Y = np.array([[0, -1j], [1j, 0]])
 X = np.array([[0, 1], [1, 0]])
@@ -46,31 +43,38 @@ def rho_rand(dims, seed, stream=0):
     return random_mixed_state(dims, split_rng(seed, stream))
 
 
+def reconstruct(dec):
+    """V diag(p) V†, member by member."""
+    v = dec.eigenvectors
+    return (v * dec.eigenvalues[..., None, :]) @ v.swapaxes(-1, -2).conj()
+
+
 class TestEig:
     def test_identity(self):
-        dec = eig_hermitian(np.eye(2))
-        assert np.allclose(dec.eigenvalues, [1, 1])
+        dec = DensityMatrix((2,), np.eye(2) / 2).eig()
+        assert np.allclose(dec.eigenvalues, [0.5, 0.5])
         assert np.allclose(dec.eigenvectors.conj().T @ dec.eigenvectors, np.eye(2))
 
     def test_pauli_z(self):
-        dec = eig_hermitian(Z)
-        assert np.allclose(dec.eigenvalues, [-1, 1])
+        # (I + Z/2)/2, eigenvalues ascending
+        dec = DensityMatrix((2,), (np.eye(2) + Z / 2) / 2).eig()
+        assert np.allclose(dec.eigenvalues, [0.25, 0.75])
 
     def test_half_identity_plus_y(self):
         # closed form: eigenvalues of (I+Y)/2 are (1 +- 1)/2
-        dec = eig_hermitian((np.eye(2) + Y) / 2)
+        dec = DensityMatrix((2,), (np.eye(2) + Y) / 2).eig()
         assert np.allclose(dec.eigenvalues, [0, 1], atol=1e-12)
 
     def test_reconstruction_and_determinism(self):
-        m = rho_rand((2, 3), 1).data
-        d1 = eig_hermitian(m)
-        d2 = eig_hermitian(m)
+        rho = rho_rand((2, 3), 1)
+        d1, d2 = rho.eig(), rho.eig()
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
-        assert np.linalg.norm(d1.reconstruct() - m) < 1e-9 * np.linalg.norm(m)
+        assert np.linalg.norm(reconstruct(d1) - rho.data) < 1e-9 * np.linalg.norm(rho.data)
 
     def test_rejects_non_hermitian(self):
+        # the gate qfi puts on a generator
         with pytest.raises(StateInvariantError, match="not Hermitian"):
-            eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+            qmat.require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestLogOnSupport:
@@ -89,12 +93,15 @@ class TestLogOnSupport:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_exp_round_trip(self, dims):
         rho = rho_rand(dims, 2, dims[1])
-        dec = eig_hermitian(matrix_log_on_support(rho))
-        back = (dec.eigenvectors * np.exp(dec.eigenvalues)) @ dec.eigenvectors.conj().T
+        evals, evecs = np.linalg.eigh(matrix_log_on_support(rho))
+        back = (evecs * np.exp(evals)) @ evecs.conj().T
         assert np.linalg.norm(back - rho.data) < 1e-9
 
 
 class TestImaginaryPower:
+    """The oracle of the flow kernels (support.imaginary_power) checked on
+    its own."""
+
     def test_s_zero(self):
         rho = rho_rand((2, 2), 3)
         assert np.allclose(imaginary_power(rho, 0.0), np.eye(4))
@@ -202,29 +209,10 @@ class TestPartialTranspose:
 
 
 class TestTraceNorm:
-    def test_identity_and_pauli(self):
-        assert trace_norm(np.eye(4)) == pytest.approx(4.0)
-        assert trace_norm(X) == pytest.approx(2.0)
-
-    def test_against_singular_value_oracle(self):
-        rng = split_rng(9, 0)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        oracle = np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(m.conj().T @ m), 0, None)))
-        assert trace_norm(m) == pytest.approx(oracle, abs=1e-10)
-
-    def test_stack_gives_one_value_per_member(self):
-        rng = split_rng(9, 1)
-        stack = rng.standard_normal((8, 5, 5)) + 1j * rng.standard_normal((8, 5, 5))
-        norms = trace_norm(stack)
-        assert norms.shape == (8,)
-        for value, member in zip(norms, stack):
-            assert value == pytest.approx(trace_norm(member), abs=1e-12)
-            assert isinstance(trace_norm(member), float)
-
     def test_partial_transpose_trace_norm_at_least_one(self):
         for i in range(20):
             rho = rho_rand((2, 2), 10, i)
-            assert trace_norm(partial_transpose(rho, [1])) >= 1 - 1e-12
+            assert np.linalg.norm(partial_transpose(rho, [1]), "nuc") >= 1 - 1e-12
 
 
 class TestFidelity:
@@ -310,6 +298,7 @@ class TestConjugate:
 
 
 class TestEmbedAndPartition:
+    # the dense oracle of apply_local (support.embed_operator) checked on its own
     def test_embed_single_site(self):
         e = embed_operator(X, (2, 3), [0])
         assert np.allclose(e, np.kron(X, np.eye(3)))
@@ -427,10 +416,10 @@ class TestDensityMatrixInvariants:
         # axis would run without an error
         members = [rho_rand((2,), 18, i) for i in range(2)]
         stack = DensityMatrix((2,), np.stack([m.data for m in members]))
-        dec = eig_hermitian(stack.data)
+        dec = stack.eig()
         u = imaginary_power(stack, 0.3)
         for i, m in enumerate(members):
-            assert np.array_equal(dec.reconstruct()[i], eig_hermitian(m.data).reconstruct())
+            assert np.array_equal(reconstruct(dec)[i], reconstruct(m.eig()))
             assert np.array_equal(u[i], imaginary_power(m, 0.3))
 
     @pytest.mark.parametrize(
@@ -459,6 +448,15 @@ class TestDensityMatrixInvariants:
         good = rho_rand((2, 2), 18).data
         with pytest.raises(StateInvariantError, match=r"non-finite entry .* at index \(2, 1, 1\)"):
             DensityMatrix((2, 2), np.stack([good, good, m]))
+
+    @pytest.mark.parametrize("atol", [np.nan, np.inf, -1.0])
+    def test_bad_atol_is_a_value_error(self, atol):
+        # not a failed check: NaN would pass every check and -1 fail every one
+        for m in (np.eye(2) / 2, np.diag([2.0, -1.0])):
+            with pytest.raises(ValueError, match="atol must be finite and non-negative") as info:
+                DensityMatrix((2,), m, atol=atol)
+            assert not isinstance(info.value, StateInvariantError)
+        assert np.array_equal(DensityMatrix((2,), np.eye(2) / 2, atol=0.0).data, np.eye(2) / 2)
 
     def test_atol_is_not_kept(self):
         rho = DensityMatrix((2,), np.eye(2) / 2, atol=1e-6)

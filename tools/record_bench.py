@@ -24,7 +24,8 @@ mixed tableau (each written once, so both sides print the same path),
 with one same/different flag per command and state or tableau, and one
 flag per selftest criterion saying whether its verdict and detail are the
 same, seconds excluded (so the file shows whether the CLI bytes or a
-criterion's figures moved), and counts the lines of `src/`.
+criterion's figures moved), and counts the Python lines of `src/` and of
+`tests/` (so a file shows code moved from one to the other).
 Runs are sequential, so nothing else competes for the CPUs while one is
 timed.
 """
@@ -140,8 +141,8 @@ def _cli_stdout(checkout: Path, command: str) -> dict:
             for name in CLI_STATES}
 
 
-def _src_lines(checkout: Path) -> int:
-    return sum(len(p.read_text().splitlines()) for p in sorted((checkout / "src").rglob("*.py")))
+def _lines(checkout: Path, tree: str) -> int:
+    return sum(len(p.read_text().splitlines()) for p in sorted((checkout / tree).rglob("*.py")))
 
 
 def _machine(info_line: str) -> dict:
@@ -221,7 +222,8 @@ def main(argv=None) -> int:
     doc["scan_stdout_same"] = scan["parent"] == scan["change"]
     doc["stabilizer_stdout"] = tableaux
     doc["stabilizer_stdout_same"] = {name: tableaux["parent"][name] == tableaux["change"][name] for name in TABLEAUX}
-    doc["src_lines"] = {side: _src_lines(dirs[side]) for side in SIDES}
+    for tree in ("src", "tests"):
+        doc[f"{tree}_lines"] = {side: _lines(dirs[side], tree) for side in SIDES}
     doc["machine"] = _machine(info)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
