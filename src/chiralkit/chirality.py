@@ -21,6 +21,7 @@ import numpy as np
 from . import _pauli
 from .qmat import (
     DensityMatrix,
+    EigenDecomposition,
     Partition,
     _log_on_support,
     _support_mask,
@@ -68,15 +69,6 @@ def _sum2(x: np.ndarray) -> np.ndarray:
     return np.sum(x, axis=(-2, -1))
 
 
-def _party_index(party) -> int:
-    if party in (0, 1):
-        return int(party)
-    name = str(party).upper()
-    if name in ("A", "B"):
-        return 0 if name == "A" else 1
-    raise ValueError(f"party must be 'A', 'B', 0 or 1, got {party!r}")
-
-
 @dataclass(frozen=True)
 class ModularSet:
     """A bipartite state in its own eigenbasis, the one spectral form that
@@ -86,8 +78,10 @@ class ModularSet:
     eigenvectors the matching columns V. kappa is -log p on the support and 0
     on the kernel, so the joint modular Hamiltonian is K_AB = V diag(kappa) V†
     and the modular flow acts on eigenbasis entry (i, j) as the phase
-    exp(i s (kappa_i - kappa_j)). marginal_k holds -log(rho_A) and
-    -log(rho_B) on their own factors, groups the subsystems each acts on.
+    exp(i s (kappa_i - kappa_j)). marginals holds the reduced states rho_A
+    and rho_B, marginal_decs their eigendecompositions and marginal_k
+    -log(rho_A) and -log(rho_B) on their own factors, groups the subsystems
+    each acts on.
     k_a_eigbasis and k_b_eigbasis are those Hamiltonians tensored with the
     identity and rotated into the eigenbasis (V† K V), each formed when it is
     first read, so a measure that needs one party never rotates the other.
@@ -95,8 +89,8 @@ class ModularSet:
     measures contracted from it return one value per member. Every array is
     read-only, as modular_set hands the same set to consecutive calls.
     scalars holds, from their first read through kept, the values that more
-    than one measure reads: gamma, and each party's intrinsic IP and
-    log-moment.
+    than one measure or verdict reads: gamma, each party's intrinsic IP and
+    log-moment, and each group's marginal test.
     """
 
     p: np.ndarray
@@ -104,11 +98,14 @@ class ModularSet:
     eigenvectors: np.ndarray
     dims: tuple[int, ...]
     groups: tuple[tuple[int, ...], tuple[int, ...]]
+    marginals: tuple[DensityMatrix, DensityMatrix]
+    marginal_decs: tuple[EigenDecomposition, EigenDecomposition]
     marginal_k: tuple[np.ndarray, np.ndarray]
     scalars: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        for a in (self.p, self.kappa, self.eigenvectors, *self.marginal_k):
+        decs = [a for d in self.marginal_decs for a in (d.eigenvalues, d.eigenvectors)]
+        for a in (self.p, self.kappa, self.eigenvectors, *decs, *self.marginal_k):
             a.flags.writeable = False
 
     def _rotated(self, party: int) -> np.ndarray:
@@ -125,10 +122,6 @@ class ModularSet:
     @cached_property
     def k_b_eigbasis(self) -> np.ndarray:
         return self._rotated(1)
-
-    def k_eigbasis(self, party) -> np.ndarray:
-        """The rotated marginal modular Hamiltonian of party A/0 or B/1."""
-        return self.k_b_eigbasis if _party_index(party) else self.k_a_eigbasis
 
     def kept(self, key, compute):
         """scalars[key], from compute() on the first read; the values of a
@@ -163,23 +156,19 @@ def modular_set(rho: DensityMatrix, split: Partition) -> ModularSet:
     The set of the latest call is held: a call on the same DensityMatrix
     object with equal split groups returns it, rotations included. Any other
     call releases it before it decomposes rho."""
+    global _held
     _validate_bipartition(split, rho.nsub)
     if _held is not None and _held[0] is rho and _held[1] == split.groups:
         return _held[2]
-    return _hold_modular_set(rho, split, [partial_trace(rho, group).eig() for group in split.groups])
-
-
-def _hold_modular_set(rho: DensityMatrix, split: Partition, marginal_decs) -> ModularSet:
-    """Release the held set, then build and hold the modular set of rho from
-    marginal_decs, the eigendecompositions of the groups' reduced states."""
-    global _held
     _held = None
+    marginals = tuple(partial_trace(rho, group) for group in split.groups)
+    decs = tuple(m.eig() for m in marginals)
     dec = rho.eig()
     p = np.clip(dec.eigenvalues, 0.0, None)
     keep = _support_mask(p)
     kappa = np.where(keep, -np.log(np.where(keep, p, 1.0)), 0.0)
-    marginal_k = tuple(-_log_on_support(d) for d in marginal_decs)
-    ms = ModularSet(p, kappa, dec.eigenvectors, rho.dims, split.groups, marginal_k)
+    marginal_k = tuple(-_log_on_support(d) for d in decs)
+    ms = ModularSet(p, kappa, dec.eigenvectors, rho.dims, split.groups, marginals, decs, marginal_k)
     _held = (rho, split.groups, ms)
     return ms
 
@@ -202,36 +191,6 @@ def _contract(ms: ModularSet, w: np.ndarray, label: str):
     return _real_part(1j * _sum2(w * ms.k_a_eigbasis * kb_t), label)
 
 
-def _j2(ms: ModularSet) -> float:
-    return _contract(ms, _minus(ms.kappa) * _plus(ms.p), "J2")
-
-
-def _j3(ms: ModularSet) -> float:
-    return _contract(ms, _minus(ms.kappa) ** 2 * _minus(ms.p), "J3")
-
-
-def _j3_prime(ms: ModularSet) -> float:
-    # i Tr(rho [Y, K_B]) = i sum_ij (p_i - p_j) Y_ij (K_B)_ji with
-    # Y = [X, K_B], X = [K_AB, K_B] and K_AB = diag(kappa) in this basis;
-    # X is anti-Hermitian, so Y = X K_B + (X K_B)†
-    kb = ms.k_b_eigbasis
-    xk = (_minus(ms.kappa) * kb) @ kb
-    y = xk + dagger(xk)
-    return _real_part(1j * _sum2(_minus(ms.p) * y * np.swapaxes(kb, -1, -2)), "J3'")
-
-
-def _gamma_s(ms: ModularSet, s: float) -> float:
-    return _contract(ms, np.cos(s * _minus(ms.kappa)) * _minus(ms.p), f"gamma_s(s={s})")
-
-
-def _phi_s(ms: ModularSet, s: float) -> float:
-    return _contract(ms, -np.sin(s * _minus(ms.kappa)) * _plus(ms.p), f"phi_s(s={s})")
-
-
-def _gamma(ms: ModularSet):
-    return ms.kept("gamma", lambda: _gamma_contraction(ms))
-
-
 def _gamma_contraction(ms: ModularSet):
     p = ms.p
     if not _support_mask(p)[..., 0].all():
@@ -247,33 +206,44 @@ def _gamma_contraction(ms: ModularSet):
 def j2(rho: DensityMatrix, split: Partition) -> float:
     """i Tr(rho {[K_AB, K_A], K_B}): the lowest-degree additive odd measure.
     Eigenbasis kernel (kappa_i - kappa_j)(p_i + p_j)."""
-    return _j2(modular_set(rho, split))
+    ms = modular_set(rho, split)
+    return _contract(ms, _minus(ms.kappa) * _plus(ms.p), "J2")
 
 
 def j3(rho: DensityMatrix, split: Partition) -> float:
     """i Tr(rho [[K_AB, [K_AB, K_A]], K_B]).
     Eigenbasis kernel (kappa_i - kappa_j)^2 (p_i - p_j)."""
-    return _j3(modular_set(rho, split))
+    ms = modular_set(rho, split)
+    return _contract(ms, _minus(ms.kappa) ** 2 * _minus(ms.p), "J3")
 
 
 def j3_prime(rho: DensityMatrix, split: Partition) -> float:
     """i Tr(rho [[[K_AB, K_B], K_B], K_B]): not symmetric under swapping the
     two groups, which lets it see states the symmetric measures miss."""
-    return _j3_prime(modular_set(rho, split))
+    # i Tr(rho [Y, K_B]) = i sum_ij (p_i - p_j) Y_ij (K_B)_ji with
+    # Y = [X, K_B], X = [K_AB, K_B] and K_AB = diag(kappa) in the eigenbasis;
+    # X is anti-Hermitian, so Y = X K_B + (X K_B)†
+    ms = modular_set(rho, split)
+    kb = ms.k_b_eigbasis
+    xk = (_minus(ms.kappa) * kb) @ kb
+    y = xk + dagger(xk)
+    return _real_part(1j * _sum2(_minus(ms.p) * y * np.swapaxes(kb, -1, -2)), "J3'")
 
 
 def gamma_s(rho: DensityMatrix, split: Partition, s: float) -> float:
     """i Tr(rho [K_plus_A(s), K_B]), the even-flow nested-commutator measure,
     with K_plus = (K_A(s) + K_A(-s))/2 and K_A(s) = e^{is K_AB} K_A e^{-is K_AB}.
     Eigenbasis kernel cos(s (kappa_i - kappa_j)) (p_i - p_j)."""
-    return _gamma_s(modular_set(rho, split), s)
+    ms = modular_set(rho, split)
+    return _contract(ms, np.cos(s * _minus(ms.kappa)) * _minus(ms.p), f"gamma_s(s={s})")
 
 
 def phi_s(rho: DensityMatrix, split: Partition, s: float) -> float:
     """i Tr(rho {K_minus_A(s), K_B}), the odd-flow anticommutator measure,
     with K_minus = i (K_A(s) - K_A(-s))/2.
     Eigenbasis kernel -sin(s (kappa_i - kappa_j)) (p_i + p_j)."""
-    return _phi_s(modular_set(rho, split), s)
+    ms = modular_set(rho, split)
+    return _contract(ms, -np.sin(s * _minus(ms.kappa)) * _plus(ms.p), f"phi_s(s={s})")
 
 
 def gamma_s_second_difference(rho: DensityMatrix, split: Partition, step: float = 1e-3) -> float:
@@ -304,9 +274,10 @@ def gamma_integral(rho: DensityMatrix, split: Partition) -> float:
     delta_ij = log p_i - log p_j the integral is the eigenbasis contraction
     with kernel 2 sqrt(p_i p_j) (p_i - p_j) / (p_i + p_j): a closed form with
     no truncation. Requires a full-rank state (the integrand involves the
-    full modular flow).
+    full modular flow). The value is kept on the modular set.
     """
-    return _gamma(modular_set(rho, split))
+    ms = modular_set(rho, split)
+    return ms.kept("gamma", lambda: _gamma_contraction(ms))
 
 
 def modular_commutator(rho: DensityMatrix, split: Partition) -> float:
@@ -820,6 +791,8 @@ def chiral_log_distance(
     partition.validate(rho.nsub)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     base, party_dims = _fused_purification(rho, partition)
 
     extras = []
@@ -912,22 +885,21 @@ class MeasureReport:
 
 def measure_report(rho: DensityMatrix, split: Partition, s_values=(0.7,)) -> MeasureReport:
     """All nested-commutator measures of a bipartite state in one report,
-    every one contracted from a single modular_set.
+    each from its public function, which all read one held modular_set.
 
     The flow-integrated measure is skipped (with a note) when the state is
     rank-deficient.
     """
     require_single(rho, "measure_report")
-    ms = modular_set(rho, split)
-    entries: dict[str, float] = {"J2": _j2(ms), "J3": _j3(ms), "J3_prime": _j3_prime(ms)}
+    entries = {"J2": j2(rho, split), "J3": j3(rho, split), "J3_prime": j3_prime(rho, split)}
     for s in s_values:
         # the short form names s when it reads back as s; repr always does
         name = f"{s:g}" if float(f"{s:g}") == s else repr(s)
-        entries[f"gamma_s[{name}]"] = _gamma_s(ms, s)
-        entries[f"phi_s[{name}]"] = _phi_s(ms, s)
+        entries[f"gamma_s[{name}]"] = gamma_s(rho, split, s)
+        entries[f"phi_s[{name}]"] = phi_s(rho, split, s)
     notes: dict[str, str] = {}
     try:
-        entries["gamma"] = _gamma(ms)
+        entries["gamma"] = gamma_integral(rho, split)
     except ValueError as exc:
         notes["gamma"] = str(exc)
     tolerances = {k: IMAG_RESIDUE_TOL for k in entries}

@@ -21,7 +21,7 @@ from . import correlations as co
 from . import experiments as ex
 from . import selftest
 from . import stabilizer as st
-from .io import StateFileError, parse_state_file
+from .io import StateFileError, parse_state_file, read_utf8
 from .qmat import Partition, ShapeMismatchError, StateInvariantError
 from .sampling import random_mixed_state, random_pure_state, split_rng
 
@@ -103,8 +103,7 @@ def _state_fingerprint(matrix: np.ndarray) -> str:
 
 
 def _cmd_stabilizer(args) -> int:
-    text = Path(args.tableau).read_text()
-    group = st.parse_tableau(text)
+    group = st.parse_tableau(read_utf8(args.tableau, "tableau"))
     rho = st.stabilizer_state(group)
     solutions = st.conjugation_pauli_set(group)
     doc = {
@@ -129,7 +128,8 @@ def _cmd_stabilizer(args) -> int:
 def _cmd_qfi(args) -> int:
     rho = parse_state_file(args.state, atol=args.atol)
     split = Partition.parse(args.split)
-    (dec, reason), verdict = co._shared_verdicts(rho, split, args.party)
+    dec, reason = co.is_classical_quantum(rho, split, args.party)
+    verdict = co.noncommutativity_verdict(rho, split)
     _emit(
         {
             "state": args.state,

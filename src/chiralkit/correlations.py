@@ -12,8 +12,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .chirality import _gamma, _hold_modular_set, _minus, _party_index, _plus, _scalar, _sum2, modular_set
-from .chirality import _validate_bipartition
+from .chirality import _minus, _plus, _scalar, _sum2, gamma_integral, modular_set
 from .qmat import (
     DensityMatrix,
     Partition,
@@ -151,6 +150,15 @@ def qfi(rho: DensityMatrix, ham: np.ndarray) -> float:
     return _qfi_eigbasis(np.clip(dec.eigenvalues, 0.0, None), np.abs(v.conj().T @ ham @ v) ** 2)
 
 
+def _party_index(party) -> int:
+    if party in (0, 1):
+        return int(party)
+    name = str(party).upper()
+    if name in ("A", "B"):
+        return 0 if name == "A" else 1
+    raise ValueError(f"party must be 'A', 'B', 0 or 1, got {party!r}")
+
+
 def intrinsic_ip(rho: DensityMatrix, split: Partition, party) -> float:
     """QFI with the chosen party's marginal modular Hamiltonian as generator.
 
@@ -168,7 +176,7 @@ def _party_scalars(ms, party) -> tuple:
     i = _party_index(party)
 
     def compute():
-        h2 = np.abs(ms.k_eigbasis(i)) ** 2
+        h2 = np.abs(ms.k_b_eigbasis if i else ms.k_a_eigbasis) ** 2
         return _qfi_eigbasis(ms.p, h2), _scalar(_sum2(ms.p[..., :, None] * h2))
 
     return ms.kept(("party", i), compute)
@@ -184,19 +192,24 @@ class CQDecomposition:
     conditional_states: tuple[np.ndarray, ...]
 
 
-def _marginal_test(rho: DensityMatrix, group):
-    """For one group P: the Frobenius norm of [rho, rho_P (x) I], the
-    eigendecomposition of rho_P and its smallest eigenvalue gap (inf for a
-    one-level P). rho commutes with the marginal when the norm is at most
-    COMMUTATOR_TOL; the marginal is degenerate when the gap is below GAP_TOL."""
-    marg = partial_trace(rho, group)
-    dec = marg.eig()
-    # rho (rho_P (x) I) = ((rho_P (x) I) rho†)† for the Hermitian rho_P
-    left = apply_local(marg.data, rho.dims, group, rho.data)
-    right = dagger(apply_local(marg.data, rho.dims, group, dagger(rho.data)))
-    comm = float(np.linalg.norm(left - right))
-    gaps = np.diff(dec.eigenvalues)
-    return comm, dec, float(gaps.min()) if gaps.size else np.inf
+def _marginal_test(rho: DensityMatrix, split: Partition, party):
+    """For the group P of party: the Frobenius norm of [rho, rho_P (x) I],
+    the eigendecomposition of rho_P and its smallest eigenvalue gap (inf for
+    a one-level P), read from and kept on rho's modular set. rho commutes
+    with the marginal when the norm is at most COMMUTATOR_TOL; the marginal
+    is degenerate when the gap is below GAP_TOL."""
+    ms = modular_set(rho, split)
+    i = _party_index(party)
+
+    def compute():
+        marg, dec, group = ms.marginals[i].data, ms.marginal_decs[i], ms.groups[i]
+        # rho (rho_P (x) I) = ((rho_P (x) I) rho†)† for the Hermitian rho_P
+        left = apply_local(marg, rho.dims, group, rho.data)
+        right = dagger(apply_local(marg, rho.dims, group, dagger(rho.data)))
+        gaps = np.diff(dec.eigenvalues)
+        return float(np.linalg.norm(left - right)), dec, float(gaps.min()) if gaps.size else np.inf
+
+    return ms.kept(("test", i), compute)
 
 
 def is_classical_quantum(rho: DensityMatrix, split: Partition, party) -> tuple[CQDecomposition | None, str]:
@@ -208,19 +221,13 @@ def is_classical_quantum(rho: DensityMatrix, split: Partition, party) -> tuple[C
     reported as undecided, since the blocks are then basis-dependent.
     """
     require_single(rho, "is_classical_quantum")
-    split.validate(rho.nsub)
-    group = split.groups[_party_index(party)]
-    return _classical_quantum(rho, group, _marginal_test(rho, group))
-
-
-def _classical_quantum(rho: DensityMatrix, group, test) -> tuple[CQDecomposition | None, str]:
-    """is_classical_quantum for one group, given its _marginal_test."""
-    comm, dec, gap = test
+    comm, dec, gap = _marginal_test(rho, split, party)
     if comm > COMMUTATOR_TOL:
         return None, f"noncommuting ([rho, rho_party] Frobenius norm {comm:.3e})"
     if gap < GAP_TOL:
         return None, f"degenerate marginal (min eigenvalue gap {gap:.3e}); undecided"
     # rotate the party into its marginal eigenbasis and read off the blocks
+    group = split.groups[_party_index(party)]
     d_p = dec.eigenvalues.size
     d_r = rho.dim // d_p
     # U† rho U = (U† (U† rho)†)† with U the party's eigenvectors (x) I
@@ -293,26 +300,7 @@ def noncommutativity_verdict(rho: DensityMatrix, split: Partition) -> Noncommuta
     Everything else, including any nonvanishing commutator, is undecided.
     """
     require_single(rho, "noncommutativity_verdict")
-    _validate_bipartition(split, rho.nsub)
-    return _noncommutativity(rho, [_marginal_test(rho, group) for group in split.groups])
-
-
-def _shared_verdicts(rho: DensityMatrix, split: Partition, party):
-    """(is_classical_quantum, noncommutativity_verdict) of one state from one
-    _marginal_test per group, which both verdicts read. It leaves rho's
-    modular set held by modular_set, built from the tests' marginal
-    decompositions as modular_set builds it, so the intrinsic IPs that
-    follow hit it."""
-    _validate_bipartition(split, rho.nsub)
-    tests = [_marginal_test(rho, group) for group in split.groups]
-    _hold_modular_set(rho, split, [dec for _, dec, _ in tests])
-    i = _party_index(party)
-    return _classical_quantum(rho, split.groups[i], tests[i]), _noncommutativity(rho, tests)
-
-
-def _noncommutativity(rho: DensityMatrix, tests) -> NoncommutativityVerdict:
-    """noncommutativity_verdict given the _marginal_test of both groups."""
-    comms, decs, gaps = zip(*tests)
+    comms, decs, gaps = zip(*(_marginal_test(rho, split, party) for party in (0, 1)))
     if max(comms) > COMMUTATOR_TOL:
         return NoncommutativityVerdict(
             "undecided", None, f"commutators with marginals nonzero ({comms[0]:.2e}, {comms[1]:.2e})"
@@ -376,8 +364,8 @@ def check_gamma_qfi_bound(rho: DensityMatrix, split: Partition) -> GammaQfiRepor
     its c(d) term are 0. Raises CorrelationBoundViolation with the report
     and matrix of the worst member if any slack drops below -GAMMA_QFI_TOL.
     """
+    gamma = gamma_integral(rho, split)
     ms = modular_set(rho, split)
-    gamma = _gamma(ms)
     (f_a, moment_a), (f_b, moment_b) = (_party_scalars(ms, party) for party in (0, 1))
     sizes = [int(np.prod([rho.dims[i] for i in group])) for group in split.groups]
     c_a, c_b = (0.0 if d == 1 else log_moment_bound(d) for d in sizes)

@@ -12,7 +12,8 @@ from .qmat import DensityMatrix, ShapeMismatchError, require_single
 
 
 class StateFileError(ValueError):
-    """Malformed state file (not UTF-8 text, or missing or malformed fields)."""
+    """Malformed input file: a state or tableau file that is not UTF-8 text,
+    or a state file with missing or malformed fields."""
 
 
 def parse_state_document(doc: dict, atol: float = 1e-8) -> DensityMatrix:
@@ -48,13 +49,18 @@ def parse_state_document(doc: dict, atol: float = 1e-8) -> DensityMatrix:
     return DensityMatrix(dims, pairs.astype(float).view(complex).reshape(d, d), atol=atol)
 
 
+def read_utf8(path, kind: str) -> str:
+    """The text of the kind of file at path; StateFileError for bytes that
+    are not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"{kind} is not UTF-8 text: {exc}") from exc
+
+
 def parse_state_file(path, atol: float = 1e-8) -> DensityMatrix:
     """Load and validate a state file from disk."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise StateFileError(f"state file is not UTF-8 text: {exc}") from exc
-    doc = json.loads(text)  # json.JSONDecodeError for malformed input
+    doc = json.loads(read_utf8(path, "state file"))  # json.JSONDecodeError for malformed input
     return parse_state_document(doc, atol=atol)
 
 

@@ -136,12 +136,6 @@ class DensityMatrix:
         gate runs here."""
         return EigenDecomposition(*np.linalg.eigh(hermitize(self.data)))
 
-    def rank(self):
-        """Number of eigenvalues above SUPPORT_CUTOFF times the largest: an
-        int, or an array of them for a stack."""
-        r = np.sum(_support_mask(self.eigenvalues()), axis=-1)
-        return int(r) if r.ndim == 0 else r
-
 
 del DensityMatrix.atol  # the InitVar's default, which would answer rho.atol
 

@@ -245,7 +245,7 @@ def criterion_10_commuting_chiral_example():
     nested-commutator measures blind (1e-9), yet the optimizer certifies
     chirality (best fidelity <= 1 - 1e-4 over 100 restarts)."""
     rho = commuting_chiral_qudit_qubit((0.05, 0.06, 0.07, 0.82))
-    comms = [co._marginal_test(rho, group)[0] for group in SPLIT.groups]
+    comms = [co._marginal_test(rho, SPLIT, party)[0] for party in (0, 1)]
     # the flow integral needs full rank, which this state lacks
     blind = max(abs(fn(rho, SPLIT)) for name, fn in _MEASURES.items() if name != "gamma")
     val, res = ch.chiral_log_distance(rho, SPLIT, restarts=100, seed=1010)

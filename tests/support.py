@@ -3,8 +3,9 @@
 The dense oracles the library's fast paths are checked against: the
 operator tensored with the identity (for apply_local), the imaginary power
 rho^{is} and the modular-flowed Hamiltonians built from it (for the flow
-kernels of gamma_s and phi_s), and the orbit overlap recomputed from the
-purification (for the optimizer's overlap). Plus two textbook states.
+kernels of gamma_s and phi_s), the orbit overlap recomputed from the
+purification (for the optimizer's overlap), and the rank of a state (for
+the ancilla dimension of purify). Plus two textbook states.
 """
 
 import numpy as np
@@ -24,6 +25,14 @@ def ghz_vector(n=3):
     v = np.zeros(2**n, dtype=complex)
     v[0] = v[-1] = 1.0 / np.sqrt(2.0)
     return v
+
+
+def rank(rho):
+    """Number of eigenvalues above SUPPORT_CUTOFF times the largest: an int,
+    or an array of them for a stack."""
+    p = rho.eigenvalues()
+    r = np.sum(p > SUPPORT_CUTOFF * np.maximum(p[..., -1:], 0.0), axis=-1)
+    return int(r) if r.ndim == 0 else r
 
 
 def embed_operator(op, dims, subsystems):

@@ -258,12 +258,13 @@ class TestModularSet:
 
     def test_j3_prime_matches_commutator_form(self):
         for seed in range(5):
-            ms = ch.modular_set(rho_rand((2, 3), 25, seed), SPLIT)
+            rho = rho_rand((2, 3), 25, seed)
+            ms = ch.modular_set(rho, SPLIT)
             kb = ms.k_b_eigbasis
             x = ch._minus(ms.kappa) * kb
             y = (x @ kb - kb @ x) * np.swapaxes(kb, -1, -2)
             want = float((1j * np.sum(ch._minus(ms.p) * y)).real)
-            assert abs(ch._j3_prime(ms) - want) <= 1e-14
+            assert abs(ch.j3_prime(rho, SPLIT) - want) <= 1e-14
 
     def test_one_party_reads_rotate_one_party(self, monkeypatch):
         calls = []
@@ -380,7 +381,10 @@ class TestModularSetSlot:
 
     def test_held_arrays_are_read_only(self):
         ms = ch.modular_set(rho_rand((2, 3), 74), SPLIT)
-        for a in (ms.p, ms.kappa, ms.eigenvectors, *ms.marginal_k, ms.k_a_eigbasis, ms.k_b_eigbasis):
+        decs = [a for d in ms.marginal_decs for a in (d.eigenvalues, d.eigenvectors)]
+        marginals = [m.data for m in ms.marginals]
+        for a in (ms.p, ms.kappa, ms.eigenvectors, *marginals, *decs, *ms.marginal_k, ms.k_a_eigbasis,
+                  ms.k_b_eigbasis):
             with pytest.raises(ValueError, match="read-only"):
                 a[..., 0] = 0.0
 
@@ -405,11 +409,11 @@ class TestStackedModularSet:
         stack = DensityMatrix(dims, np.stack([m.data for m in members]))
         ms = ch.modular_set(stack, SPLIT)
         values = {
-            "J2": ch._j2(ms),
-            "J3": ch._j3(ms),
-            "J3'": ch._j3_prime(ms),
-            "gamma_s": ch._gamma_s(ms, 0.7),
-            "phi_s": ch._phi_s(ms, 0.7),
+            "J2": ch.j2(stack, SPLIT),
+            "J3": ch.j3(stack, SPLIT),
+            "J3'": ch.j3_prime(stack, SPLIT),
+            "gamma_s": ch.gamma_s(stack, SPLIT, 0.7),
+            "phi_s": ch.phi_s(stack, SPLIT, 0.7),
         }
         for i, member in enumerate(members):
             one = ch.modular_set(DensityMatrix(dims, member.data[None]), SPLIT)
@@ -743,6 +747,11 @@ class TestLogDistanceOptimizer:
     def test_requires_at_least_one_restart(self):
         with pytest.raises(ValueError, match="restarts"):
             ch.chiral_log_distance(rho_rand((2, 2), 53), SPLIT, restarts=0)
+
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_requires_at_least_one_iteration(self, max_iters):
+        with pytest.raises(ValueError, match=r"^max_iters must be >= 1$"):
+            ch.chiral_log_distance(rho_rand((2, 2), 53), SPLIT, restarts=2, max_iters=max_iters)
 
     def test_parties_of_dimension_one(self):
         # no party has a unitary to optimize; every restart converges at once

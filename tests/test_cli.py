@@ -321,6 +321,14 @@ class TestLogdistCommand:
         main(argv)
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("max_iters", ["0", "-5"])
+    def test_no_iterations_is_a_usage_error(self, bell_file, capsys, max_iters):
+        argv = ["logdist", "--state", bell_file, "--split", "0|1", "--restarts", "2", "--max-iters", max_iters]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_iters must be >= 1\n"
+
 
 class TestStabilizerCommand:
     def test_ghz_tableau(self, tmp_path, capsys):
@@ -362,6 +370,17 @@ class TestStabilizerCommand:
         assert "nullity" not in doc
         assert doc["solution_set_log2"] == 3  # 2n - k
 
+    def test_non_utf8_tableau_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.tab"
+        path.write_bytes(b"\xff\xfeX")
+        assert main(["stabilizer", "--tableau", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unreadable input: tableau is not UTF-8 text: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n"
+        )
+
     @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
     def test_empty_tableau_exit_64(self, tmp_path, capsys, text):
         path = tmp_path / "empty.tab"
@@ -380,23 +399,23 @@ class TestQfiCommand:
         assert doc["nonchirality"]["verdict"] == "undecided"
 
     def test_one_spectrum_for_both_ips(self, example_file, capsys, monkeypatch):
-        # both intrinsic IPs together cost one decomposition of rho beyond the
-        # verdicts' one marginal test per group, whose marginal decompositions
-        # the modular set reuses
+        # both intrinsic IPs together cost no decomposition beyond the
+        # verdicts', which decompose rho and each marginal once into the
+        # modular set that the IPs read
         from chiralkit import correlations as co
         from chiralkit.qmat import Partition
 
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-        rho = parse_state_file(example_file)
-        for group in Partition.parse("0|1").groups:
-            co._marginal_test(rho, group)
+        rho, split = parse_state_file(example_file), Partition.parse("0|1")
+        co.is_classical_quantum(rho, split, "A")
+        co.noncommutativity_verdict(rho, split)
         rest = len(calls)
         calls.clear()
         assert main(["qfi", "--state", example_file, "--split", "0|1", "--party", "A"]) == 0
         capsys.readouterr()
-        assert len(calls) - rest == 1
+        assert len(calls) - rest == 0
 
     @pytest.mark.parametrize("party", ["A", "B"])
     def test_verdicts_share_one_marginal_test_per_group(self, example_file, capsys, monkeypatch, party):

@@ -2,11 +2,12 @@
 power, classical-quantum detection, two-qubit invariants, bound checks."""
 
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, is_dataclass
 
 import numpy as np
 import pytest
 
+from chiralkit import chirality as ch
 from chiralkit import correlations as co
 from chiralkit.qmat import (
     DensityMatrix,
@@ -331,27 +332,71 @@ class TestMarginalGapRule:
         assert v.condition == (2 if nondegenerate else None)
 
 
+def bits(value):
+    """value with every float and array as its bytes, so == compares bits."""
+    if is_dataclass(value):
+        return type(value).__name__, bits(astuple(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if isinstance(value, (float, np.ndarray)):
+        return np.shape(value), np.asarray(value).tobytes()
+    return value
+
+
 class TestMarginalTest:
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 8)])
     def test_one_eigh_with_the_partial_trace_bits(self, monkeypatch, dims):
-        # the reduced state is checked on the eigenvalues of its one eigh,
-        # which has the bits of decomposing partial_trace's state
+        # the verdicts test each reduced state on the one eigh the modular
+        # set made of it, which has the bits of decomposing partial_trace's
+        # state; the reduced states are not re-checked
         rho = rho_rand(dims, 96)
         oracle = [partial_trace(rho, [g]).eig() for g in (0, 1)]
         calls = []
 
         def spy(name):
             fn = getattr(np.linalg, name)
-            return lambda a, *r, **k: calls.append(name) or fn(a, *r, **k)
+            return lambda a, *r, **k: calls.append((name, np.shape(a))) or fn(a, *r, **k)
 
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, spy(name))
-        for g, want in zip((0, 1), oracle):
-            calls.clear()
-            _, dec, _ = co._marginal_test(rho, [g])
-            assert calls == ["eigh"]
+        co.noncommutativity_verdict(rho, SPLIT)
+        d = int(np.prod(dims))
+        assert calls == [("eigh", (dims[0],) * 2), ("eigh", (dims[1],) * 2), ("eigh", (d, d))]
+        calls.clear()
+        for party in ("A", "B"):
+            co.is_classical_quantum(rho, SPLIT, party)
+        assert calls == []
+        for dec, want in zip(ch.modular_set(rho, SPLIT).marginal_decs, oracle):
             assert np.array_equal(dec.eigenvalues, want.eigenvalues)
             assert np.array_equal(dec.eigenvectors, want.eigenvectors)
+
+    CALLS = {
+        "is_classical_quantum": lambda rho: co.is_classical_quantum(rho, SPLIT, "A"),
+        "noncommutativity_verdict": lambda rho: co.noncommutativity_verdict(rho, SPLIT),
+        "intrinsic_ip_A": lambda rho: co.intrinsic_ip(rho, SPLIT, "A"),
+        "intrinsic_ip_B": lambda rho: co.intrinsic_ip(rho, SPLIT, "B"),
+        "measure_report": lambda rho: ch.measure_report(rho, SPLIT),
+        "check_gamma_qfi_bound": lambda rho: co.check_gamma_qfi_bound(rho, SPLIT),
+    }
+
+    @pytest.mark.parametrize("make,detected", [(lambda: rho_rand((3, 2), 97), False),
+                                               (lambda: random_cq_state(97), True)],
+                             ids=["noncommuting", "classical_quantum"])
+    def test_verdicts_and_measures_share_three_eighs(self, monkeypatch, make, detected):
+        # the verdicts, both intrinsic IPs, the measure report and the bound
+        # check on one fresh state decompose rho and each marginal once, and
+        # each returns the bits of the same call on a fresh copy
+        rho = make()
+        alone = {name: bits(call(DensityMatrix(rho.dims, rho.data))) for name, call in self.CALLS.items()}
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k: shapes.append(np.shape(a)) or eigh(a, *r, **k))
+        shared = {name: bits(call(rho)) for name, call in self.CALLS.items()}
+        assert shapes == [(3, 3), (2, 2), (6, 6)]
+        assert shared == alone
+        assert (alone["is_classical_quantum"][0] is not None) is detected
 
 
 class TestMakhlin:
@@ -503,8 +548,6 @@ class TestGammaQfiBound:
     def test_warm_set_reads_the_kept_scalars(self, monkeypatch):
         # after measure_report and both intrinsic IPs the bound check forms no
         # gamma and no |K_P|^2 table again
-        from chiralkit import chirality as ch
-
         rho = rho_rand((2, 3), 107)
         calls = []
         contraction, qfi_eigbasis = ch._gamma_contraction, co._qfi_eigbasis

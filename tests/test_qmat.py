@@ -32,7 +32,7 @@ from chiralkit.sampling import (
 )
 from chiralkit.stabilizer import random_stabilizer_group, stabilizer_state
 from chiralkit.states import chiral_qutrit_qubit, purified_chiral_qutrit_qubit
-from support import bell_state, embed_operator, imaginary_power
+from support import bell_state, embed_operator, imaginary_power, rank
 
 Y = np.array([[0, -1j], [1j, 0]])
 X = np.array([[0, 1], [1, 0]])
@@ -255,7 +255,7 @@ class TestPurify:
         rho = pure_state_density((2, 2), [0.6, 0.8j, 0, 0])
         vec = purify(rho)
         assert vec.shape == (4,)
-        assert rho.rank() == 1
+        assert rank(rho) == 1
 
     def test_maximally_mixed_qubit_gives_bell_type(self):
         rho = DensityMatrix((2,), np.eye(2) / 2)
@@ -265,7 +265,7 @@ class TestPurify:
 
     def test_round_trip(self):
         rho = rho_rand((2, 3), 15)
-        r = rho.rank()
+        r = rank(rho)
         full = pure_state_density(rho.dims + (r,), purify(rho))
         back = partial_trace(full, [0, 1])
         assert np.max(np.abs(back.data - rho.data)) < 1e-9
@@ -274,7 +274,7 @@ class TestPurify:
         # both purifications of the block state reduce to the same marginal
         rho = chiral_qutrit_qubit((0.5, 0.3, 0.2))
         vec = purify(rho)
-        mine = pure_state_density(rho.dims + (rho.rank(),), vec)
+        mine = pure_state_density(rho.dims + (rank(rho),), vec)
         psi_ref, dims_ref = purified_chiral_qutrit_qubit((0.5, 0.3, 0.2))
         reordered = np.transpose(psi_ref.reshape(dims_ref), (0, 2, 1)).reshape(-1)
         ref = pure_state_density((3, 2, 3), reordered)  # A, B, ancilla order

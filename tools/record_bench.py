@@ -16,8 +16,8 @@ metric. Each workload also gets three traced runs per side (seeds 1-3), and
 each per-layer metric is recorded as their median, so one noisy traced run
 does not read as a layer that moved. The recorder then runs the tier-1 test suite once per
 side and every selftest criterion once per side in a fresh interpreter,
-keeps each side's stdout of `chiralkit measure`, `qfi` and `logdist` on the
-bundled states, of `chiralkit bounds --n 10` (which runs the orbit
+keeps each side's stdout of `chiralkit measure`, `qfi` (for party A and for
+party B) and `logdist` on the bundled states, of `chiralkit bounds --n 10` (which runs the orbit
 optimizer), of `chiralkit scan --n 200 --seed 3` (the scan's summary,
 which reads every sample) and of `chiralkit stabilizer` on a pure and a
 mixed tableau (each written once, so both sides print the same path),
@@ -47,7 +47,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACE_SEEDS = (1, 2, 3)
-CLI_COMMANDS = ("measure", "qfi", "logdist")
+# the key each command's stdout is recorded under, and its arguments
+CLI_COMMANDS = {"measure": ["measure"], "qfi": ["qfi"], "qfi_party_B": ["qfi", "--party", "B"],
+                "logdist": ["logdist"]}
 CLI_STATES = ("bell.json", "example1.json")
 TABLEAUX = {"ghz.tab": "+XXX\n+ZZI\n+IZZ\n", "mixed.tab": "+XYZ\n-ZZI\n"}
 SELFTEST = """
@@ -136,8 +138,8 @@ def _cli(checkout: Path, args: list[str]) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
-def _cli_stdout(checkout: Path, command: str) -> dict:
-    return {name: _cli(checkout, [command, "--state", f"src/chiralkit/data/{name}", "--split", "0|1"])
+def _cli_stdout(checkout: Path, command: list[str]) -> dict:
+    return {name: _cli(checkout, [*command, "--state", f"src/chiralkit/data/{name}", "--split", "0|1"])
             for name in CLI_STATES}
 
 
@@ -202,10 +204,10 @@ def main(argv=None) -> int:
         key: all(selftest["parent"][key][k] == selftest["change"].get(key, {}).get(k) for k in ("verdict", "detail"))
         for key in selftest["parent"]
     }
-    for command in CLI_COMMANDS:
+    for key, command in CLI_COMMANDS.items():
         stdout = {side: _cli_stdout(dirs[side], command) for side in SIDES}
-        doc[f"{command}_stdout"] = stdout
-        doc[f"{command}_stdout_same"] = {
+        doc[f"{key}_stdout"] = stdout
+        doc[f"{key}_stdout_same"] = {
             name: stdout["parent"][name] == stdout["change"][name] for name in CLI_STATES
         }
     bounds = {side: _cli(dirs[side], ["bounds", "--n", "10"]) for side in SIDES}
