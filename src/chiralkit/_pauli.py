@@ -18,6 +18,8 @@ import numpy as np
 
 # Largest qubit count for which the 4^n-string tables are enumerated.
 PAULI_ENUM_MAX_QUBITS = 10
+# qubit_vector accepts a state whose squared norm is within this of 1
+NORM_ATOL = 1e-10
 
 
 @lru_cache(maxsize=None)
@@ -37,10 +39,17 @@ def _i_power_table(n: int) -> np.ndarray:
 
 
 def qubit_vector(psi: np.ndarray, n: int) -> np.ndarray:
-    """psi as a flat complex vector, checked to be a state of n qubits."""
+    """psi as a flat complex vector, checked to be a state of n qubits: 2^n
+    finite entries whose squared norm is within NORM_ATOL of 1."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != 1 << n:
         raise ValueError(f"state dimension {psi.size} is not 2^{n}; qudits are not supported")
+    norm2 = np.vdot(psi, psi).real
+    if not abs(norm2 - 1.0) <= NORM_ATOL:  # a non-finite entry makes norm2 NaN or inf
+        raise ValueError(
+            f"state has squared norm {float(norm2)!r}; a state of {n} qubits has finite "
+            f"entries and squared norm 1 within {NORM_ATOL:g}"
+        )
     return psi
 
 

@@ -401,7 +401,11 @@ _PAIR_TENSOR_MAX_DIM = 64
 # sweeps only globalise: one that still gains sqrt(tol) per sweep after this
 # many is converging linearly and slowly, and the trust region finishes in a
 # few steps what would take it hundreds of sweeps (DECISIONS.md).
-_SWEEP_BUDGET = 60
+_SWEEP_BUDGET = 10
+# The budget of a call with a target fidelity, whose target stop reads the
+# fidelity the sweeps reached: a longer sweep phase keeps those stops where
+# the sweeps alone put them (DECISIONS.md).
+_TARGET_SWEEP_BUDGET = 60
 # trust-region radii bound the Frobenius norm of the step x, in radians
 _TRUST_RADIUS_START = 0.5
 _TRUST_RADIUS_MAX = np.pi
@@ -594,14 +598,16 @@ def _trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray):
     As in More & Sorensen, a Cholesky factorization of B comes first: when it
     succeeds on every row and every Newton step B^{-1} grad fits, those steps
     are the answer, with increase grad.x / 2, and no eigendecomposition runs.
+    A B whose Cholesky factor exists but whose LU solve meets an exact zero
+    pivot (a curvature at the rounding level) also takes the eigenbasis.
     """
     b = -hess
     try:
         np.linalg.cholesky(b)
-    except np.linalg.LinAlgError:
-        pass  # some B is not positive definite
-    else:
         x = np.linalg.solve(b, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass  # some B is not positive definite, or singular to working precision
+    else:
         if np.all(np.sum(x * x, axis=1) <= radius**2):
             return x, 0.5 * np.sum(grad * x, axis=1)
     beta, q = np.linalg.eigh(b)
@@ -673,11 +679,12 @@ def alternating_orbit_overlap(
     matrix M_t, maximized by the adjoint polar factor of M_t (_polar_max);
     each sweep of these updates is monotone in the overlap. A restart leaves
     the sweeps when its gain per sweep falls below sqrt(tol), or after
-    _SWEEP_BUDGET sweeps. Once no restart is still sweeping, the live ones
-    take Riemannian trust-region Newton steps on U(d)^m (Absil, Baker &
-    Gallivan 2007) with the exact Hessian of the fidelity (see
-    _OrbitContraction), and a step counts only if it raises the fidelity, so
-    every restart's fidelity rises monotonically from its start. Waiting for
+    _SWEEP_BUDGET sweeps (_TARGET_SWEEP_BUDGET when target_fidelity is
+    given). Once no restart is still sweeping, the live ones take Riemannian
+    trust-region Newton steps on U(d)^m (Absil, Baker & Gallivan 2007) with
+    the exact Hessian of the fidelity (see _OrbitContraction), and a step
+    counts only if it raises the fidelity, so every restart's fidelity rises
+    monotonically from its start. Waiting for
     the last sweeping restart keeps target stops where the sweeps alone put
     them. A restart stops as "stationary" once its stationarity is at most
     sqrt(tol), as "target" when some restart reaches target_fidelity first,
@@ -695,6 +702,7 @@ def alternating_orbit_overlap(
     us = [np.array(s, dtype=complex) for s in starts]
     nres = len(us[0])
     stat_tol = np.sqrt(tol)
+    budget = _SWEEP_BUDGET if target_fidelity is None else _TARGET_SWEEP_BUDGET
     fid = np.abs(orbit.overlaps(us)) ** 2
     iters = np.zeros(nres, dtype=int)
     reasons = np.zeros(nres, dtype=int)  # indices into _STOP_REASONS
@@ -742,7 +750,7 @@ def alternating_orbit_overlap(
             current, new_fid = _sweep(orbit, current, fid[move])
             gain = new_fid - fid[move]
             fid[move] = new_fid
-            switch = (gain < stat_tol) | (iters[move] + 1 >= _SWEEP_BUDGET)
+            switch = (gain < stat_tol) | (iters[move] + 1 >= budget)
             finishing[move] |= switch
             settled[move] = finishing[move] & (gain < tol) & (orbit.rows is None)
         iters[move] += 1
@@ -779,10 +787,12 @@ def chiral_log_distance(
     Restart 0 starts from identities, any extra_inits follow (each a list of
     per-party unitaries, ancilla optional), and the remaining restarts start
     Haar-random from streams seeded by (seed, restart), each stream drawing
-    every party in turn (haar_unitaries). Each restart sweeps until its gain
-    per sweep falls below sqrt(ORBIT_TOL) (at most 60 sweeps), then takes
-    trust-region Newton steps until its stationarity is at most sqrt(ORBIT_TOL)
-    (alternating_orbit_overlap); max_iters caps its sweeps plus steps, and
+    every party in turn (haar_unitaries). So max(restarts, 1 +
+    len(extra_inits)) restarts run: at least 1 + len(extra_inits), whatever
+    restarts asks. Each restart sweeps until its gain per sweep falls below
+    sqrt(ORBIT_TOL) (at most 10 sweeps, or 60 when target_fidelity is
+    given), then takes trust-region Newton steps until its stationarity is
+    at most sqrt(ORBIT_TOL) (alternating_orbit_overlap); max_iters caps its sweeps plus steps, and
     restarts that reach the cap raise a RuntimeWarning. Returns
     (-log best_fidelity, diagnostics); the value is an upper estimate of the
     true log-distance because stalls only lower the fidelity.

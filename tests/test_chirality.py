@@ -30,6 +30,7 @@ from chiralkit.sampling import (
     random_two_qubit_maximally_mixed,
     split_rng,
 )
+from chiralkit.stabilizer import MAGIC_BOUND_TOL, verify_magic_bounds
 from chiralkit.states import chiral_qutrit_qubit, commuting_chiral_qudit_qubit, t_state_vector
 from support import embed_operator, flowed_k, modular_hamiltonians, orbit_overlap
 
@@ -716,6 +717,12 @@ class TestLogDistanceOptimizer:
         fid = res.fidelities
         assert res.best_restart == int(np.flatnonzero(fid >= fid.max() - ch.BEST_RESTART_TIE)[0])
         assert res.best_fidelity == fid.max()
+        # the identity start and each extra init always run: at least
+        # 1 + len(extra_inits) restarts, whatever restarts asks
+        extra = [np.eye(2), np.eye(2)]
+        for restarts, inits, ran in ((1, 1, 2), (1, 3, 4), (3, 1, 3), (4, 2, 4), (5, 2, 5)):
+            _, res = ch.chiral_log_distance(rho, SPLIT, restarts=restarts, seed=52, extra_inits=[extra] * inits)
+            assert res.restarts == len(res.fidelities) == ran
 
     def test_extra_inits_are_used(self):
         # warm-starting with the exact conjugating unitaries gives fidelity 1
@@ -1017,25 +1024,25 @@ class TestOrbitKernel:
         assert set(res.stop_reasons) <= {"target", "stationary"}
 
     # (iterations per restart, first letters of the stop reasons) of
-    # chiral_log_distance(restarts=20, seed=92), as the loop gave them when it
-    # ran the stop checks on every pass
+    # chiral_log_distance(restarts=20, seed=92): with no target each restart
+    # sweeps at most _SWEEP_BUDGET times, then takes Newton steps
     PINNED_COURSES = {
-        "mixed0": ([63, 67, 65, 69, 63, 65, 64, 70, 63, 68, 66, 67, 63, 67, 64, 63, 67, 68, 63, 63], "s" * 20),
-        "mixed1": ([28, 61, 60, 54, 47, 57, 52, 40, 38, 62, 32, 63, 63, 63, 63, 63, 46, 48, 51, 50], "s" * 20),
-        "mixed2": ([16, 31, 38, 32, 36, 45, 45, 33, 63, 28, 63, 36, 32, 28, 36, 39, 27, 40, 38, 36], "s" * 20),
-        "mixed3": ([55, 65, 65, 66, 63, 64, 64, 64, 64, 63, 66, 62, 66, 63, 66, 63, 66, 60, 64, 64], "s" * 20),
-        "mixed4": ([63, 50, 63, 63, 66, 63, 63, 63, 67, 53, 63, 65, 65, 63, 63, 58, 56, 63, 63, 64], "s" * 20),
-        "mixed5": ([30, 58, 44, 55, 51, 38, 41, 63, 51, 35, 56, 55, 45, 42, 61, 38, 36, 63, 45, 35], "s" * 20),
-        "mixed6": ([63, 66, 64, 69, 65, 67, 68, 67, 64, 63, 63, 69, 66, 68, 71, 66, 65, 67, 68, 65], "s" * 20),
-        "mixed7": ([65, 66, 64, 63, 65, 66, 64, 63, 63, 68, 64, 64, 65, 63, 63, 65, 63, 64, 63, 64], "s" * 20),
-        "mixed8": ([63, 63, 70, 64, 69, 63, 71, 66, 64, 63, 64, 64, 70, 65, 64, 63, 70, 70, 63, 70], "s" * 20),
-        "mixed9": ([37, 64, 65, 64, 64, 65, 63, 65, 66, 53, 65, 63, 64, 63, 64, 64, 64, 66, 65, 64], "s" * 20),
-        "pure3q0": ([63, 34, 33, 32, 46, 32, 30, 32, 63, 63, 26, 40, 33, 37, 34, 63, 67, 32, 35, 57], "s" * 20),
-        "pure3q1": ([63, 59, 53, 63, 46, 62, 64, 63, 63, 55, 63, 54, 63, 63, 63, 63, 43, 45, 16, 63], "s" * 20),
-        "pure3q2": ([60, 26, 33, 32, 35, 32, 30, 54, 43, 32, 33, 44, 39, 46, 33, 23, 48, 38, 33, 40], "s" * 20),
-        "pure3q3": ([62, 63, 63, 47, 62, 65, 63, 62, 63, 63, 63, 57, 31, 46, 51, 63, 62, 43, 63, 25], "s" * 20),
-        "pure3q4": ([48, 61, 41, 38, 63, 47, 31, 40, 63, 22, 63, 53, 34, 62, 45, 62, 56, 57, 63, 52], "s" * 20),
-        "C10": ([63, 43, 46, 63, 45, 44, 64, 63, 48, 48, 50, 49, 58, 64, 53, 51, 64, 42, 65, 40], "s" * 20),
+        "mixed0": ([14, 18, 17, 19, 17, 17, 16, 19, 16, 20, 18, 19, 16, 18, 16, 16, 19, 19, 17, 15], "s" * 20),
+        "mixed1": ([13, 15, 15, 14, 14, 15, 15, 14, 15, 15, 14, 16, 17, 17, 17, 16, 14, 14, 14, 15], "s" * 20),
+        "mixed2": ([13, 13, 14, 13, 14, 15, 15, 14, 15, 13, 16, 13, 13, 13, 14, 14, 13, 14, 14, 14], "s" * 20),
+        "mixed3": ([15, 17, 17, 17, 16, 15, 16, 15, 18, 14, 17, 17, 17, 15, 17, 14, 17, 15, 16, 16], "s" * 20),
+        "mixed4": ([15, 16, 14, 15, 16, 14, 15, 15, 16, 13, 15, 16, 16, 16, 14, 13, 14, 14, 15, 16], "s" * 20),
+        "mixed5": ([13, 17, 14, 16, 15, 13, 15, 17, 17, 13, 16, 16, 15, 14, 17, 13, 13, 18, 15, 14], "s" * 20),
+        "mixed6": ([14, 20, 16, 18, 17, 20, 18, 17, 16, 14, 16, 20, 16, 16, 21, 20, 16, 21, 18, 17], "s" * 20),
+        "mixed7": ([16, 19, 16, 16, 16, 16, 17, 14, 18, 18, 17, 16, 17, 14, 15, 16, 14, 17, 16, 16], "s" * 20),
+        "mixed8": ([14, 17, 19, 16, 20, 14, 22, 23, 16, 13, 15, 16, 19, 16, 16, 13, 20, 20, 14, 21], "s" * 20),
+        "mixed9": ([15, 14, 15, 15, 15, 16, 15, 16, 16, 15, 16, 15, 15, 14, 15, 15, 17, 19, 16, 14], "s" * 20),
+        "pure3q0": ([16, 13, 14, 14, 13, 14, 13, 14, 16, 16, 13, 15, 14, 14, 13, 16, 18, 13, 14, 15], "s" * 20),
+        "pure3q1": ([14, 15, 14, 15, 13, 13, 17, 14, 15, 13, 15, 14, 15, 14, 15, 15, 13, 13, 13, 17], "s" * 20),
+        "pure3q2": ([16, 13, 14, 14, 13, 13, 13, 17, 16, 14, 14, 15, 15, 16, 14, 13, 16, 15, 14, 16], "s" * 20),
+        "pure3q3": ([14, 16, 16, 13, 14, 16, 15, 14, 16, 15, 16, 13, 13, 13, 13, 16, 14, 13, 15, 13], "s" * 20),
+        "pure3q4": ([14, 16, 14, 14, 17, 14, 14, 13, 16, 13, 16, 15, 14, 16, 14, 15, 15, 14, 17, 15], "s" * 20),
+        "C10": ([15, 13, 14, 14, 14, 14, 16, 16, 14, 14, 14, 14, 16, 15, 14, 14, 16, 14, 16, 14], "s" * 20),
     }
     # the same with no Hessian rows (restarts=5, seed=97, max_iters=20000)
     PINNED_SWEEP_COURSES = {
@@ -1065,6 +1072,47 @@ class TestOrbitKernel:
         rho = random_two_qubit_maximally_mixed(split_rng(1212, 0))
         _, res = ch.chiral_log_distance(rho, SPLIT, restarts=100, seed=3_000_000, target_fidelity=1.0 - 1e-4)
         assert self._course(res) == ([14] * 100, "t" * 100)
+
+    @staticmethod
+    def _sweeps_before_newton(monkeypatch, rho, **kwargs):
+        """The sweep passes of a chiral_log_distance call before its first
+        Newton step, and the call's result. Newton steps wait for the last
+        sweeping restart, so this is the largest sweep count of a restart."""
+        passes = []
+        sweep, newton = ch._sweep, ch._newton_iteration
+
+        def counting_sweep(*args):
+            passes.append("s")
+            return sweep(*args)
+
+        def counting_newton(*args):
+            passes.append("n")
+            return newton(*args)
+
+        monkeypatch.setattr(ch, "_sweep", counting_sweep)
+        monkeypatch.setattr(ch, "_newton_iteration", counting_newton)
+        _, res = ch.chiral_log_distance(rho, SPLIT, **kwargs)
+        assert "n" in passes
+        return passes.index("n"), res
+
+    def test_untargeted_restarts_leave_the_sweeps_by_the_budget(self, monkeypatch):
+        # every restart takes its first Newton step after at most
+        # _SWEEP_BUDGET sweeps, fewer than a targeted call's budget
+        _, rho, _ = next(c for c in ORBIT_CASES if c[0] == "mixed0")
+        sweeps, res = self._sweeps_before_newton(monkeypatch, rho, restarts=20, seed=92)
+        assert sweeps <= ch._SWEEP_BUDGET < ch._TARGET_SWEEP_BUDGET
+        assert res.stop_reasons == ["stationary"] * 20
+
+    def test_targeted_restarts_keep_the_longer_budget(self, monkeypatch):
+        # C10's state cannot reach the target (its best fidelity is 0.996304):
+        # some restart sweeps past _SWEEP_BUDGET, none past the targeted budget
+        _, rho, _ = next(c for c in ORBIT_CASES if c[0] == "C10")
+        sweeps, res = self._sweeps_before_newton(
+            monkeypatch, rho, restarts=100, seed=1010, target_fidelity=1.0 - 1e-4
+        )
+        assert ch._SWEEP_BUDGET < sweeps <= ch._TARGET_SWEEP_BUDGET
+        assert res.best_fidelity == pytest.approx(0.996304, abs=5e-7)
+        assert "target" not in res.stop_reasons
 
     def test_qubit_exponential_matches_eigh(self):
         # rotate's closed form on qubit parties against V e^{i lambda} V^dagger
@@ -1141,6 +1189,29 @@ class TestTrustRegionStep:
         x, increase = ch._trust_region_step(grad, hess, radius)
         assert calls == [hess.shape]
         assert np.array_equal(x, reference[0]) and np.array_equal(increase, reference[1])
+
+    def test_singular_factorable_stack_takes_the_eigh_bits(self, monkeypatch):
+        # B = [[5, 1], [1, 1/5]] has a Cholesky factor (last pivot 5e-9) but
+        # an exact zero LU pivot, so the Newton solve refuses it; the stack
+        # takes the eigenbasis instead of raising
+        grad, hess = self.stack(114, n=2)
+        hess[7] = -np.array([[5.0, 1.0], [1.0, 1.0 / 5.0]])
+        np.linalg.cholesky(-hess)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(-hess[7], grad[7])
+        radius = np.full(len(grad), 0.5)
+        reference = self.eigh_step(monkeypatch, grad, hess, radius)
+        x, increase = ch._trust_region_step(grad, hess, radius)
+        assert np.array_equal(x, reference[0]) and np.array_equal(increase, reference[1])
+        assert np.all(np.linalg.norm(x, axis=1) <= 1.1 * radius) and np.all(increase >= 0.0)
+
+    def test_singular_newton_system_in_a_run(self, monkeypatch):
+        # with a 5-sweep budget, C2's state 272 reaches a Newton system whose
+        # Cholesky factor exists and whose LU solve is singular (it raised)
+        monkeypatch.setattr(ch, "_SWEEP_BUDGET", 5)
+        psi = random_pure_state(4, split_rng(202, 272))
+        report = verify_magic_bounds(psi, 2, restarts=20, seed=1_000_272)
+        assert report.worst_excess <= MAGIC_BOUND_TOL
 
 
 class TestPolarMax:

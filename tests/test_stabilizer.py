@@ -508,6 +508,42 @@ class TestPauliTables:
                 assert abs(overlap[z, x] - psi @ p_psi) <= 1e-14
 
 
+class TestQubitVector:
+    """Every Pauli-table and fidelity entry point reads psi through
+    _pauli.qubit_vector, which refuses what is not a state."""
+
+    def test_unnormalized_fidelity_is_refused(self):
+        # it returned 4.0
+        with pytest.raises(ValueError, match=r"squared norm 4\.0; a state of 2 qubits"):
+            st.stabilizer_fidelity([2, 0, 0, 0], 2)
+
+    def test_zero_vector_nullity_is_refused(self):
+        # it raised "negative shift count"
+        with pytest.raises(ValueError, match=r"squared norm 0\.0; a state of 2 qubits"):
+            st.stabilizer_nullity(np.zeros(4), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entries_are_refused(self, bad):
+        psi = np.array([1, 0, 0, 0], dtype=complex)
+        psi[1] = bad
+        for call in (st.stabilizer_fidelity, st.stabilizer_nullity, pauli_log_distance,
+                     _pauli.pauli_expectations, _pauli.pauli_conjugation_overlaps):
+            with pytest.raises(ValueError, match=r"squared norm (nan|inf)"):
+                call(psi, 2)
+
+    def test_norm_tolerance(self):
+        psi = np.array([1, 1, 1, 1], dtype=complex) / 2
+        for scale in (1.0, np.sqrt(1 + 0.9 * _pauli.NORM_ATOL), np.sqrt(1 - 0.9 * _pauli.NORM_ATOL)):
+            assert st.stabilizer_fidelity(psi * scale, 2) == pytest.approx(1.0, abs=1e-9)
+        for scale in (np.sqrt(1 + 2 * _pauli.NORM_ATOL), np.sqrt(1 - 2 * _pauli.NORM_ATOL)):
+            with pytest.raises(ValueError, match="squared norm"):
+                _pauli.qubit_vector(psi * scale, 2)
+
+    def test_dimension_is_checked_first(self):
+        with pytest.raises(ValueError, match="state dimension 3 is not 2"):
+            _pauli.qubit_vector(np.zeros(3), 2)
+
+
 class TestStabilizerNonchirality:
     def test_log_distance_vanishes_any_partition(self):
         # mixed and pure stabilizer states, single-qubit partitions, warm
