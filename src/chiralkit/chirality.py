@@ -398,9 +398,9 @@ _SECOND_ORDER_MAX_ENTRIES = 1 << 21
 # overhead dominates, and loses above it (crossover table in DECISIONS.md).
 _PAIR_TENSOR_MAX_DIM = 64
 # A restart sweeps at most this many times before its Newton steps. The
-# sweeps only globalise: one that still gains sqrt(tol) per sweep after this
-# many is converging linearly and slowly, and the trust region finishes in a
-# few steps what would take it hundreds of sweeps (DECISIONS.md).
+# sweeps only globalise: one that still gains sqrt(ORBIT_TOL) per sweep after
+# this many is converging linearly and slowly, and the trust region finishes
+# in a few steps what would take it hundreds of sweeps (DECISIONS.md).
 _SWEEP_BUDGET = 10
 # The budget of a call with a target fidelity, whose target stop reads the
 # fidelity the sweeps reached: a longer sweep phase keeps those stops where
@@ -668,7 +668,6 @@ def alternating_orbit_overlap(
     base: np.ndarray,
     starts: list[np.ndarray],
     max_iters: int,
-    tol: float,
     target_fidelity: float | None = None,
 ):
     """Maximize |sum_ab psi_a ((x)_t U_t)_ab psi_b| from the (R, d_t, d_t)
@@ -677,21 +676,21 @@ def alternating_orbit_overlap(
 
     Fixing every party but t makes the objective |Tr(U_t M_t)| for a data
     matrix M_t, maximized by the adjoint polar factor of M_t (_polar_max);
-    each sweep of these updates is monotone in the overlap. A restart leaves
-    the sweeps when its gain per sweep falls below sqrt(tol), or after
-    _SWEEP_BUDGET sweeps (_TARGET_SWEEP_BUDGET when target_fidelity is
-    given). Once no restart is still sweeping, the live ones take Riemannian
-    trust-region Newton steps on U(d)^m (Absil, Baker & Gallivan 2007) with
-    the exact Hessian of the fidelity (see _OrbitContraction), and a step
-    counts only if it raises the fidelity, so every restart's fidelity rises
-    monotonically from its start. Waiting for
-    the last sweeping restart keeps target stops where the sweeps alone put
-    them. A restart stops as "stationary" once its stationarity is at most
-    sqrt(tol), as "target" when some restart reaches target_fidelity first,
-    and as "cap" when its sweeps plus Newton steps reach max_iters. Parties
-    too large for the Hessian keep sweeping in place of Newton steps, under
-    the same stops; such a restart stops as stationary only after a sweep
-    that gained less than tol, so never before the sweeps alone would have.
+    each sweep of these updates is monotone in the overlap. In the sweeps a
+    restart leaves the stack when its gain per sweep falls below
+    sqrt(ORBIT_TOL), after _SWEEP_BUDGET sweeps (_TARGET_SWEEP_BUDGET with a
+    target_fidelity; at most max_iters), or when some restart reaches the
+    target. The finish starts after the last sweep, so target stops fall where
+    the sweeps put them: each live restart takes Riemannian trust-region
+    Newton steps on U(d)^m (Absil, Baker & Gallivan 2007) with the exact
+    Hessian of the fidelity (_OrbitContraction), and a step counts only if it
+    raises the fidelity, so every fidelity rises monotonically from its
+    start. A restart stops as "stationary" once its stationarity is at most
+    sqrt(ORBIT_TOL), as "target" when some restart reaches target_fidelity
+    first, and as "cap" when its sweeps plus Newton steps reach max_iters.
+    Parties too large for the Hessian sweep in the finish instead, under the
+    same stops; such a restart stops as stationary only after a sweep that
+    gained less than ORBIT_TOL, so never before the sweeps alone would have.
 
     Returns per-restart fidelities (capped at 1), overlaps, unitaries,
     iteration counts (sweeps plus Newton steps), stop reasons and
@@ -701,70 +700,63 @@ def alternating_orbit_overlap(
     orbit = _OrbitContraction(base)
     us = [np.array(s, dtype=complex) for s in starts]
     nres = len(us[0])
-    stat_tol = np.sqrt(tol)
-    budget = _SWEEP_BUDGET if target_fidelity is None else _TARGET_SWEEP_BUDGET
+    stat_tol = np.sqrt(ORBIT_TOL)
+    budget = min(max_iters, _SWEEP_BUDGET if target_fidelity is None else _TARGET_SWEEP_BUDGET)
     fid = np.abs(orbit.overlaps(us)) ** 2
     iters = np.zeros(nres, dtype=int)
     reasons = np.zeros(nres, dtype=int)  # indices into _STOP_REASONS
     stationarity = np.zeros(nres)
-    # per restart: left the sweeps; settled; trust radius. Meeting sqrt(tol)
-    # stops a restart once it is settled: after a Newton step taken from
-    # such a point, which is quadratic and so removes the ~stationarity^2 /
-    # curvature of fidelity a stop there would leave, or after a sweep past
-    # the switch that gained less than tol, the old stop rule (DECISIONS.md).
-    finishing = np.zeros(nres, dtype=bool)
+    # per restart: settled, and the trust radius. Meeting sqrt(ORBIT_TOL)
+    # stops a restart once it is settled: after a Newton step taken from such
+    # a point, which is quadratic and so removes the ~stationarity^2 /
+    # curvature of fidelity a stop there would leave, or after a sweep that
+    # gained less than ORBIT_TOL, the old stop rule (DECISIONS.md).
     settled = np.zeros(nres, dtype=bool)
     radius = np.full(nres, _TRUST_RADIUS_START)
     hit = False
-    live = np.arange(nres)
-    lean = False  # this pass is the sweep alone (see its rule below)
-    while True:
-        if not lean:
-            stop = np.where(iters[live] >= max_iters, _CAP, _GOING)
-            if hit:
-                stop[:] = _TARGET
-            newton = orbit.rows is not None and finishing[live[stop == _GOING]].all()
-            # a Newton step needs every restart's stationarity; otherwise only a
-            # restart that has settled or must stop does
-            check = (stop != _GOING) | settled[live] | newton
-            if check.any():
-                theta = orbit.apply([u[live[check]] for u in us])
-                stationarity[live[check]] = orbit.stationarity(theta)
-            small = stationarity[live] <= stat_tol
-            stop[small & (settled[live] | (stop != _GOING))] = _STATIONARY
-            reasons[live] = stop
-            keep = stop == _GOING
-            live, small = live[keep], small[keep]
-            if not live.size:
-                break
-            # the restarts still sweeping to globalise, or, once none is, all
-            everyone = finishing[live].all()
-            move = live if everyone else live[~finishing[live]]
-            if move.size == nres:
-                move = slice(None)  # views of every restart, no gather copies
-            current = [u[move] for u in us]
-        if newton:
-            settled[move] = small
-            current, fid[move], radius[move] = _newton_iteration(orbit, current, theta[keep], radius[move])
-        else:
-            current, new_fid = _sweep(orbit, current, fid[move])
-            gain = new_fid - fid[move]
-            fid[move] = new_fid
-            switch = (gain < stat_tol) | (iters[move] + 1 >= budget)
-            finishing[move] |= switch
-            settled[move] = finishing[move] & (gain < tol) & (orbit.rows is None)
-        iters[move] += 1
+    sweeping = np.arange(nres if budget > 0 else 0)
+    current = us
+    while sweeping.size:
+        current, new_fid = _sweep(orbit, current, fid[sweeping])
+        gain = new_fid - fid[sweeping]
+        fid[sweeping] = new_fid
+        iters[sweeping] += 1
         hit = target_fidelity is not None and fid.max() >= target_fidelity
-        # the next pass sweeps the same restarts and its stop checks stop none
-        # when no restart entered its finish (unless all had), none is
-        # settled, no target was hit and no cap is in reach. It is then the
-        # sweep alone, on the stack this one left, and the unitaries go back
-        # to us only before a pass that runs the checks.
-        lean = not (newton or hit or settled[live].any() or (switch.any() and not everyone))
-        lean = lean and iters[move].max() < max_iters
-        if not lean:
+        done = (gain < stat_tol) | (iters[sweeping] >= budget) | hit
+        if done.any():
+            settled[sweeping[done]] = (gain[done] < ORBIT_TOL) & (orbit.rows is None)
             for t in orbit.active:
-                us[t][move] = current[t]
+                us[t][sweeping] = current[t]
+            sweeping = sweeping[~done]
+            current = [u[sweeping] for u in us]
+    newton = orbit.rows is not None
+    live = np.arange(nres)
+    while True:
+        stop = np.full(live.size, _TARGET) if hit else np.where(iters[live] >= max_iters, _CAP, _GOING)
+        # a Newton step needs every stationarity, a sweep only a settled or stopping one's
+        check = (stop != _GOING) | settled[live] | newton
+        if check.any():
+            theta = orbit.apply([u[live[check]] for u in us])
+            stationarity[live[check]] = orbit.stationarity(theta)
+        small = stationarity[live] <= stat_tol
+        stop[small & (settled[live] | (stop != _GOING))] = _STATIONARY
+        reasons[live] = stop
+        keep = stop == _GOING
+        live, small = live[keep], small[keep]
+        if not live.size:
+            break
+        current = [u[live] for u in us]
+        if newton:
+            settled[live] = small
+            current, fid[live], radius[live] = _newton_iteration(orbit, current, theta[keep], radius[live])
+        else:
+            current, new_fid = _sweep(orbit, current, fid[live])
+            settled[live] = new_fid - fid[live] < ORBIT_TOL
+            fid[live] = new_fid
+        iters[live] += 1
+        hit = target_fidelity is not None and fid.max() >= target_fidelity
+        for t in orbit.active:
+            us[t][live] = current[t]
     best = int(np.argmax(fid >= fid.max() - BEST_RESTART_TIE))
     names = [_STOP_REASONS[r] for r in reasons]
     return np.minimum(fid, 1.0), orbit.overlaps(us), us, iters, names, stationarity, best
@@ -819,7 +811,7 @@ def chiral_log_distance(
         starts.append(np.concatenate([np.eye(d)[None], stacked, haar[t]]))
 
     fid, overlaps, us, iters, reasons, stationarity, best = alternating_orbit_overlap(
-        base, starts, max_iters, ORBIT_TOL, target_fidelity
+        base, starts, max_iters, target_fidelity
     )
     stalled = reasons.count("cap")
     if stalled:

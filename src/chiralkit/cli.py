@@ -12,10 +12,10 @@ import argparse
 import hashlib
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
+from . import _pauli
 from . import chirality as ch
 from . import correlations as co
 from . import experiments as ex
@@ -118,7 +118,8 @@ def _cmd_stabilizer(args) -> int:
         # rho = |psi><psi| exactly, so its column j is psi conj(psi_j)
         j = int(np.argmax(rho.data.diagonal().real))
         psi = rho.data[:, j] / np.sqrt(rho.data[j, j].real)
-        doc["nullity"] = st.stabilizer_nullity(psi, group.n)
+        if group.n <= _pauli.PAULI_ENUM_MAX_QUBITS:
+            doc["nullity"] = st.stabilizer_nullity(psi, group.n)
         if group.n <= st.FIDELITY_MAX_QUBITS:
             doc["stabilizer_fidelity"] = _qty(st.stabilizer_fidelity(psi, group.n), FIDELITY_TOL)
     _emit(doc)
@@ -184,15 +185,21 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    rows, summary = ex.run_chirality_entanglement_scan(args.n, args.seed)
-    Path(args.out).write_text(ex.scan_to_csv(rows))
+    if args.n < 1:  # before --out is opened, so no empty file is left
+        raise ValueError("n_samples must be >= 1")
+    try:  # opened before the scan, so a path that cannot be written fails at once
+        out = open(args.out, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
+    with out:
+        rows, summary = ex.run_chirality_entanglement_scan(args.n, args.seed)
+        out.write(ex.scan_to_csv(rows))
     print(ex.summary_to_json(summary))
     return EXIT_OK
 
 
 def _cmd_selftest(args) -> int:
-    keys = set(args.only) if args.only else None
-    results = selftest.run_all(keys=keys)
+    results = selftest.run_all(keys=args.only)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
@@ -241,7 +248,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_scan)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--only", action="append", default=None, help="criterion key, e.g. C3")
+    p.add_argument("--only", action="append", choices=[k for k, _, _ in selftest.CRITERIA], help="criterion key")
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

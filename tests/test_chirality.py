@@ -821,7 +821,8 @@ class TestOrbitKernel:
         # finish stops at; against 1000 sweeps the new value may only be higher
         args, out, res = _kernel_call(monkeypatch, rho, part, restarts=20, seed=92)
         fid, _, us = out[:3]
-        base, inits, _, tol, target = args
+        base, inits, _, target = args
+        tol = ch.ORBIT_TOL
         long_fid = oracle_orbit_overlap(base, inits, 30000, tol, target)[0]
         assert abs(fid.max() - long_fid.max()) <= 1e-10
         assert fid.max() >= oracle_orbit_overlap(base, inits, 1000, tol, target)[0].max() - 1e-12
@@ -836,7 +837,7 @@ class TestOrbitKernel:
         for phi in np.linspace(0.1, 3.0, 30):
             starts = [np.stack([np.eye(d), np.eye(d)]).astype(complex) for d in party_dims]
             starts[0][1] *= np.exp(1j * phi)
-            fid, overlaps, _, _, _, _, best = ch.alternating_orbit_overlap(base, starts, 0, 1e-12)
+            fid, overlaps, _, _, _, _, best = ch.alternating_orbit_overlap(base, starts, 0)
             assert abs(fid[1] - fid[0]) <= ch.BEST_RESTART_TIE and fid.max() == pytest.approx(1.0, abs=1e-14)
             assert best == 0
             assert overlaps[best] == orbit_overlap(rho, SPLIT, [s[0] for s in starts])
@@ -858,7 +859,8 @@ class TestOrbitKernel:
         # sqrt(tol), or the sweep budget
         _, rho, part = next(c for c in ORBIT_CASES if c[0] == name)
         args, out, _ = _kernel_call(monkeypatch, rho, part, restarts=20, seed=94)
-        base, inits, _, tol, _ = args
+        base, inits, _, _ = args
+        tol = ch.ORBIT_TOL
         for r, init in enumerate(inits):
             at_switch = oracle_orbit_overlap(base, [init], ch._SWEEP_BUDGET, np.sqrt(tol))[0][0]
             assert out[0][r] >= at_switch - 1e-12
@@ -940,7 +942,8 @@ class TestOrbitKernel:
         _, newton = ch.chiral_log_distance(rho, part, restarts=5, seed=97)
         monkeypatch.setattr(ch, "_SECOND_ORDER_MAX_ENTRIES", 0)
         args, out, res = _kernel_call(monkeypatch, rho, part, restarts=5, seed=97, max_iters=20000)
-        base, inits, _, tol, _ = args
+        base, inits, _, _ = args
+        tol = ch.ORBIT_TOL
         assert ch._OrbitContraction(base).rows is None
         reasons = np.array(res.stop_reasons)
         assert set(reasons) == {"stationary"}
@@ -961,8 +964,8 @@ class TestOrbitKernel:
         _, rho, part = next(c for c in ORBIT_CASES if c[0] == name)
         base, party_dims = ch._fused_purification(rho, part)
         starts = _random_unitaries(party_dims, 20, 100)
-        full = ch.alternating_orbit_overlap(base, starts, 1000, 1e-12)
-        halves = [ch.alternating_orbit_overlap(base, [s[h] for s in starts], 1000, 1e-12)
+        full = ch.alternating_orbit_overlap(base, starts, 1000)
+        halves = [ch.alternating_orbit_overlap(base, [s[h] for s in starts], 1000)
                   for h in (slice(0, 10), slice(10, 20))]
         assert full[3].tolist() == halves[0][3].tolist() + halves[1][3].tolist()
         assert full[4] == halves[0][4] + halves[1][4]
@@ -1005,9 +1008,9 @@ class TestOrbitKernel:
         _, rho, part = next(c for c in ORBIT_CASES if c[0] == name)
         base, party_dims = ch._fused_purification(rho, part)
         starts = _random_unitaries(party_dims, 20, 105)
-        pair = ch.alternating_orbit_overlap(base, starts, 1000, 1e-12)
+        pair = ch.alternating_orbit_overlap(base, starts, 1000)
         monkeypatch.setattr(ch, "_PAIR_TENSOR_MAX_DIM", 0)
-        applied = ch.alternating_orbit_overlap(base, starts, 1000, 1e-12)
+        applied = ch.alternating_orbit_overlap(base, starts, 1000)
         assert pair[3].tolist() == applied[3].tolist()
         assert pair[4] == applied[4] and pair[6] == applied[6]
         assert np.max(np.abs(pair[0] - applied[0])) <= 1e-13

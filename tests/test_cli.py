@@ -362,6 +362,19 @@ class TestStabilizerCommand:
         assert doc["nullity"] == 0
         assert "stabilizer_fidelity" not in doc
 
+    def test_eleven_qubits_skip_the_nullity(self, tmp_path, capsys):
+        # the nullity's table of 4^n Pauli expectations stops at 10 qubits;
+        # above it the nullity is left out, as the fidelity is above 5
+        n = 11
+        path = tmp_path / "ghz11.tab"
+        path.write_text("".join(["+" + "X" * n + "\n"] + [f"+{'I' * i}ZZ{'I' * (n - i - 2)}\n" for i in range(n - 1)]))
+        assert main(["stabilizer", "--tableau", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "nullity" not in doc and "stabilizer_fidelity" not in doc
+        assert doc["qubits"] == doc["generators"] == n
+        assert doc["conjugation_pauli"] == "I" * n and doc["solution_set_log2"] == n
+        assert {"tableau", "state_fingerprint_sha256_16"} <= set(doc)
+
     def test_mixed_group_skips_pure_monotones(self, tmp_path, capsys):
         path = tmp_path / "mixed.tab"
         path.write_text("+XX\n")
@@ -493,12 +506,40 @@ class TestScanCommand:
         assert capsys.readouterr().out == first
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch, where):
+        # the output is opened before the scan, so a bad path fails at once
+        from chiralkit import experiments as ex
+
+        monkeypatch.setattr(ex, "run_chirality_entanglement_scan", lambda *a: pytest.fail("the scan ran"))
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "scan.csv"
+        assert main(["scan", "--n", "40", "--seed", "5", "--out", str(out)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --out {out}: ")
+
+    def test_no_samples_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--n", "0", "--seed", "5", "--out", str(out)]) == 64
+        assert capsys.readouterr().err == "error: n_samples must be >= 1\n"
+        assert not out.exists()
+
 
 class TestSelftestCommand:
     def test_single_criterion(self, capsys):
         assert main(["selftest", "--only", "C3"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("[PASS] C3")
+
+    @pytest.mark.parametrize("key", ["C99", "c3"])
+    def test_unknown_criterion_is_a_usage_error(self, capsys, key):
+        # a key that names no criterion would run nothing and exit 0
+        with pytest.raises(SystemExit) as info:
+            main(["selftest", "--only", key])
+        assert info.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --only: invalid choice: '{key}'" in captured.err
 
     def test_raised_bound_violation_fails_its_criterion(self, capsys, monkeypatch):
         # with the tolerances below every slack and excess, C2 and C6 raise
