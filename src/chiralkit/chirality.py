@@ -448,6 +448,10 @@ class _OrbitContraction:
     Hessian is then one product with theta. The rows take n^2 dim entries for
     n parameters; above _SECOND_ORDER_MAX_ENTRIES they are not built and
     the optimizer keeps sweeping instead.
+
+    The ancilla is the last axis. When it and some system party are active,
+    it is recorded as ancilla, and the first nsystem coordinates are the
+    system parties'; a Newton step moves those only (_newton_iteration).
     """
 
     def __init__(self, base: np.ndarray):
@@ -474,6 +478,9 @@ class _OrbitContraction:
                 order = [a for j in range(m) if j != i for a in (j, m + j)] + [m + i, i]
                 self.pairs[t] = np.ascontiguousarray(pair.transpose(order)).reshape(-1, dims[t] ** 2)
         self.nparams = sum(dims[t] ** 2 - 1 for t in self.active)
+        last = len(dims) - 1
+        self.ancilla = last if self.active[-1:] == [last] and len(self.active) > 1 else None
+        self.nsystem = self.nparams - (0 if self.ancilla is None else dims[last] ** 2 - 1)
         self.rows = None
         if 0 < self.nparams**2 * self.base.size <= _SECOND_ORDER_MAX_ENTRIES:
             grad_rows = self._generators_transposed(self.base[None])[0]
@@ -555,14 +562,39 @@ class _OrbitContraction:
         hess += 2.0 * np.real(g[:, :, None] * g.conj()[:, None, :])
         return np.abs(o) ** 2, 2.0 * np.real(o.conj()[:, None] * g), hess
 
+    def system_derivatives(self, theta: np.ndarray):
+        """Fidelities of the states theta with the gradients (R, nsystem) and
+        Hessians of the reduced fidelity f(x) = max over the ancilla unitary,
+        for states whose ancilla is at that maximum.
+
+        With w the ancilla coordinates, the maximum's first-order condition
+        g_w(x, w(x)) = 0 gives w' = -H_ww^-1 H_wx, so f' = g_x (the envelope
+        theorem) and f'' = S = H_xx - H_xw H_ww^-1 H_wx, the Schur complement
+        of the ancilla block. A stack with a singular ancilla block takes
+        S = H_xx: the model of a step that holds the ancilla."""
+        fid, grad, hess = self.derivatives(theta)
+        m = self.nsystem
+        if m == self.nparams:
+            return fid, grad, hess
+        schur = hess[:, :m, :m]
+        try:
+            schur = schur - hess[:, :m, m:] @ np.linalg.solve(hess[:, m:, m:], hess[:, m:, :m])
+        except np.linalg.LinAlgError:
+            pass  # some ancilla block is singular to working precision
+        return fid, grad[:, :m], schur
+
     def rotate(self, us, x: np.ndarray) -> list[np.ndarray]:
-        """The unitaries exp(i sum_k x_tk E_k) U_t. For a qubit h = x.sigma / sqrt(2)
-        squares to theta^2 I with theta = |x| / sqrt(2), so its exponential is
-        cos(theta) I + i sin(theta)/theta h; larger parties take
-        V e^{i lambda} V^dagger from eigh."""
+        """The unitaries exp(i sum_k x_tk E_k) U_t of the parties whose
+        coordinates x holds, taken in order: every active party, or the
+        system parties for x of nsystem columns. For a qubit
+        h = x.sigma / sqrt(2) squares to theta^2 I with theta = |x| / sqrt(2),
+        so its exponential is cos(theta) I + i sin(theta)/theta h; larger
+        parties take V e^{i lambda} V^dagger from eigh."""
         out = list(us)
         start = 0
         for t in self.active:
+            if start == x.shape[1]:
+                break
             d = self.shapes[t][1]
             basis = _hermitian_basis(d)
             xt = x[:, start:start + len(basis)]
@@ -643,10 +675,21 @@ def _sweep(orbit: _OrbitContraction, us, fid: np.ndarray):
 
 def _newton_iteration(orbit: _OrbitContraction, us, theta, radius):
     """One trust-region step for each restart: the unitaries and fidelities
-    after it (unchanged where the fidelity would not rise) and the new radii."""
-    fid, grad, hess = orbit.derivatives(theta)
+    after it (unchanged where the fidelity would not rise) and the new radii.
+
+    With an ancilla the step moves the system parties on the model of the
+    reduced fidelity (system_derivatives) and then sets the ancilla to its
+    polar optimum, so the ancilla is at its optimum when the next step
+    starts, as it is after a sweep, which updates it last."""
+    fid, grad, hess = orbit.system_derivatives(theta)
     x, increase = _trust_region_step(grad, hess, radius)
     trial = orbit.rotate(us, x)
+    if orbit.ancilla is not None:
+        u = _polar_max(orbit.data_matrix(trial, orbit.ancilla))[0]
+        trial[orbit.ancilla] = np.ascontiguousarray(u)
+    # the fidelity from the overlap of contiguous unitaries, not from the
+    # trace norm: the next step's starting fidelity, which a refused step
+    # returns, is rounded the same way, so the fidelities never fall
     trial_fid = np.abs(orbit.overlaps(trial)) ** 2
     gain = trial_fid - fid
     ratio = gain / np.maximum(increase, np.finfo(float).tiny)
@@ -685,7 +728,10 @@ def alternating_orbit_overlap(
     Newton steps on U(d)^m (Absil, Baker & Gallivan 2007) with the exact
     Hessian of the fidelity (_OrbitContraction), and a step counts only if it
     raises the fidelity, so every fidelity rises monotonically from its
-    start. A restart stops as "stationary" once its stationarity is at most
+    start. With an ancilla a step moves only the system parties, on the
+    fidelity maximized over the ancilla unitary (variable projection,
+    Golub & Pereyra 2003), and then sets the ancilla to its polar optimum.
+    A restart stops as "stationary" once its stationarity is at most
     sqrt(ORBIT_TOL), as "target" when some restart reaches target_fidelity
     first, and as "cap" when its sweeps plus Newton steps reach max_iters.
     Parties too large for the Hessian sweep in the finish instead, under the
@@ -783,9 +829,11 @@ def chiral_log_distance(
     len(extra_inits)) restarts run: at least 1 + len(extra_inits), whatever
     restarts asks. Each restart sweeps until its gain per sweep falls below
     sqrt(ORBIT_TOL) (at most 10 sweeps, or 60 when target_fidelity is
-    given), then takes trust-region Newton steps until its stationarity is
-    at most sqrt(ORBIT_TOL) (alternating_orbit_overlap); max_iters caps its sweeps plus steps, and
-    restarts that reach the cap raise a RuntimeWarning. Returns
+    given), then takes trust-region Newton steps on the partition groups,
+    each followed by the ancilla's closed-form optimum, until its
+    stationarity is at most sqrt(ORBIT_TOL) (alternating_orbit_overlap);
+    max_iters caps its sweeps plus steps, and restarts that reach the cap
+    raise a RuntimeWarning. Returns
     (-log best_fidelity, diagnostics); the value is an upper estimate of the
     true log-distance because stalls only lower the fidelity.
     """

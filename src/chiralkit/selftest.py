@@ -396,6 +396,12 @@ def run_criterion(key: str) -> CriterionResult:
 
 
 def run_all(keys=None, report=print) -> list[CriterionResult]:
+    """Run the criteria named in keys (every criterion when keys is empty or
+    None) in CRITERIA order. An unknown key raises KeyError, as in
+    run_criterion, before any criterion runs."""
+    unknown = sorted(set(keys or ()) - {k for k, _, _ in CRITERIA})
+    if unknown:
+        raise KeyError(f"unknown criterion {unknown[0]!r}")
     results = []
     for k, title, _ in CRITERIA:
         if keys and k not in keys:

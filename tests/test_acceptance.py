@@ -18,3 +18,13 @@ def test_acceptance_criterion(key, title):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {result.key} {title} ({result.seconds:.1f}s): {result.detail}")
     assert result.passed, f"{result.key} {title}: {result.detail}"
+
+
+@pytest.mark.parametrize("keys", [["C99"], {"c3"}], ids=["C99", "c3"])
+def test_run_all_refuses_unknown_keys(keys):
+    # a key that names no criterion ran nothing and returned [], which a
+    # caller reading all(r.passed for r in results) took for a pass
+    lines = []
+    with pytest.raises(KeyError, match="unknown criterion"):
+        selftest.run_all(keys=keys, report=lines.append)
+    assert lines == []
