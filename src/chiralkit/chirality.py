@@ -85,6 +85,9 @@ class ModularSet:
     k_a_eigbasis and k_b_eigbasis are those Hamiltonians tensored with the
     identity and rotated into the eigenbasis (V† K V), each formed when it is
     first read, so a measure that needs one party never rotates the other.
+    pair_table is the product i (K_A)_ij (K_B)_ji of the two, formed on its
+    first read, that every nested-commutator measure contracts with its own
+    kernel.
     For a stack of states every field carries the same leading axes, and the
     measures contracted from it return one value per member. Every array is
     read-only, as modular_set hands the same set to consecutive calls.
@@ -122,6 +125,12 @@ class ModularSet:
     @cached_property
     def k_b_eigbasis(self) -> np.ndarray:
         return self._rotated(1)
+
+    @cached_property
+    def pair_table(self) -> np.ndarray:
+        table = 1j * self.k_a_eigbasis * np.swapaxes(self.k_b_eigbasis, -1, -2)
+        table.flags.writeable = False
+        return table
 
     def kept(self, key, compute):
         """scalars[key], from compute() on the first read; the values of a
@@ -184,11 +193,18 @@ def _plus(x: np.ndarray) -> np.ndarray:
 
 
 def _contract(ms: ModularSet, w: np.ndarray, label: str):
-    """i sum_ij w_ij (K_A)_ij (K_B)_ji in the eigenbasis of rho. Every
-    nested-commutator measure is this sum for its own real antisymmetric
-    kernel w, which makes the value real up to rounding."""
-    kb_t = np.swapaxes(ms.k_b_eigbasis, -1, -2)
-    return _real_part(1j * _sum2(w * ms.k_a_eigbasis * kb_t), label)
+    """i sum_ij w_ij (K_A)_ij (K_B)_ji in the eigenbasis of rho, read from
+    the pair table. Every nested-commutator measure is this sum for its own
+    real antisymmetric kernel w, which makes the value real up to rounding."""
+    return _real_part(_sum2(w * ms.pair_table), label)
+
+
+def _flow_phases(kappa: np.ndarray, s: float) -> np.ndarray:
+    """exp(i s (kappa_i - kappa_j)) as the outer product of exp(i s kappa)
+    with its conjugate: cos and sin of the flow angle are its real and
+    imaginary parts."""
+    e = np.exp(1j * s * kappa)
+    return e[..., :, None] * e.conj()[..., None, :]
 
 
 def _gamma_contraction(ms: ModularSet):
@@ -199,8 +215,9 @@ def _gamma_contraction(ms: ModularSet):
             f"state is rank-deficient (min/max eigenvalue ratio {ratio:.3e}); "
             "the flow-integrated measure requires full rank"
         )
-    outer = p[..., :, None] * p[..., None, :]
-    return _contract(ms, 2.0 * np.sqrt(outer) * _minus(p) / _plus(p), "gamma")
+    root = np.sqrt(p)
+    outer = root[..., :, None] * root[..., None, :]
+    return _contract(ms, 2.0 * outer * _minus(p) / _plus(p), "gamma")
 
 
 def j2(rho: DensityMatrix, split: Partition) -> float:
@@ -220,14 +237,17 @@ def j3(rho: DensityMatrix, split: Partition) -> float:
 def j3_prime(rho: DensityMatrix, split: Partition) -> float:
     """i Tr(rho [[[K_AB, K_B], K_B], K_B]): not symmetric under swapping the
     two groups, which lets it see states the symmetric measures miss."""
-    # i Tr(rho [Y, K_B]) = i sum_ij (p_i - p_j) Y_ij (K_B)_ji with
-    # Y = [X, K_B], X = [K_AB, K_B] and K_AB = diag(kappa) in the eigenbasis;
-    # X is anti-Hermitian, so Y = X K_B + (X K_B)†
+    # The nested commutator expands to K B^3 - 3 B K B^2 + 3 B^2 K B - B^3 K
+    # (K = K_AB, B = K_B), and Tr(rho K B^3) = Tr(rho B^3 K) as rho and K
+    # commute. So J3' = 3i [Tr(rho B^2 K B) - Tr(rho B K B^2)], which in the
+    # eigenbasis (rho = diag(p), K = diag(kappa)) is 3i (p^T T kappa -
+    # kappa^T T p) with T_ij = (B^2)_ij B_ji (DECISIONS.md).
     ms = modular_set(rho, split)
     kb = ms.k_b_eigbasis
-    xk = (_minus(ms.kappa) * kb) @ kb
-    y = xk + dagger(xk)
-    return _real_part(1j * _sum2(_minus(ms.p) * y * np.swapaxes(kb, -1, -2)), "J3'")
+    t = (kb @ kb) * np.swapaxes(kb, -1, -2)
+    pk = np.stack((ms.p, ms.kappa), axis=-1)
+    m = np.swapaxes(pk, -1, -2) @ t @ pk
+    return _real_part(3j * (m[..., 0, 1] - m[..., 1, 0]), "J3'")
 
 
 def gamma_s(rho: DensityMatrix, split: Partition, s: float) -> float:
@@ -235,7 +255,7 @@ def gamma_s(rho: DensityMatrix, split: Partition, s: float) -> float:
     with K_plus = (K_A(s) + K_A(-s))/2 and K_A(s) = e^{is K_AB} K_A e^{-is K_AB}.
     Eigenbasis kernel cos(s (kappa_i - kappa_j)) (p_i - p_j)."""
     ms = modular_set(rho, split)
-    return _contract(ms, np.cos(s * _minus(ms.kappa)) * _minus(ms.p), f"gamma_s(s={s})")
+    return _contract(ms, _flow_phases(ms.kappa, s).real * _minus(ms.p), f"gamma_s(s={s})")
 
 
 def phi_s(rho: DensityMatrix, split: Partition, s: float) -> float:
@@ -243,7 +263,7 @@ def phi_s(rho: DensityMatrix, split: Partition, s: float) -> float:
     with K_minus = i (K_A(s) - K_A(-s))/2.
     Eigenbasis kernel -sin(s (kappa_i - kappa_j)) (p_i + p_j)."""
     ms = modular_set(rho, split)
-    return _contract(ms, -np.sin(s * _minus(ms.kappa)) * _plus(ms.p), f"phi_s(s={s})")
+    return _contract(ms, -_flow_phases(ms.kappa, s).imag * _plus(ms.p), f"phi_s(s={s})")
 
 
 def gamma_s_second_difference(rho: DensityMatrix, split: Partition, step: float = 1e-3) -> float:

@@ -98,8 +98,16 @@ def _cmd_logdist(args) -> int:
     return EXIT_OK
 
 
+# rows of the matrix rounded and hashed at a time: the digest is that of the
+# whole rounded matrix, without a rounded copy of all of it
+_FINGERPRINT_ROWS = 256
+
+
 def _state_fingerprint(matrix: np.ndarray) -> str:
-    return hashlib.sha256(np.round(matrix, 8).tobytes()).hexdigest()[:16]
+    digest = hashlib.sha256()
+    for lo in range(0, matrix.shape[0], _FINGERPRINT_ROWS):
+        digest.update(np.round(matrix[lo:lo + _FINGERPRINT_ROWS], 8).tobytes())
+    return digest.hexdigest()[:16]
 
 
 def _cmd_stabilizer(args) -> int:

@@ -80,12 +80,18 @@ def _pair_weight(p: np.ndarray, numerator) -> np.ndarray:
     return np.where(good, numerator / np.where(good, psum, 1.0), 0.0)
 
 
-def _qfi_eigbasis(p: np.ndarray, h2: np.ndarray):
-    """sum_ij 2 (p_i - p_j)^2 / (p_i + p_j) |H_ij|^2 for the eigenvalues p of
-    rho and the squared moduli h2 of the generator H in its eigenbasis:
+def _qfi_weight(p: np.ndarray) -> np.ndarray:
+    """2 (p_i - p_j)^2 / (p_i + p_j) on the pairs the SLD keeps: the weight
+    of |H_ij|^2 in the QFI of rho, p its eigenvalues."""
+    return _pair_weight(p, 2.0 * _minus(p) ** 2)
+
+
+def _qfi_eigbasis(weight: np.ndarray, h2: np.ndarray):
+    """sum_ij weight_ij |H_ij|^2 for the _qfi_weight of rho and the squared
+    moduli h2 of the generator H in the eigenbasis of rho:
     -Tr([H, rho] R^{-1}([H, rho])) with R^{-1} the sld_apply superoperator
     (Braunstein & Caves 1994)."""
-    return _scalar(_sum2(_pair_weight(p, 2.0 * _minus(p) ** 2) * h2))
+    return _scalar(_sum2(weight * h2))
 
 
 def gauss_legendre_panels(s_max: float, panels: int):
@@ -147,7 +153,7 @@ def qfi(rho: DensityMatrix, ham: np.ndarray) -> float:
     require_hermitian(ham)
     dec = rho.eig()
     v = dec.eigenvectors
-    return _qfi_eigbasis(np.clip(dec.eigenvalues, 0.0, None), np.abs(v.conj().T @ ham @ v) ** 2)
+    return _qfi_eigbasis(_qfi_weight(np.clip(dec.eigenvalues, 0.0, None)), np.abs(v.conj().T @ ham @ v) ** 2)
 
 
 def _party_index(party) -> int:
@@ -172,12 +178,15 @@ def intrinsic_ip(rho: DensityMatrix, split: Partition, party) -> float:
 def _party_scalars(ms, party) -> tuple:
     """(intrinsic IP, log-moment Tr(rho_P K_P^2)) of one party, both from one
     table |(K_P)_ij|^2 in the eigenbasis of rho, the log-moment being
-    sum_ij p_i |(K_P)_ij|^2; kept on ms."""
+    sum_ij p_i |(K_P)_ij|^2; kept on ms, as is the QFI weight both parties
+    read."""
     i = _party_index(party)
 
     def compute():
-        h2 = np.abs(ms.k_b_eigbasis if i else ms.k_a_eigbasis) ** 2
-        return _qfi_eigbasis(ms.p, h2), _scalar(_sum2(ms.p[..., :, None] * h2))
+        k = ms.k_b_eigbasis if i else ms.k_a_eigbasis
+        h2 = k.real**2 + k.imag**2
+        weight = ms.kept("qfi weight", lambda: _qfi_weight(ms.p))
+        return _qfi_eigbasis(weight, h2), _scalar(_sum2(ms.p[..., :, None] * h2))
 
     return ms.kept(("party", i), compute)
 

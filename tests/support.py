@@ -5,7 +5,10 @@ operator tensored with the identity (for apply_local), the imaginary power
 rho^{is} and the modular-flowed Hamiltonians built from it (for the flow
 kernels of gamma_s and phi_s), the orbit overlap recomputed from the
 purification (for the optimizer's overlap), and the rank of a state (for
-the ancilla dimension of purify). Plus two textbook states.
+the ancilla dimension of purify), and J2, J3 and J3' from their
+commutator definitions at 50 digits (for the eigenbasis forms of the
+measures).
+Plus two textbook states.
 """
 
 import numpy as np
@@ -98,3 +101,55 @@ def orbit_overlap(rho, partition, unitaries):
     for t, u in enumerate(unitaries):
         theta = np.moveaxis(np.moveaxis(theta, t, -1) @ np.asarray(u, dtype=complex).T, -1, t)
     return complex(np.sum(base * theta))
+
+
+def _mpmath_measure(data, dims, dps, form):
+    """i Tr(rho X) at dps digits for the X = form(comm, K_AB, K_A (x) I,
+    I (x) K_B) of a full-rank state on dims = (d_A, d_B) split [0]|[1], each
+    K the -log of its matrix from mpmath's Hermitian eigendecomposition."""
+    import mpmath
+
+    da, db = dims
+    d = da * db
+    with mpmath.workdps(dps):
+        rho = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in data])
+        rho = (rho + rho.H) / 2
+
+        def minus_log(m):
+            e, q = mpmath.eighe(m)
+            return -(q * mpmath.diag([mpmath.log(x) for x in e]) * q.H)
+
+        rho_a, rho_b = mpmath.matrix(da, da), mpmath.matrix(db, db)
+        for i in range(d):
+            for j in range(d):
+                (ia, ib), (ja, jb) = divmod(i, db), divmod(j, db)
+                if ib == jb:
+                    rho_a[ia, ja] += rho[i, j]
+                if ia == ja:
+                    rho_b[ib, jb] += rho[i, j]
+        k_a, k_b = minus_log(rho_a), minus_log(rho_b)
+        ka, kb = mpmath.zeros(d, d), mpmath.zeros(d, d)
+        for i in range(d):
+            for j in range(d):
+                (ia, ib), (ja, jb) = divmod(i, db), divmod(j, db)
+                if ib == jb:
+                    ka[i, j] = k_a[ia, ja]
+                if ia == ja:
+                    kb[i, j] = k_b[ib, jb]
+        x = rho * form(lambda x, y: x * y - y * x, minus_log(rho), ka, kb)
+        return float((1j * sum(x[i, i] for i in range(d))).real)
+
+
+def mpmath_j2(data, dims=(2, 2), dps=50):
+    """i Tr(rho {[K_AB, K_A], K_B}) at dps digits (_mpmath_measure)."""
+    return _mpmath_measure(data, dims, dps, lambda c, k_ab, ka, kb: c(k_ab, ka) * kb + kb * c(k_ab, ka))
+
+
+def mpmath_j3(data, dims=(2, 2), dps=50):
+    """i Tr(rho [[K_AB, [K_AB, K_A]], K_B]) at dps digits (_mpmath_measure)."""
+    return _mpmath_measure(data, dims, dps, lambda c, k_ab, ka, kb: c(c(k_ab, c(k_ab, ka)), kb))
+
+
+def mpmath_j3_prime(data, dims=(2, 2), dps=50):
+    """i Tr(rho [[[K_AB, K_B], K_B], K_B]) at dps digits (_mpmath_measure)."""
+    return _mpmath_measure(data, dims, dps, lambda c, k_ab, ka, kb: c(c(c(k_ab, kb), kb), kb))

@@ -32,7 +32,15 @@ from chiralkit.sampling import (
 )
 from chiralkit.stabilizer import MAGIC_BOUND_TOL, verify_magic_bounds
 from chiralkit.states import chiral_qutrit_qubit, commuting_chiral_qudit_qubit, t_state_vector
-from support import embed_operator, flowed_k, modular_hamiltonians, orbit_overlap
+from support import (
+    embed_operator,
+    flowed_k,
+    modular_hamiltonians,
+    mpmath_j2,
+    mpmath_j3,
+    mpmath_j3_prime,
+    orbit_overlap,
+)
 
 SPLIT = bipartition([0], [1])
 
@@ -385,7 +393,7 @@ class TestModularSetSlot:
         decs = [a for d in ms.marginal_decs for a in (d.eigenvalues, d.eigenvectors)]
         marginals = [m.data for m in ms.marginals]
         for a in (ms.p, ms.kappa, ms.eigenvectors, *marginals, *decs, *ms.marginal_k, ms.k_a_eigbasis,
-                  ms.k_b_eigbasis):
+                  ms.k_b_eigbasis, ms.pair_table):
             with pytest.raises(ValueError, match="read-only"):
                 a[..., 0] = 0.0
 
@@ -506,6 +514,50 @@ class TestNestedCommutatorMeasures:
             total = fn(tensor_product(rho, sig), comp)
             assert total == pytest.approx(fn(rho, SPLIT) + fn(sig, SPLIT), abs=1e-8)
 
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4)])
+    def test_match_fifty_digit_oracles(self, dims):
+        # J2 and J3' within 1e-15. J3 weights the squared modular gaps, which
+        # carry the rounding of the double-precision eigendecomposition: it
+        # reads up to 7.3e-15 from the 50-digit value here (state 3 at (2, 2)),
+        # as the contraction before the pair table did. J3' is checked where
+        # B has at least 3 levels, as it vanishes identically on a qubit B.
+        pytest.importorskip("mpmath")
+        for i in range(4):
+            rho = rho_rand(dims, 61, i)
+            assert abs(ch.j2(rho, SPLIT) - mpmath_j2(rho.data, dims)) <= 1e-15
+            assert abs(ch.j3(rho, SPLIT) - mpmath_j3(rho.data, dims)) <= 1e-14
+            if dims[1] >= 3:
+                assert abs(ch.j3_prime(rho, SPLIT) - mpmath_j3_prime(rho.data, dims)) <= 1e-15
+
+    MEASURES = {
+        "J2": ch.j2,
+        "J3": ch.j3,
+        "J3'": ch.j3_prime,
+        "gamma_s": lambda rho, split: ch.gamma_s(rho, split, 0.7),
+        "phi_s": lambda rho, split: ch.phi_s(rho, split, 0.7),
+        "gamma": ch.gamma_integral,
+    }
+
+    @pytest.mark.parametrize("name", list(MEASURES))
+    def test_imaginary_residue_warns(self, name):
+        # rotated Hamiltonians made non-Hermitian by about 1e-6 leave an
+        # imaginary residue in every measure read from the held set
+        rho = rho_rand((2, 3), 31)
+        ms = ch.modular_set(rho, SPLIT)
+        rng = split_rng(31, 1)
+        for field in ("k_a_eigbasis", "k_b_eigbasis"):
+            noise = rng.standard_normal((6, 6, 2)).view(complex)[..., 0]
+            vars(ms)[field] = getattr(ms, field) + 1e-6 * noise
+        with pytest.warns(RuntimeWarning, match="imaginary residue"):
+            self.MEASURES[name](rho, SPLIT)
+
+    @pytest.mark.parametrize("name", list(MEASURES))
+    def test_clean_set_does_not_warn(self, name):
+        rho = rho_rand((2, 3), 31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.MEASURES[name](rho, SPLIT)
 
 class TestModularFlow:
     def test_s_zero(self):

@@ -1,12 +1,14 @@
 """Command-line contract: exit codes, deterministic output, tolerances on
 every numeric, bundled example states."""
 
+import hashlib
 import json
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from chiralkit import cli
 from chiralkit.cli import main
 from chiralkit.io import StateFileError, parse_state_document, parse_state_file, write_state_file
 from chiralkit.qmat import DensityMatrix, pure_state_density
@@ -374,6 +376,16 @@ class TestStabilizerCommand:
         assert doc["qubits"] == doc["generators"] == n
         assert doc["conjugation_pauli"] == "I" * n and doc["solution_set_log2"] == n
         assert {"tableau", "state_fingerprint_sha256_16"} <= set(doc)
+
+    @pytest.mark.parametrize("rows,block", [(7, 3), (1, 3), (300, 256), (5, 256)])
+    def test_fingerprint_blocks_match_one_digest(self, monkeypatch, rows, block):
+        # the row blocks hash the same bytes as the whole rounded matrix, also
+        # when the row count is not a multiple of the block
+        monkeypatch.setattr(cli, "_FINGERPRINT_ROWS", block)
+        m = split_rng(41, rows).standard_normal((rows, 5, 2)).view(complex)[..., 0] * 1e-3
+        whole = hashlib.sha256(np.round(m, 8).tobytes()).hexdigest()[:16]
+        assert cli._state_fingerprint(m) == whole
+        assert cli._state_fingerprint(np.asfortranarray(m)) == whole
 
     def test_mixed_group_skips_pure_monotones(self, tmp_path, capsys):
         path = tmp_path / "mixed.tab"

@@ -18,7 +18,7 @@ from chiralkit.sampling import (
     split_rng,
 )
 from chiralkit.states import chiral_qutrit_qubit
-from support import bell_state
+from support import bell_state, mpmath_j2
 
 SPLIT = bipartition([0], [1])
 
@@ -193,35 +193,6 @@ class TestStackedScan:
         monkeypatch.setattr(ex, "_SCAN_CHUNK", 7)
         small, _ = ex.run_chirality_entanglement_scan(n, 808)
         assert ex.scan_to_csv(small) == ex.scan_to_csv(rows)
-
-
-def mpmath_j2(data, dps=50):
-    """i Tr(rho {[K_AB, K_A], K_B}) for a two-qubit matrix, at dps digits."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(dps):
-        rho = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in data])
-        rho = (rho + rho.H) / 2
-
-        def minus_log(m):
-            e, q = mpmath.eighe(m)
-            return -(q * mpmath.diag([mpmath.log(x) for x in e]) * q.H)
-
-        rho_a, rho_b = mpmath.matrix(2, 2), mpmath.matrix(2, 2)
-        for i in range(2):
-            for j in range(2):
-                rho_a[i, j] = rho[2 * i, 2 * j] + rho[2 * i + 1, 2 * j + 1]
-                rho_b[i, j] = rho[i, j] + rho[2 + i, 2 + j]
-        k_ab, k_a, k_b = minus_log(rho), minus_log(rho_a), minus_log(rho_b)
-        k_a_full, k_b_full = mpmath.zeros(4, 4), mpmath.zeros(4, 4)
-        for i in range(4):
-            for j in range(4):
-                if i % 2 == j % 2:
-                    k_a_full[i, j] = k_a[i // 2, j // 2]
-                if i // 2 == j // 2:
-                    k_b_full[i, j] = k_b[i % 2, j % 2]
-        comm = k_ab * k_a_full - k_a_full * k_ab
-        x = rho * (comm * k_b_full + k_b_full * comm)
-        return float((1j * sum(x[i, i] for i in range(4))).real)
 
 
 class TestScanTail:

@@ -6,7 +6,8 @@
 DIR is the root of a full checkout of each side (for example made with
 `git archive`). For each workload the recorder runs `perfbench/run.py` in
 both checkouts for `BENCHMARK.json`'s run_seconds, pair k with seed k, the
-side that runs first alternating from pair to pair. Per metric it writes
+side that runs first alternating from pair to pair. Pair counts must be even,
+so each side runs first in half the pairs. Per metric it writes
 both sides' runs, medians and quartiles, the ratio of the medians and the
 number of pairs the change won, counting a win in the direction
 `BENCHMARK.json` names. A metric shows a gain when the change won at least
@@ -164,9 +165,13 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--what", required=True, help="one line: what the change does and what it claims")
-    ap.add_argument("--pairs", nargs="+", default=["ensemble_d4=10", "spectral_d256=3",
-                                                    "orbit_magic=3", "stabilizer_tables=3"])
+    ap.add_argument("--pairs", nargs="+", default=["ensemble_d4=10", "spectral_d256=4",
+                                                    "orbit_magic=4", "stabilizer_tables=4"])
     args = ap.parse_args(argv)
+    pairs = {workload: int(n) for workload, n in (p.split("=") for p in args.pairs)}
+    odd = [f"{workload}={n}" for workload, n in pairs.items() if n % 2]
+    if odd:
+        ap.error(f"pair counts must be even, so each side runs first in half the pairs: {' '.join(odd)}")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
@@ -175,12 +180,12 @@ def main(argv=None) -> int:
     doc = {
         "what": args.what,
         "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g}, parent and "
-                   "change alternating which runs first; each side from its own checkout",
+                   "change alternating which runs first over an even number of pairs; each side from its own "
+                   "checkout",
         "workloads": {},
     }
-    for spec_pair in args.pairs:
-        workload, pairs = spec_pair.split("=")
-        doc["workloads"][workload] = _workload(dirs, workload, int(pairs), seconds, better)
+    for workload, n in pairs.items():
+        doc["workloads"][workload] = _workload(dirs, workload, n, seconds, better)
     doc["claim"] = [
         {"workload": workload, "metric": metric, **{k: entry[metric][k] for k in (
             "pairs_change_better", "median_improvement", "parent_interquartile_range")},
