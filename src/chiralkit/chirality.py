@@ -93,7 +93,8 @@ class ModularSet:
     read-only, as modular_set hands the same set to consecutive calls.
     scalars holds, from their first read through kept, the values that more
     than one measure or verdict reads: gamma, each party's intrinsic IP and
-    log-moment, and each group's marginal test.
+    log-moment, the QFI weight both parties read, and each group's marginal
+    test.
     """
 
     p: np.ndarray

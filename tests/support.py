@@ -7,8 +7,7 @@ kernels of gamma_s and phi_s), the orbit overlap recomputed from the
 purification (for the optimizer's overlap), and the rank of a state (for
 the ancilla dimension of purify), and J2, J3 and J3' from their
 commutator definitions at 50 digits (for the eigenbasis forms of the
-measures).
-Plus two textbook states.
+measures). Plus two textbook states.
 """
 
 import numpy as np
