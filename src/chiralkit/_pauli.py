@@ -38,6 +38,17 @@ def _i_power_table(n: int) -> np.ndarray:
     return 1j ** (ny % 4)
 
 
+@lru_cache(maxsize=None)
+def _xor_index(n: int) -> np.ndarray:
+    """The (2^n, 2^n) table b ^ x as int16, which holds it up to 15 qubits:
+    2 MB at n = 10. Read it with take: fancy indexing would first widen a
+    narrow index to intp on every call. Cached, read-only."""
+    idx = np.arange(1 << n, dtype=np.int16)
+    index = idx[:, None] ^ idx
+    index.flags.writeable = False
+    return index
+
+
 def qubit_vector(psi: np.ndarray, n: int) -> np.ndarray:
     """psi as a flat complex vector, checked to be a state of n qubits: 2^n
     finite entries whose squared norm is within NORM_ATOL of 1."""
@@ -58,10 +69,8 @@ def _value_table(psi: np.ndarray, n: int, conjugate_bra: bool) -> np.ndarray:
     psi = qubit_vector(psi, n)
     if n > PAULI_ENUM_MAX_QUBITS:
         raise ValueError(f"enumeration of 4^{n} strings refused (max {PAULI_ENUM_MAX_QUBITS} qubits)")
-    idx = np.arange(1 << n)
-    bra = psi[idx[:, None] ^ idx]  # bra[b, x] = psi[b ^ x]
-    if conjugate_bra:
-        bra = bra.conj()
+    # bra[b, x] = psi[b ^ x], conjugated before the gather: 2^n entries, not 4^n
+    bra = (psi.conj() if conjugate_bra else psi).take(_xor_index(n))
     bra *= psi[:, None]
     # the real Hadamard matrix acts on rows, so one real GEMM covers both
     # the real and the imaginary parts of the interleaved complex columns

@@ -246,7 +246,7 @@ def j3_prime(rho: DensityMatrix, split: Partition) -> float:
     ms = modular_set(rho, split)
     kb = ms.k_b_eigbasis
     t = (kb @ kb) * np.swapaxes(kb, -1, -2)
-    pk = np.stack((ms.p, ms.kappa), axis=-1)
+    pk = np.stack((ms.p, ms.kappa), axis=-1, dtype=complex)  # complex like T, so the products run in BLAS
     m = np.swapaxes(pk, -1, -2) @ t @ pk
     return _real_part(3j * (m[..., 0, 1] - m[..., 1, 0]), "J3'")
 

@@ -97,8 +97,22 @@ def f2_solve(system: F2System) -> F2Solution:
     return F2Solution(True, solution, tuple(nullspace), rank, ncols)
 
 
+def _xor_reduce(row: int, basis: dict[int, int]) -> int:
+    """row reduced against an XOR basis keyed by each row's leading bit: 0
+    when row is in the span, else a row whose leading bit no basis row has."""
+    while row and (lead := row.bit_length() - 1) in basis:
+        row ^= basis[lead]
+    return row
+
+
 def f2_rank(rows, ncols: int) -> int:
-    return f2_solve(F2System(tuple(rows), (0,) * len(rows), ncols)).rank
+    basis: dict[int, int] = {}
+    for row in rows:
+        if row < 0 or row >> ncols:
+            raise ValueError("row bits outside the declared number of columns")
+        if row := _xor_reduce(row, basis):
+            basis[row.bit_length() - 1] = row
+    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +121,12 @@ def f2_rank(rows, ncols: int) -> int:
 
 _SITE_CHARS = {(0, 0): "I", (0, 1): "X", (1, 0): "Z", (1, 1): "Y"}
 _CHAR_SITES = {v: k for k, v in _SITE_CHARS.items()}
+
+
+@lru_cache(maxsize=1 << 12)
+def _row_bits(row: int, n: int) -> tuple[int, ...]:
+    """The n low bits of row, bit 0 first."""
+    return tuple((row >> j) & 1 for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -141,6 +161,15 @@ class PauliString:
     def matrix(self) -> np.ndarray:
         z, x = self.basis_masks()
         return _pauli.pauli_matrix(z, x, self.n)
+
+    @classmethod
+    def _from_rows(cls, z: int, x: int, n: int) -> PauliString:
+        """The string of row ints z, x below 2^n (bit j = qubit j): bits by
+        construction, so not re-checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "z_bits", _row_bits(z, n))
+        object.__setattr__(p, "x_bits", _row_bits(x, n))
+        return p
 
     @staticmethod
     def from_label(label: str) -> "PauliString":
@@ -189,9 +218,7 @@ class StabilizerGroup:
         return len(self.z_rows)
 
     def generator(self, i: int) -> PauliString:
-        z = tuple((self.z_rows[i] >> j) & 1 for j in range(self.n))
-        x = tuple((self.x_rows[i] >> j) & 1 for j in range(self.n))
-        return PauliString(z, x)
+        return PauliString._from_rows(self.z_rows[i], self.x_rows[i], self.n)
 
 
 def group_from_labels(labels, signs=None) -> StabilizerGroup:
@@ -227,28 +254,95 @@ def parse_tableau(text: str) -> StabilizerGroup:
     return group_from_labels(labels, signs)
 
 
-def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
-    """Dense state 2^{k-n} prod_i (I + s_i P_i)/2 stabilized by the group.
+def _basis_mask(row: int, n: int) -> int:
+    """A row int (bit j = qubit j) as a basis mask (qubit 0 the most
+    significant bit): its n bits reversed."""
+    return int(f"{row:0{n}b}"[::-1], 2)
 
-    With P|b> = c_b |b ^ x>, column b of A (I + s P) is A[:, b] + s c_b
-    A[:, b ^ x], so each factor is one column gather; every entry is dyadic,
-    so the result has the bits of the dense product: exact, not re-checked."""
-    n = group.n
-    b = np.arange(1 << n)
-    acc = np.eye(1 << n, dtype=complex)
-    for i in range(group.k):
-        z, x = group.generator(i).basis_masks()
-        col = _pauli.column_phases(z, x, n)
-        if group.signs[i]:
-            col = -col
-        # (acc + acc[:, b ^ x] * col) / 2, in place on the gathered copy
-        gathered = acc[:, b ^ x]
-        gathered *= col
-        gathered += acc
-        gathered *= 0.5
-        acc = gathered
-    acc /= 2 ** (n - group.k)
-    return DensityMatrix._derived((2,) * n, acc)
+
+def _signed_product(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(z, x, sign bit) of the product of two commuting signed strings,
+    basis masks. P(z, x) = i^{|z & x|} X^x Z^z and Z^{z_a} X^{x_b} =
+    (-1)^{|z_a & x_b|} X^{x_b} Z^{z_a}, so P_a P_b = i^e P(z_a ^ z_b, x_a ^ x_b)
+    with e even when they commute."""
+    (za, xa, sa), (zb, xb, sb) = a, b
+    z, x = za ^ zb, xa ^ xb
+    e = (za & xa).bit_count() + (zb & xb).bit_count() + 2 * (za & xb).bit_count() - (z & x).bit_count()
+    return z, x, sa ^ sb ^ (e % 4) >> 1
+
+
+def _quarter_turns(scale: float) -> np.ndarray:
+    """scale * i^t for t = 0..3, every zero part +0.0."""
+    return np.array([(scale, 0.0), (0.0, scale), (-scale, 0.0), (0.0, -scale)]).view(complex).ravel()
+
+
+def _orbit(start: np.ndarray, gens) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and turns of g|c> = i^t |c ^ x_g> for every g spanned by gens,
+    signed strings (z, x, sign bit) with independent X parts, and every c in
+    start: entry j * len(start) + i takes start[i] and the g whose bit l of
+    j picks generator l."""
+    rows = np.empty(len(start) << len(gens), dtype=np.intp)
+    turns = np.zeros_like(rows)
+    rows[:len(start)] = start
+    h = len(start)
+    for z, x, sign in gens:
+        # (-1)^s P(z, x)|b> = i^{|z & x| + 2s + 2|z & b|} |b ^ x>
+        np.bitwise_xor(rows[:h], x, out=rows[h:2 * h])
+        turns[h:2 * h] = turns[:h] + 2 * np.bitwise_count(rows[:h] & z) + ((z & x).bit_count() + 2 * sign)
+        h *= 2
+    return rows, turns
+
+
+_STATE_BLOCK_TERMS = 1 << 18  # stabilizer_state: entries set per column block, 4 MB of values
+
+
+def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
+    """Dense state 2^{-n} sum_{g in G} g = 2^{k-n} prod_i (I + s_i P_i)/2 of
+    the group G the k generators span.
+
+    Elimination on the X parts (Aaronson & Gottesman, PRA 70, 052328 (2004))
+    writes G = G_X K: G_X spanned by r generators with independent X parts,
+    K the Z-type subgroup of order 2^{k-r}. sum_{h in K} h|c> is 2^{k-r}|c>
+    when c meets every Z-type constraint (c is in the support) and 0
+    otherwise, so column c of the state is 2^{k-r-n} sum_{g in G_X} g|c> on
+    the support and 0 off it, its 2^r rows c ^ x_g distinct. Each g|c> is
+    i^t |c ^ x_g>, t doubled out generator by generator (_orbit). So every
+    entry is set once, to 2^{k-r-n} i^t, or left +0.0: the exact bits of
+    the dense product, not re-checked (DECISIONS.md). For k = n the support
+    is one coset and the state is u u^dagger / 2^r, u the orbit of one
+    support column; otherwise the columns go in blocks of at most
+    _STATE_BLOCK_TERMS entries, so the temporaries stay far below the
+    matrix."""
+    n, dim = group.n, 1 << group.n
+    lead: dict[int, tuple[int, int, int]] = {}  # generators with independent X parts, by leading bit
+    support = np.ones(dim, dtype=bool)
+    b = np.arange(dim)
+    for zr, xr, sign in zip(group.z_rows, group.x_rows, group.signs):
+        g = (_basis_mask(zr, n), _basis_mask(xr, n), sign)
+        while g[1] and (top := g[1].bit_length() - 1) in lead:
+            g = _signed_product(g, lead[top])
+        if g[1]:
+            lead[g[1].bit_length() - 1] = g
+        else:  # (-1)^s Z^z is 1 on |b> when |z & b| = s mod 2
+            support &= (np.bitwise_count(b & g[0]) & 1) == g[2]
+    cols = np.flatnonzero(support)
+    gens = tuple(lead.values())
+    if group.k == n:
+        rows, turns = _orbit(cols[:1], gens)
+        u = np.zeros(dim, dtype=complex)
+        u[rows] = _quarter_turns(1.0)[turns & 3]
+        rho = np.multiply.outer(u * 2.0 ** -len(gens), u.conj())
+        rho += 0.0  # -0.0 + 0.0 is +0.0: the zero parts the products signed
+        return DensityMatrix._derived((2,) * n, rho)
+    values = _quarter_turns(2.0 ** (group.k - len(gens) - n))
+    rho = np.zeros((dim, dim), dtype=complex)
+    flat = rho.reshape(-1)
+    width = max(1, _STATE_BLOCK_TERMS >> len(gens))
+    for lo in range(0, len(cols), width):
+        block = cols[lo:lo + width]
+        rows, turns = _orbit(block, gens)
+        flat[rows * dim + np.tile(block, 1 << len(gens))] = values[turns & 3]
+    return DensityMatrix._derived((2,) * n, rho)
 
 
 @dataclass(frozen=True)
@@ -294,15 +388,12 @@ def conjugation_pauli_set(group: StabilizerGroup) -> ConjugationSolutions:
     if not sol.feasible:  # cannot happen for a valid group
         raise AssertionError("conjugation system infeasible for independent generators")
     n = group.n
+    low = (1 << n) - 1  # v = v_X | v_Z << n
 
-    def to_pauli(v: int) -> PauliString:
-        vx, vz = v & ((1 << n) - 1), v >> n
-        return PauliString(
-            tuple((vz >> j) & 1 for j in range(n)),
-            tuple((vx >> j) & 1 for j in range(n)),
-        )
-
-    return ConjugationSolutions(to_pauli(sol.solution), tuple(to_pauli(b) for b in sol.nullspace))
+    return ConjugationSolutions(
+        PauliString._from_rows(sol.solution >> n, sol.solution & low, n),
+        tuple(PauliString._from_rows(v >> n, v & low, n) for v in sol.nullspace),
+    )
 
 
 def conjugation_pauli(group: StabilizerGroup) -> PauliString:
@@ -543,21 +634,24 @@ def random_stabilizer_group(
     n: int, rng: np.random.Generator, k: int | None = None
 ) -> StabilizerGroup:
     """Uniform-ish random group: rejection-sample commuting independent rows
-    and random signs. k defaults to a random size in 0..n."""
+    and random signs. k defaults to a random size in 0..n; a k outside 0..n
+    is refused before any draw."""
     if k is None:
         k = int(rng.integers(0, n + 1))
+    elif not 0 <= k <= n:
+        # an isotropic subspace of GF(2)^{2n} has dimension 0..n, so no draw could finish
+        raise ValueError(f"k = {k} generators requested; a group on {n} qubits has 0..{n}")
     z_rows: list[int] = []
     x_rows: list[int] = []
+    basis: dict[int, int] = {}  # the accepted rows z | x << n, reduced
     while len(z_rows) < k:
         z = int(rng.integers(0, 1 << n))
         x = int(rng.integers(0, 1 << n))
-        if z == 0 and x == 0:
+        row = _xor_reduce(z | (x << n), basis)  # 0 for the identity and for dependent rows
+        # |z & x_i| + |x & z_i| odd: the candidate anticommutes with accepted row i
+        if not row or any(((z & xi) ^ (x & zi)).bit_count() & 1 for zi, xi in zip(z_rows, x_rows)):
             continue
-        if not all(_commute(z, x, zi, xi) for zi, xi in zip(z_rows, x_rows)):
-            continue
-        rows = [zi | (xi << n) for zi, xi in zip(z_rows, x_rows)] + [z | (x << n)]
-        if f2_rank(rows, 2 * n) != len(rows):
-            continue
+        basis[row.bit_length() - 1] = row
         z_rows.append(z)
         x_rows.append(x)
     signs = tuple(int(b) for b in rng.integers(0, 2, size=k))

@@ -138,6 +138,22 @@ class TestF2Solve:
             rhs = tuple(int(b) for b in rng.integers(0, 2, 4))
             assert st.f2_solve(st.F2System(tuple(rows), rhs, 8)).feasible
 
+    def test_rank_matches_elimination(self):
+        # the XOR-basis rank against the full elimination, on row sets that
+        # repeat rows, hold zero rows and XOR earlier rows together
+        rng = split_rng(66, 0)
+        for t in range(200):
+            ncols = int(rng.integers(1, 12))
+            rows = [int(r) for r in rng.integers(0, 1 << ncols, size=int(rng.integers(0, 8)))]
+            if rows and t % 2:
+                rows += [rows[0], 0, rows[0] ^ rows[-1]]
+            assert st.f2_rank(rows, ncols) == st.f2_solve(st.F2System(tuple(rows), (0,) * len(rows), ncols)).rank
+
+    def test_rank_refuses_rows_outside_the_columns(self):
+        for rows in ([0b100], [1, -1]):
+            with pytest.raises(ValueError, match="outside the declared number of columns"):
+                st.f2_rank(rows, 2)
+
 
 class TestPauliString:
     def test_label_round_trip(self):
@@ -225,13 +241,33 @@ def dense_stabilizer_state(group):
 
 
 class TestStabilizerStateGathers:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_dense_product(self, n):
-        # dyadic entries: the column gathers have the bits of the products
+        # dyadic entries: the group terms have the bits of the products
         for t in range(8):
             group = st.random_stabilizer_group(n, split_rng(63, 10 * n + t))
             rho = st.stabilizer_state(group)
             assert np.array_equal(rho.data, dense_stabilizer_state(group))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_zeros_are_positive(self, n):
+        # the CLI fingerprint hashes bytes, so a -0.0 would change it
+        for k in sorted({0, n // 2, n - 1, n}):
+            for t in range(4):
+                data = st.stabilizer_state(st.random_stabilizer_group(n, split_rng(65, 100 * n + 10 * k + t), k=k)).data
+                parts = data.view(float)
+                assert not np.any(np.signbit(parts[parts == 0]))
+                assert data.flags.c_contiguous
+
+    @pytest.mark.parametrize("block", [1, 8, 64])
+    def test_column_blocks_match_one_block(self, monkeypatch, block):
+        # blocks of a few entries split the columns as the n = 11 states do
+        monkeypatch.setattr(st, "_STATE_BLOCK_TERMS", block)
+        for n, k, t in [(6, 3, 0), (6, 5, 1), (7, 6, 2), (7, 0, 3)]:
+            group = st.random_stabilizer_group(n, split_rng(68, t), k=k)
+            data = st.stabilizer_state(group).data
+            assert np.array_equal(data, dense_stabilizer_state(group))
+            assert not np.any(np.signbit(data.view(float)[data.view(float) == 0]))
 
     def test_column_phases_are_the_matrix_columns(self):
         n = 3
@@ -240,6 +276,30 @@ class TestStabilizerStateGathers:
             m = _pauli.pauli_matrix(z, x, n)
             assert np.array_equal(m[b ^ x, b], _pauli.column_phases(z, x, n))
             assert np.count_nonzero(m) == 1 << n
+
+
+class TestRandomGroup:
+    # rows and signs drawn before the XOR-basis independence test: the
+    # draws and the accept/reject decisions of each group stay as they were
+    @pytest.mark.parametrize("n,k,expected", [
+        (3, None, ((4, 0), (7, 1), (0, 0))),
+        (5, None, ((1, 28, 24, 14), (10, 7, 27, 2), (1, 1, 1, 0))),
+        (6, 6, ((57, 6, 55, 4, 8, 56), (61, 29, 59, 20, 43, 38), (0, 1, 0, 0, 1, 0))),
+        (7, None, ((0, 38, 101, 98, 105), (51, 79, 67, 114, 67), (1, 1, 0, 1, 0))),
+        (8, 8, ((141, 142, 175, 111, 7, 153, 195, 141), (144, 84, 240, 239, 73, 157, 19, 115),
+                (0, 0, 1, 1, 0, 0, 0, 1))),
+    ])
+    def test_pinned_groups(self, n, k, expected):
+        group = st.random_stabilizer_group(n, split_rng(64, n), k=k)
+        assert (group.z_rows, group.x_rows, group.signs) == expected
+
+    @pytest.mark.parametrize("k", [3, -1])
+    def test_out_of_range_k_refused_before_a_draw(self, k):
+        # two qubits have no 3-dimensional isotropic subspace: k = 3 would draw forever
+        rng, twin = split_rng(67, 0), split_rng(67, 0)
+        with pytest.raises(ValueError, match=r"0\.\.2"):
+            st.random_stabilizer_group(2, rng, k=k)
+        assert rng.integers(1 << 62) == twin.integers(1 << 62)
 
 
 class TestConjugationPauli:
@@ -493,6 +553,13 @@ class TestPauliTables:
             (_pauli.pauli_conjugation_overlaps, False),
         ):
             assert np.max(np.abs(table(psi, n) - oracle_value_table(psi, conjugate_bra))) <= 1e-14
+
+    def test_held_index_is_narrow_and_read_only(self):
+        index = _pauli._xor_index(10)
+        b = np.arange(1 << 10)
+        assert np.array_equal(index, b[:, None] ^ b) and index.nbytes <= 4 << 20
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_match_dense_strings(self, n):
