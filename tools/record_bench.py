@@ -21,7 +21,8 @@ keeps each side's stdout of `chiralkit measure`, `qfi` (for party A and for
 party B) and `logdist` on the bundled states, of `chiralkit bounds --n 10` (which runs the orbit
 optimizer), of `chiralkit scan --n 200 --seed 3` (the scan's summary,
 which reads every sample) and of `chiralkit stabilizer` on a pure and a
-mixed tableau (each written once, so both sides print the same path),
+mixed tableau of 3 qubits and of 10 (each written once, so both sides
+print the same path),
 with one same/different flag per command and state or tableau, and one
 flag per selftest criterion saying whether its verdict and detail are the
 same, seconds excluded (so the file shows whether the CLI bytes or a
@@ -52,7 +53,13 @@ TRACE_SEEDS = (1, 2, 3)
 CLI_COMMANDS = {"measure": ["measure"], "qfi": ["qfi"], "qfi_party_B": ["qfi", "--party", "B"],
                 "logdist": ["logdist"]}
 CLI_STATES = ("bell.json", "example1.json")
-TABLEAUX = {"ghz.tab": "+XXX\n+ZZI\n+IZZ\n", "mixed.tab": "+XYZ\n-ZZI\n"}
+TABLEAUX = {
+    "ghz.tab": "+XXX\n+ZZI\n+IZZ\n",
+    "mixed.tab": "+XYZ\n-ZZI\n",
+    # 10 qubits, where the state's 2^20 entries show whether its construction moved a byte
+    "ghz10.tab": "".join(["+" + "X" * 10 + "\n"] + [f"+{'I' * i}ZZ{'I' * (8 - i)}\n" for i in range(9)]),
+    "mixed10.tab": "+YYYYYYYYYY\n-XXIIIIIIII\n+IIZZIIIIII\n-IIIIYYIIII\n+IIIIIIXXZZ\n-ZZIIZZIIII\n",
+}
 SELFTEST = """
 import json
 from chiralkit import selftest
