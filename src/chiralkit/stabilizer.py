@@ -123,10 +123,16 @@ _SITE_CHARS = {(0, 0): "I", (0, 1): "X", (1, 0): "Z", (1, 1): "Y"}
 _CHAR_SITES = {v: k for k, v in _SITE_CHARS.items()}
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=1 << 12)  # every (row, n) up to 11 qubits; PauliString._from_rows reads it
 def _row_bits(row: int, n: int) -> tuple[int, ...]:
     """The n low bits of row, bit 0 first."""
     return tuple((row >> j) & 1 for j in range(n))
+
+
+def _basis_mask(row: int, n: int) -> int:
+    """A row int (bit j = qubit j) as a basis mask (qubit 0 the most
+    significant bit): its n bits reversed."""
+    return int(f"{row:0{n}b}"[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -153,10 +159,8 @@ class PauliString:
     def basis_masks(self) -> tuple[int, int]:
         """(z, x) packed with qubit 0 as the most significant bit, matching
         the computational-basis index convention of dense state vectors."""
-        n = self.n
-        z = sum(b << (n - 1 - j) for j, b in enumerate(self.z_bits))
-        x = sum(b << (n - 1 - j) for j, b in enumerate(self.x_bits))
-        return z, x
+        z, x = (sum(b << j for j, b in enumerate(bits)) for bits in (self.z_bits, self.x_bits))
+        return _basis_mask(z, self.n), _basis_mask(x, self.n)
 
     def matrix(self) -> np.ndarray:
         z, x = self.basis_masks()
@@ -254,12 +258,6 @@ def parse_tableau(text: str) -> StabilizerGroup:
     return group_from_labels(labels, signs)
 
 
-def _basis_mask(row: int, n: int) -> int:
-    """A row int (bit j = qubit j) as a basis mask (qubit 0 the most
-    significant bit): its n bits reversed."""
-    return int(f"{row:0{n}b}"[::-1], 2)
-
-
 def _signed_product(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
     """(z, x, sign bit) of the product of two commuting signed strings,
     basis masks. P(z, x) = i^{|z & x|} X^x Z^z and Z^{z_a} X^{x_b} =
@@ -280,9 +278,9 @@ def _orbit(start: np.ndarray, gens) -> tuple[np.ndarray, np.ndarray]:
     """Rows and turns of g|c> = i^t |c ^ x_g> for every g spanned by gens,
     signed strings (z, x, sign bit) with independent X parts, and every c in
     start: entry j * len(start) + i takes start[i] and the g whose bit l of
-    j picks generator l."""
+    j picks generator l. t is kept mod 256, which keeps it mod 4."""
     rows = np.empty(len(start) << len(gens), dtype=np.intp)
-    turns = np.zeros_like(rows)
+    turns = np.zeros(len(rows), dtype=np.uint8)
     rows[:len(start)] = start
     h = len(start)
     for z, x, sign in gens:
@@ -308,11 +306,9 @@ def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
     the support and 0 off it, its 2^r rows c ^ x_g distinct. Each g|c> is
     i^t |c ^ x_g>, t doubled out generator by generator (_orbit). So every
     entry is set once, to 2^{k-r-n} i^t, or left +0.0: the exact bits of
-    the dense product, not re-checked (DECISIONS.md). For k = n the support
-    is one coset and the state is u u^dagger / 2^r, u the orbit of one
-    support column; otherwise the columns go in blocks of at most
-    _STATE_BLOCK_TERMS entries, so the temporaries stay far below the
-    matrix."""
+    the dense product, not re-checked (DECISIONS.md). The support columns
+    go in blocks of at most _STATE_BLOCK_TERMS entries, so the temporaries
+    stay far below the matrix."""
     n, dim = group.n, 1 << group.n
     lead: dict[int, tuple[int, int, int]] = {}  # generators with independent X parts, by leading bit
     support = np.ones(dim, dtype=bool)
@@ -327,21 +323,17 @@ def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
             support &= (np.bitwise_count(b & g[0]) & 1) == g[2]
     cols = np.flatnonzero(support)
     gens = tuple(lead.values())
-    if group.k == n:
-        rows, turns = _orbit(cols[:1], gens)
-        u = np.zeros(dim, dtype=complex)
-        u[rows] = _quarter_turns(1.0)[turns & 3]
-        rho = np.multiply.outer(u * 2.0 ** -len(gens), u.conj())
-        rho += 0.0  # -0.0 + 0.0 is +0.0: the zero parts the products signed
-        return DensityMatrix._derived((2,) * n, rho)
     values = _quarter_turns(2.0 ** (group.k - len(gens) - n))
     rho = np.zeros((dim, dim), dtype=complex)
     flat = rho.reshape(-1)
     width = max(1, _STATE_BLOCK_TERMS >> len(gens))
+    # entry (c ^ x_g, c) sits at flat index ((c << n) | c) ^ (x_g << n), and
+    # |z_g & (c ^ x_g)| reads the same bits there with z_g shifted up by n
+    diagonal = cols * (dim + 1)
+    shifted = tuple((z << n, x << n, sign) for z, x, sign in gens)
     for lo in range(0, len(cols), width):
-        block = cols[lo:lo + width]
-        rows, turns = _orbit(block, gens)
-        flat[rows * dim + np.tile(block, 1 << len(gens))] = values[turns & 3]
+        entries, turns = _orbit(diagonal[lo:lo + width], shifted)
+        flat[entries] = values[turns & 3]
     return DensityMatrix._derived((2,) * n, rho)
 
 
@@ -648,8 +640,7 @@ def random_stabilizer_group(
         z = int(rng.integers(0, 1 << n))
         x = int(rng.integers(0, 1 << n))
         row = _xor_reduce(z | (x << n), basis)  # 0 for the identity and for dependent rows
-        # |z & x_i| + |x & z_i| odd: the candidate anticommutes with accepted row i
-        if not row or any(((z & xi) ^ (x & zi)).bit_count() & 1 for zi, xi in zip(z_rows, x_rows)):
+        if not row or not all(_commute(z, x, zi, xi) for zi, xi in zip(z_rows, x_rows)):
             continue
         basis[row.bit_length() - 1] = row
         z_rows.append(z)

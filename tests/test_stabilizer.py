@@ -263,8 +263,22 @@ class TestStabilizerStateGathers:
     def test_column_blocks_match_one_block(self, monkeypatch, block):
         # blocks of a few entries split the columns as the n = 11 states do
         monkeypatch.setattr(st, "_STATE_BLOCK_TERMS", block)
-        for n, k, t in [(6, 3, 0), (6, 5, 1), (7, 6, 2), (7, 0, 3)]:
+        for n, k, t in [(6, 3, 0), (6, 5, 1), (7, 6, 2), (7, 0, 3), (6, 6, 4), (7, 7, 5)]:
             group = st.random_stabilizer_group(n, split_rng(68, t), k=k)
+            data = st.stabilizer_state(group).data
+            assert np.array_equal(data, dense_stabilizer_state(group))
+            assert not np.any(np.signbit(data.view(float)[data.view(float) == 0]))
+
+    @pytest.mark.parametrize("family", ["ghz", "x_product"])
+    def test_full_groups_match_dense_product(self, family):
+        # k = n with one generator (GHZ) or every generator (X product) carrying an X part
+        n = 8
+        if family == "ghz":
+            labels = ["X" * n] + ["I" * j + "ZZ" + "I" * (n - j - 2) for j in range(n - 1)]
+        else:
+            labels = ["I" * j + "X" + "I" * (n - j - 1) for j in range(n)]
+        for signs in ([0] * n, [j % 2 for j in range(n)], [1] * n):
+            group = st.group_from_labels(labels, signs)
             data = st.stabilizer_state(group).data
             assert np.array_equal(data, dense_stabilizer_state(group))
             assert not np.any(np.signbit(data.view(float)[data.view(float) == 0]))
