@@ -3,7 +3,8 @@
 Every numeric printed carries the tolerance it was computed at. All
 randomness flows from --seed, so identical invocations print identical
 bytes. Exit codes: 0 success, 1 assertion/bound failure, 2 malformed input
-file, 3 shape mismatch, 4 state-invariant violation, 64 usage error.
+file, 3 shape mismatch, 4 state-invariant violation, 64 usage error
+(including an input too large to allocate).
 """
 
 from __future__ import annotations
@@ -286,6 +287,9 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy refuses a size it cannot allocate at once
+        print(f"error: input too large to allocate: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

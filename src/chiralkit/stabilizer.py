@@ -217,6 +217,17 @@ class StabilizerGroup:
         if f2_rank(rows, 2 * n) != k:
             raise ValueError("generator rows are linearly dependent over GF(2)")
 
+    @classmethod
+    def _checked(
+        cls, n: int, z_rows: tuple[int, ...], x_rows: tuple[int, ...], signs: tuple[int, ...]
+    ) -> StabilizerGroup:
+        """A group of rows the library has just checked (random_stabilizer_group
+        tests each row as it accepts it): taken as it is, not re-validated."""
+        group = object.__new__(cls)
+        for name, value in (("n", n), ("z_rows", z_rows), ("x_rows", x_rows), ("signs", signs)):
+            object.__setattr__(group, name, value)
+        return group
+
     @property
     def k(self) -> int:
         return len(self.z_rows)
@@ -310,6 +321,7 @@ def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
     go in blocks of at most _STATE_BLOCK_TERMS entries, so the temporaries
     stay far below the matrix."""
     n, dim = group.n, 1 << group.n
+    rho = np.zeros((dim, dim), dtype=complex)  # first: a size numpy refuses fails before any other work
     lead: dict[int, tuple[int, int, int]] = {}  # generators with independent X parts, by leading bit
     support = np.ones(dim, dtype=bool)
     b = np.arange(dim)
@@ -324,7 +336,6 @@ def stabilizer_state(group: StabilizerGroup) -> DensityMatrix:
     cols = np.flatnonzero(support)
     gens = tuple(lead.values())
     values = _quarter_turns(2.0 ** (group.k - len(gens) - n))
-    rho = np.zeros((dim, dim), dtype=complex)
     flat = rho.reshape(-1)
     width = max(1, _STATE_BLOCK_TERMS >> len(gens))
     # entry (c ^ x_g, c) sits at flat index ((c << n) | c) ^ (x_g << n), and
@@ -397,7 +408,7 @@ def conjugation_pauli(group: StabilizerGroup) -> PauliString:
 # ---------------------------------------------------------------------------
 
 ENUMERATION_MAX_QUBITS = 4  # pure_stabilizer_states: 36,720 rows at n = 4, 2,423,520 at n = 5
-FIDELITY_MAX_QUBITS = 5  # stabilizer_fidelity: about 32 MB of transient overlaps at n = 5
+FIDELITY_MAX_QUBITS = 5  # stabilizer_fidelity: 25-31 MB of transient overlaps at n = 5
 NULLITY_TOL = 1e-8  # P is definite on psi when |<psi|P|psi>| > 1 - NULLITY_TOL
 MAGIC_BOUND_TOL = 1e-7  # verify_magic_bounds lets each inequality fail by this much
 
@@ -529,7 +540,15 @@ def stabilizer_fidelity(psi: np.ndarray, n: int) -> float:
         (psi*[_support_index(n, k)] * _sign_block(k)) @ _z4_block(k):
     one gather, one multiply by the sign table and one GEMM with the Z4
     transform. F is the largest |.|^2 over the n + 1 blocks. The tables
-    are built on first use and cached; at n = 4 they hold under 100 KB."""
+    are built on first use and cached; at n = 4 they hold under 100 KB.
+
+    The blocks go from k = n down, and a support S enters its GEMM only if
+    its bound 2^{-k/2} sum_{x in S} |psi_x| >= |<s|psi>|, widened by
+    1 + 1e-12, reaches the largest overlap so far. The widening is far above
+    the rounding of a 2^k-term sum (under 1e-14 relative at k = 5), so a
+    skipped support holds no overlap at or above the maximum, and a max
+    over rows that hold the argmax is the same float: F keeps its bits
+    (DECISIONS.md)."""
     if n > FIDELITY_MAX_QUBITS:
         raise ValueError(
             f"stabilizer fidelity maximises over 2^(n^2/2) states; max {FIDELITY_MAX_QUBITS} "
@@ -538,9 +557,15 @@ def stabilizer_fidelity(psi: np.ndarray, n: int) -> float:
         )
     # sum_x s(x) psi*(x) = <psi|s>: conjugate the state, not the tables
     bra = _pauli.qubit_vector(psi, n).conj()
+    weights = np.abs(bra)
     largest = 0.0
-    for k in range(n + 1):
-        signed = bra[_support_index(n, k)][:, None, :] * _sign_block(k)
+    for k in range(n, -1, -1):
+        index = _support_index(n, k)
+        if largest:
+            index = index[weights[index].sum(axis=1) * ((1 + 1e-12) * 2.0 ** (-k / 2)) >= largest]
+            if not len(index):
+                continue
+        signed = bra[index][:, None, :] * _sign_block(k)
         overlaps = signed.reshape(-1, 1 << k) @ _z4_block(k)
         largest = max(largest, float(np.max(np.abs(overlaps))))
     return largest**2
@@ -627,7 +652,16 @@ def random_stabilizer_group(
 ) -> StabilizerGroup:
     """Uniform-ish random group: rejection-sample commuting independent rows
     and random signs. k defaults to a random size in 0..n; a k outside 0..n
-    is refused before any draw."""
+    is refused before any draw.
+
+    Each candidate row is two draws below 2^n, z then x, and the signs are
+    one draw of k bits after the rows. The candidates come in blocks, one
+    rng.integers call each: numpy's bounded draws consume the stream the
+    same way in bulk and one at a time, so a block holds the values one
+    draw per value would give. When the last row is accepted inside a block,
+    the generator goes back to its state before the block and re-draws the
+    values used, so the rows, the signs and the generator's state afterwards
+    are those of one draw per value (DECISIONS.md)."""
     if k is None:
         k = int(rng.integers(0, n + 1))
     elif not 0 <= k <= n:
@@ -636,17 +670,29 @@ def random_stabilizer_group(
     z_rows: list[int] = []
     x_rows: list[int] = []
     basis: dict[int, int] = {}  # the accepted rows z | x << n, reduced
-    while len(z_rows) < k:
-        z = int(rng.integers(0, 1 << n))
-        x = int(rng.integers(0, 1 << n))
-        row = _xor_reduce(z | (x << n), basis)  # 0 for the identity and for dependent rows
-        if not row or not all(_commute(z, x, zi, xi) for zi, xi in zip(z_rows, x_rows)):
-            continue
-        basis[row.bit_length() - 1] = row
-        z_rows.append(z)
-        x_rows.append(x)
+    while left := k - len(z_rows):
+        # with j rows accepted, a candidate is accepted with probability
+        # 2^-j (1 - 4^(j-n)), so the rest take span to 4/3 span candidates on average
+        span = (1 << k) - (1 << len(z_rows))
+        if span <= 2 * left:  # a block of the rows left cannot overrun: no state to keep
+            size, state = left, None
+        else:  # at most 2^17 draws (1 MB) per block
+            size, state = min(2 * span, 1 << 16), rng.bit_generator.state
+        draws = iter(rng.integers(0, 1 << n, size=2 * size).tolist())
+        for used, (z, x) in enumerate(zip(draws, draws), 1):
+            row = _xor_reduce(z | (x << n), basis)  # 0 for the identity and for dependent rows
+            if not row or not all(_commute(z, x, zi, xi) for zi, xi in zip(z_rows, x_rows)):
+                continue
+            basis[row.bit_length() - 1] = row
+            z_rows.append(z)
+            x_rows.append(x)
+            if len(z_rows) == k:
+                if used < size:
+                    rng.bit_generator.state = state
+                    rng.integers(0, 1 << n, size=2 * used)
+                break
     signs = tuple(int(b) for b in rng.integers(0, 2, size=k))
-    return StabilizerGroup(n, tuple(z_rows), tuple(x_rows), signs)
+    return StabilizerGroup._checked(n, tuple(z_rows), tuple(x_rows), signs)
 
 
 def random_stabilizer_vector(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,12 +7,16 @@ kernels of gamma_s and phi_s), the orbit overlap recomputed from the
 purification (for the optimizer's overlap), and the rank of a state (for
 the ancilla dimension of purify), and J2, J3 and J3' from their
 commutator definitions at 50 digits (for the eigenbasis forms of the
-measures). Plus two textbook states.
+measures), the stabilizer fidelity with every support in its GEMM (for
+the bound-pruned loop) and the group sampler with one draw per value (for
+the block draws). Plus two textbook states.
 """
 
 import numpy as np
 
 from chiralkit import chirality as ch
+from chiralkit import stabilizer as st
+from chiralkit._pauli import qubit_vector
 from chiralkit.qmat import SUPPORT_CUTOFF, dagger, matrix_log_on_support, partial_trace, pure_state_density
 
 
@@ -152,3 +156,33 @@ def mpmath_j3(data, dims=(2, 2), dps=50):
 def mpmath_j3_prime(data, dims=(2, 2), dps=50):
     """i Tr(rho [[[K_AB, K_B], K_B], K_B]) at dps digits (_mpmath_measure)."""
     return _mpmath_measure(data, dims, dps, lambda c, k_ab, ka, kb: c(c(c(k_ab, kb), kb), kb))
+
+
+def unpruned_stabilizer_fidelity(psi, n):
+    """stabilizer_fidelity with every support of every block in its GEMM,
+    k = 0 first: the value the bound-pruned loop must give bit for bit."""
+    bra = qubit_vector(psi, n).conj()
+    largest = 0.0
+    for k in range(n + 1):
+        signed = bra[st._support_index(n, k)][:, None, :] * st._sign_block(k)
+        overlaps = signed.reshape(-1, 1 << k) @ st._z4_block(k)
+        largest = max(largest, float(np.max(np.abs(overlaps))))
+    return largest**2
+
+
+def scalar_stabilizer_group(n, rng, k=None):
+    """random_stabilizer_group with one rng.integers call per value: z, then
+    x, per candidate, a candidate kept when it commutes with every kept row
+    and raises the GF(2) rank, then k sign bits in one call. The group goes
+    through the public, validating constructor."""
+    if k is None:
+        k = int(rng.integers(0, n + 1))
+    rows = []
+    while len(rows) < k:
+        z = int(rng.integers(0, 1 << n))
+        x = int(rng.integers(0, 1 << n))
+        commutes = all(((z & xi).bit_count() + (x & zi).bit_count()) % 2 == 0 for zi, xi in rows)
+        if commutes and st.f2_rank([zi | xi << n for zi, xi in rows] + [z | x << n], 2 * n) == len(rows) + 1:
+            rows.append((z, x))
+    signs = tuple(int(b) for b in rng.integers(0, 2, size=k))
+    return st.StabilizerGroup(n, tuple(z for z, _ in rows), tuple(x for _, x in rows), signs)

@@ -407,6 +407,18 @@ class TestStabilizerCommand:
             "byte 0xff in position 0: invalid start byte\n"
         )
 
+    def test_too_large_to_allocate_exit_64(self, tmp_path, capsys):
+        # a 24-qubit state is 4 PiB: numpy refuses the stabilizer_state
+        # matrix at once, before any other allocation
+        n = 24
+        path = tmp_path / "ghz24.tab"
+        path.write_text("".join(["+" + "X" * n + "\n"] + [f"+{'I' * i}ZZ{'I' * (n - i - 2)}\n" for i in range(n - 1)]))
+        assert main(["stabilizer", "--tableau", str(path)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: input too large to allocate: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
     def test_empty_tableau_exit_64(self, tmp_path, capsys, text):
         path = tmp_path / "empty.tab"

@@ -15,7 +15,7 @@ from chiralkit.chirality import chiral_log_distance, pauli_log_distance
 from chiralkit.qmat import Partition
 from chiralkit.sampling import split_rng
 from chiralkit.states import t_state_vector
-from support import bell_state, ghz_vector
+from support import bell_state, ghz_vector, scalar_stabilizer_group, unpruned_stabilizer_fidelity
 
 
 def oracle_maximal_isotropic_tableaux(n):
@@ -64,6 +64,49 @@ def oracle_pure_stabilizer_states(n):
         for v in vecs.T:
             seen.setdefault(np.round(np.outer(v, v.conj()), 8).tobytes(), v)
     return np.array(list(seen.values()))
+
+
+def same_state(a, b):
+    """Two bit-generator states are equal, their arrays compared by value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
+def fidelity_cases(n):
+    """At least 50 states on n qubits: Haar states, the T product, states
+    within 1e-3 of a stabilizer state, |+>^n and GHZ (ties, where the bound
+    of the pruned loop is the overlap itself), near-ties, and every pure
+    stabilizer state at n <= 3, every 97th at n = 4, or full-tableau states
+    at n = 5. A near-tie is (cos t|0> + sin t|1>) (x) |+>^(n-1) with t next
+    to pi/8: its overlap with |0>|+>^(n-1) is cos t, the bound of that
+    support exactly, and its overlap with |+>^n, found first, (cos t +
+    sin t)/sqrt(2); the two are equal at t = pi/8, so the bound decides
+    the maximum by a relative 1e-6 down to rounding."""
+    from chiralkit.sampling import random_pure_state
+
+    dim = 1 << n
+    t_product = np.array([1.0], dtype=complex)
+    for _ in range(n):
+        t_product = np.kron(t_product, t_state_vector())
+    plus_rest = np.full(dim >> 1, (dim >> 1) ** -0.5, dtype=complex)
+    near_ties = [np.kron([np.cos(t), np.sin(t)], plus_rest)
+                 for t in np.pi / 8 + np.array([-1e-6, -1e-9, -1e-12, -1e-14, -1e-15, 0.0, 1e-15, 1e-12])]
+    cases = [random_pure_state(dim, split_rng(79, 10 * n + i)) for i in range(40)]
+    cases += [t_product, np.full(dim, dim**-0.5, dtype=complex), ghz_vector(n), *near_ties]
+    if n <= st.ENUMERATION_MAX_QUBITS:
+        stab = list(st.pure_stabilizer_states(n)[:: 1 if n <= 3 else 97])
+    else:
+        stab = []
+        for t in range(8):
+            rho = st.stabilizer_state(st.random_stabilizer_group(n, split_rng(80, t), k=n)).data
+            j = int(np.argmax(rho.diagonal().real))
+            stab.append(rho[:, j] / np.sqrt(rho[j, j].real))
+    rng = split_rng(81, n)
+    for v in stab[:: max(1, len(stab) // 10)]:
+        near = v + 1e-3 * random_pure_state(dim, rng)
+        cases.append(near / np.linalg.norm(near))
+    return cases + stab
 
 
 def phase_free_keys(states):
@@ -200,6 +243,18 @@ class TestStabilizerGroup:
         assert group.signs == (1, 0)
 
 
+    @pytest.mark.parametrize("n,z_rows,x_rows,signs,match", [
+        (2, (1, 0), (0, 1), (0, 0), "anticommute"),
+        (2, (3, 0, 3), (0, 3, 3), (0, 0, 0), "cannot be independent"),
+        (2, (3, 0, 3), (0, 3, 3)[:2], (0, 0), "equal length"),
+        (3, (1, 1), (0, 0), (0, 1), "dependent"),
+        (2, (4,), (0,), (0,), "outside the qubit range"),
+    ])
+    def test_direct_construction_keeps_every_check(self, n, z_rows, x_rows, signs, match):
+        with pytest.raises(ValueError, match=match):
+            st.StabilizerGroup(n, z_rows, x_rows, signs)
+
+
 class TestStabilizerState:
     def test_empty_group_is_maximally_mixed(self):
         group = st.StabilizerGroup(2, (), (), ())
@@ -306,6 +361,39 @@ class TestRandomGroup:
     def test_pinned_groups(self, n, k, expected):
         group = st.random_stabilizer_group(n, split_rng(64, n), k=k)
         assert (group.z_rows, group.x_rows, group.signs) == expected
+
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64, np.random.MT19937])
+    def test_block_draws_match_one_draw_per_value(self, bit_generator):
+        # every k at n = 1..11: the rows, the signs and the generator's state
+        # afterwards are those of the sampler that draws one value per call
+        for n in range(1, 12):
+            for k in (None, *range(n + 1)):
+                seed = 100 * n + (n + 1 if k is None else k)
+                rng, twin = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+                group, oracle = st.random_stabilizer_group(n, rng, k), scalar_stabilizer_group(n, twin, k)
+                assert (group.z_rows, group.x_rows, group.signs) == (oracle.z_rows, oracle.x_rows, oracle.signs)
+                assert same_state(rng.bit_generator.state, twin.bit_generator.state)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64, np.random.MT19937])
+    def test_numpy_bulk_draws_equal_one_draw_per_value(self, bit_generator):
+        # the block draws rest on this property of Generator.integers, over
+        # every range 2^1..2^62 and whatever half-word the generator holds
+        # from the last call: a numpy that changes it fails here first
+        rng, twin = np.random.Generator(bit_generator(70)), np.random.Generator(bit_generator(70))
+        for bits in range(1, 63):
+            for size in (1, 2, 7):
+                bulk = rng.integers(0, 1 << bits, size=size).tolist()
+                assert bulk == [int(twin.integers(0, 1 << bits)) for _ in range(size)]
+                assert same_state(rng.bit_generator.state, twin.bit_generator.state)
+
+    def test_drawn_groups_pass_the_public_checks(self):
+        # the sampler skips re-validation (StabilizerGroup._checked); the
+        # validating constructor accepts each group it returns
+        rng = split_rng(69, 0)
+        for n in range(1, 9):
+            for k in (None,) * 20 + tuple(range(n + 1)):
+                group = st.random_stabilizer_group(n, rng, k)
+                assert st.StabilizerGroup(group.n, group.z_rows, group.x_rows, group.signs) == group
 
     @pytest.mark.parametrize("k", [3, -1])
     def test_out_of_range_k_refused_before_a_draw(self, k):
@@ -532,6 +620,15 @@ class TestEnumerationAndFidelity:
                     )
                     exact = max(exact, float(abs(amp) ** 2 / size))
             assert abs(value - exact) <= 5e-16
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pruned_supports_keep_the_bits(self, n):
+        # a support whose bound is below the running maximum is skipped; the
+        # max over the rest is the float of the loop over every support
+        cases = fidelity_cases(n)
+        assert len(cases) >= 50
+        for psi in cases:
+            assert st.stabilizer_fidelity(psi, n).hex() == unpruned_stabilizer_fidelity(psi, n).hex()
 
     def test_large_n_rejected_with_guidance(self):
         with pytest.raises(ValueError, match="max 5"):

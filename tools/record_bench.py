@@ -13,7 +13,8 @@ number of pairs the change won, counting a win in the direction
 `BENCHMARK.json` names. A metric shows a gain when the change won at least
 nine in ten of at least ten pairs and its median beats the parent's by more
 than the parent's interquartile range; the `claim` block lists every such
-metric. Each workload also gets three traced runs per side (seeds 1-3), and
+metric. Each workload also gets three traced runs per side (seeds 1-3), the
+side that runs first alternating from seed to seed as in the paired runs, and
 each per-layer metric is recorded as their median, so one noisy traced run
 does not read as a layer that moved. The recorder then runs the tier-1 test suite once per
 side and every selftest criterion once per side in a fresh interpreter,
@@ -202,14 +203,15 @@ def main(argv=None) -> int:
     ]
     doc["per_layer_traced_median"] = {"seeds": list(TRACE_SEEDS)}
     for workload in doc["workloads"]:
-        entry = {}
-        for side in SIDES:
-            runs = []
-            for seed in TRACE_SEEDS:
+        runs = {side: [] for side in SIDES}
+        for k, seed in enumerate(TRACE_SEEDS):
+            for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
                 info, result = _bench(dirs[side], workload, seed, seconds, trace=1)
-                runs.append(result["metrics"])
-            entry[side] = {name: statistics.median(r[name]["value"] for r in runs) for name in runs[0]}
-        doc["per_layer_traced_median"][workload] = entry
+                runs[side].append(result["metrics"])
+        doc["per_layer_traced_median"][workload] = {
+            side: {name: statistics.median(r[name]["value"] for r in runs[side]) for name in runs[side][0]}
+            for side in SIDES
+        }
     doc["tier1_one_run_each"] = {side: _tier1(dirs[side]) for side in SIDES}
     selftest = {side: doc["tier1_one_run_each"][side]["selftest"] for side in SIDES}
     doc["selftest_detail_same"] = {
