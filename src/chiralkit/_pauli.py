@@ -12,6 +12,7 @@ is 2^n and the tables stop at PAULI_ENUM_MAX_QUBITS.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -64,17 +65,41 @@ def qubit_vector(psi: np.ndarray, n: int) -> np.ndarray:
     return psi
 
 
-def _value_table(psi: np.ndarray, n: int, conjugate_bra: bool) -> np.ndarray:
-    """values[z, x] = <psi|P(z,x)|psi> if conjugate_bra else <psi*|P(z,x)|psi>."""
+def unphased_table(psi: np.ndarray, n: int, conjugate_bra: bool, floor: float | None = None) -> np.ndarray:
+    """values[z, x] / i^{|z & x|}, where values[z, x] = <psi|P(z,x)|psi> if
+    conjugate_bra else <psi*|P(z,x)|psi>: on every column x, or, given a
+    floor, on the columns that can hold a modulus above it, in order. A
+    factor of +-1 or +-i is exact in IEEE arithmetic, so the moduli are those
+    of the phased table, bit for bit, and readers of |values| skip the phase.
+
+    The floor's columns: with w = |psi| and t its largest entry, every entry
+    of column x is at most c_x = sum_b w_b w_{b ^ x} = |psi|^2 -
+    sum_b (w_b - w_{b ^ x})^2 / 2, and the terms b = t and b = t ^ x of
+    that sum are equal, so c_x <= 1 + NORM_ATOL - (w_t - w_{t ^ x})^2: one
+    row of the XOR index. A column is left out when that bound, widened by
+    1 + 1e-12 past the rounding of a 2^n-term sum, is at most floor; x = 0
+    never is (DECISIONS.md)."""
     psi = qubit_vector(psi, n)
     if n > PAULI_ENUM_MAX_QUBITS:
         raise ValueError(f"enumeration of 4^{n} strings refused (max {PAULI_ENUM_MAX_QUBITS} qubits)")
+    index = _xor_index(n)
+    if floor is not None:
+        weights = np.abs(psi)
+        top = int(weights.argmax())
+        gap = math.sqrt(1.0 + NORM_ATOL - floor / (1 + 1e-12))  # about 1.0e-4 for the nullity
+        columns = (weights.take(index[top]) > weights[top] - gap).nonzero()[0]
+        if len(columns) < len(weights):
+            index = index.take(columns, axis=1)
     # bra[b, x] = psi[b ^ x], conjugated before the gather: 2^n entries, not 4^n
-    bra = (psi.conj() if conjugate_bra else psi).take(_xor_index(n))
+    bra = (psi.conj() if conjugate_bra else psi).take(index)
     bra *= psi[:, None]
     # the real Hadamard matrix acts on rows, so one real GEMM covers both
     # the real and the imaginary parts of the interleaved complex columns
-    out = (_walsh_hadamard(n) @ bra.view(np.float64)).view(complex)
+    return (_walsh_hadamard(n) @ bra.view(np.float64)).view(complex)
+
+
+def _value_table(psi: np.ndarray, n: int, conjugate_bra: bool) -> np.ndarray:
+    out = unphased_table(psi, n, conjugate_bra)
     out *= _i_power_table(n)
     return out
 

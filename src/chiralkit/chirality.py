@@ -929,8 +929,9 @@ def pure_state_log_distance(
 
 def pauli_log_distance_detail(psi: np.ndarray, n_qubits: int):
     """(value, (z, x)) where value = -log max_P |<psi*|P|psi>|^2 over all
-    phase-free Pauli strings and (z, x) encode an achieving string."""
-    table = np.abs(_pauli.pauli_conjugation_overlaps(psi, n_qubits)) ** 2
+    phase-free Pauli strings and (z, x) encode an achieving string. It reads
+    the moduli only, so the table skips the phase i^{|z & x|}."""
+    table = np.abs(_pauli.unphased_table(psi, n_qubits, conjugate_bra=False)) ** 2
     z, x = np.unravel_index(int(np.argmax(table)), table.shape)
     best = float(table[z, x])
     return max(0.0, -float(np.log(max(best, 1e-300)))), (int(z), int(x))

@@ -8,14 +8,17 @@ purification (for the optimizer's overlap), and the rank of a state (for
 the ancilla dimension of purify), and J2, J3 and J3' from their
 commutator definitions at 50 digits (for the eigenbasis forms of the
 measures), the stabilizer fidelity with every support in its GEMM (for
-the bound-pruned loop) and the group sampler with one draw per value (for
-the block draws). Plus two textbook states.
+the bound-pruned loop), the group sampler with one draw per value (for
+the block draws), and the phased Pauli tables with the nullity and C_P
+read from all 4^n entries of them (for the unphased, column-pruned
+tables). Plus two textbook states.
 """
 
 import numpy as np
 
 from chiralkit import chirality as ch
 from chiralkit import stabilizer as st
+from chiralkit import _pauli
 from chiralkit._pauli import qubit_vector
 from chiralkit.qmat import SUPPORT_CUTOFF, dagger, matrix_log_on_support, partial_trace, pure_state_density
 
@@ -186,3 +189,36 @@ def scalar_stabilizer_group(n, rng, k=None):
             rows.append((z, x))
     signs = tuple(int(b) for b in rng.integers(0, 2, size=k))
     return st.StabilizerGroup(n, tuple(z for z, _ in rows), tuple(x for _, x in rows), signs)
+
+
+def phased_table(psi, n, conjugate_bra):
+    """<psi|P(z,x)|psi> (or <psi*|P(z,x)|psi>) over every [z, x], the phase
+    applied: one gather, one GEMM over all 4^n entries, then i^{|z & x|}."""
+    psi = qubit_vector(psi, n)
+    bra = (psi.conj() if conjugate_bra else psi).take(_pauli._xor_index(n))
+    bra *= psi[:, None]
+    out = (_pauli._walsh_hadamard(n) @ bra.view(np.float64)).view(complex)
+    out *= _pauli._i_power_table(n)
+    return out
+
+
+def unpruned_nullity(psi, n):
+    """stabilizer_nullity counted over the whole phased table of all 4^n
+    expectations: the count, and the error, the pruned table must give."""
+    count = int(np.sum(np.abs(phased_table(psi, n, True)) > 1.0 - st.NULLITY_TOL))
+    k = count.bit_length() - 1
+    if count != 1 << k:
+        raise ValueError(
+            f"{count} strings have |expectation| within {st.NULLITY_TOL:.1e} of 1; "
+            "not a power of two, so the tolerance split a borderline group"
+        )
+    return n - k
+
+
+def phased_pauli_log_distance(psi, n):
+    """(C_P, (z, x)) read from the phased table of <psi*|P|psi>: the value
+    and the first argmax string the unphased table must give."""
+    table = np.abs(phased_table(psi, n, False)) ** 2
+    z, x = np.unravel_index(int(np.argmax(table)), table.shape)
+    best = float(table[z, x])
+    return max(0.0, -float(np.log(max(best, 1e-300)))), (int(z), int(x))

@@ -11,11 +11,19 @@ import pytest
 
 from chiralkit import _pauli
 from chiralkit import stabilizer as st
-from chiralkit.chirality import chiral_log_distance, pauli_log_distance
+from chiralkit.chirality import chiral_log_distance, pauli_log_distance, pauli_log_distance_detail
 from chiralkit.qmat import Partition
 from chiralkit.sampling import split_rng
 from chiralkit.states import t_state_vector
-from support import bell_state, ghz_vector, scalar_stabilizer_group, unpruned_stabilizer_fidelity
+from support import (
+    bell_state,
+    ghz_vector,
+    phased_pauli_log_distance,
+    phased_table,
+    scalar_stabilizer_group,
+    unpruned_nullity,
+    unpruned_stabilizer_fidelity,
+)
 
 
 def oracle_maximal_isotropic_tableaux(n):
@@ -97,16 +105,34 @@ def fidelity_cases(n):
     if n <= st.ENUMERATION_MAX_QUBITS:
         stab = list(st.pure_stabilizer_states(n)[:: 1 if n <= 3 else 97])
     else:
-        stab = []
-        for t in range(8):
-            rho = st.stabilizer_state(st.random_stabilizer_group(n, split_rng(80, t), k=n)).data
-            j = int(np.argmax(rho.diagonal().real))
-            stab.append(rho[:, j] / np.sqrt(rho[j, j].real))
+        stab = [tableau_vector(st.random_stabilizer_group(n, split_rng(80, t), k=n)) for t in range(8)]
     rng = split_rng(81, n)
     for v in stab[:: max(1, len(stab) // 10)]:
         near = v + 1e-3 * random_pure_state(dim, rng)
         cases.append(near / np.linalg.norm(near))
     return cases + stab
+
+
+def tableau_vector(group):
+    """The pure state of a full group, read off the largest-diagonal column
+    of its exact density matrix."""
+    rho = st.stabilizer_state(group).data
+    j = int(np.argmax(rho.diagonal().real))
+    return rho[:, j] / np.sqrt(rho[j, j].real)
+
+
+def same_nullity(psi, n):
+    """stabilizer_nullity and unpruned_nullity give the same count, or raise
+    the same ValueError; returns the nullity, or None after an error."""
+    try:
+        expected = unpruned_nullity(psi, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            st.stabilizer_nullity(psi, n)
+        assert str(info.value) == str(exc)
+        return None
+    assert st.stabilizer_nullity(psi, n) == expected
+    return expected
 
 
 def phase_free_keys(states):
@@ -386,6 +412,23 @@ class TestRandomGroup:
                 assert bulk == [int(twin.integers(0, 1 << bits)) for _ in range(size)]
                 assert same_state(rng.bit_generator.state, twin.bit_generator.state)
 
+    def test_empty_group_calls_no_draw(self):
+        # k = 0 has no signs: the sampler makes no rng.integers call, sized or
+        # not, and leaves the stream where it was
+        class Counted:
+            def __init__(self, rng):
+                self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+
+        for n in range(1, 12):
+            rng, twin = Counted(split_rng(71, n)), split_rng(71, n)
+            group = st.random_stabilizer_group(n, rng, k=0)
+            assert (group.z_rows, group.x_rows, group.signs, rng.calls) == ((), (), (), 0)
+            assert same_state(rng.bit_generator.state, twin.bit_generator.state)
+
     def test_drawn_groups_pass_the_public_checks(self):
         # the sampler skips re-validation (StabilizerGroup._checked); the
         # validating constructor accepts each group it returns
@@ -484,6 +527,111 @@ class TestNullity:
         psi[0], psi[1], psi[2] = np.sqrt(1 - 2 * e), np.sqrt(e), np.sqrt(e)
         with pytest.raises(ValueError, match="not a power of two"):
             st.stabilizer_nullity(psi, 2)
+
+
+class TestPrunedNullity:
+    """The nullity tabulates only the columns its bound cannot rule out, and
+    counts on moduli without the phase: the same count as all 4^n entries."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_haar_states(self, n):
+        from chiralkit.sampling import random_pure_state
+
+        for i in range(3 if n == 10 else 8):
+            assert same_nullity(random_pure_state(1 << n, split_rng(82, 10 * n + i)), n) == n
+
+    def test_every_small_stabilizer_state(self):
+        # every pure stabilizer state at n <= 3 and every 97th at n = 4
+        for n in range(1, 5):
+            for psi in st.pure_stabilizer_states(n)[:: 1 if n <= 3 else 97]:
+                assert same_nullity(psi, n) == 0
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_tableau_states(self, n):
+        # GHZ (2 columns), the X product (every column) and random full groups
+        x_product = st.group_from_labels(["I" * j + "X" + "I" * (n - 1 - j) for j in range(n)])
+        states = [ghz_vector(n), tableau_vector(x_product)]
+        states += [tableau_vector(st.random_stabilizer_group(n, split_rng(83, 10 * n + t), k=n)) for t in range(2)]
+        for psi in states:
+            assert same_nullity(psi, n) == 0
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_stabilizer_haar_products(self, n):
+        # a Haar state on h qubits keeps only its identity definite, so the
+        # nullity is h, strictly between 0 and n
+        from chiralkit.sampling import random_pure_state
+
+        for h in range(1, n):
+            group = st.random_stabilizer_group(n - h, split_rng(84, 10 * n + h), k=n - h)
+            psi = np.kron(tableau_vector(group), random_pure_state(1 << h, split_rng(85, 10 * n + h)))
+            assert same_nullity(psi, n) == h
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_near_stabilizer_states_across_the_tolerance(self, n):
+        # a perturbation of size sqrt(delta) moves a definite expectation by
+        # about delta (to second order), and delta runs from 1e-6 to 1e-10
+        # across NULLITY_TOL = 1e-8: some strings stay definite, some do
+        # not, and some groups split. Nullity and split error are the
+        # unpruned count's
+        from chiralkit.sampling import random_pure_state
+
+        rng = split_rng(86, n)
+        results = []
+        for t in range(4):
+            v = tableau_vector(st.random_stabilizer_group(n, split_rng(87, 10 * n + t), k=n))
+            for delta in (1e-6, 3e-7, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 3e-10, 1e-10):
+                near = v + math.sqrt(delta) * random_pure_state(1 << n, rng)
+                results.append(same_nullity(near / np.linalg.norm(near), n))
+        assert 0 in results and n in results and (None in results or n == 1)
+
+    def test_tolerance_split_raises_the_same_error(self):
+        e = 2.6e-9
+        psi = np.zeros(4, dtype=complex)
+        psi[0], psi[1], psi[2] = np.sqrt(1 - 2 * e), np.sqrt(e), np.sqrt(e)
+        assert same_nullity(psi, 2) is None
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_haar_states_read_the_identity_column(self, n, monkeypatch):
+        # the bound keeps x only when |psi_{t ^ x}| is within 1.0e-4 of the
+        # largest modulus |psi_t|: a Haar state reads x = 0 alone unless
+        # another modulus ties the largest that closely
+        from chiralkit.sampling import random_pure_state
+
+        widths = []
+        table = _pauli.unphased_table
+
+        def recorded(*args):
+            out = table(*args)
+            widths.append(out.shape[1])
+            return out
+
+        monkeypatch.setattr(_pauli, "unphased_table", recorded)
+        near_top = []
+        for i in range(10):
+            psi = random_pure_state(1 << n, split_rng(88, 10 * n + i))
+            assert st.stabilizer_nullity(psi, n) == n
+            w = np.abs(psi)
+            near_top.append(int(np.sum(w > w.max() - math.sqrt(st.NULLITY_TOL + 1e-10))))
+        assert widths == near_top and widths.count(1) >= 9
+        monkeypatch.undo()
+        # the one column is x = 0, the Z strings, from a GEMM one column wide
+        pruned = table(psi, n, True, 1.0 - st.NULLITY_TOL)
+        assert np.max(np.abs(pruned[:, 0] - phased_table(psi, n, True)[:, 0])) <= 1e-15
+
+    def test_a_tie_reads_the_tied_column(self):
+        # a second modulus within the bound's reach of the largest keeps the
+        # column of its XOR with the largest one's index, and no other
+        from chiralkit.sampling import random_pure_state
+
+        psi = random_pure_state(1 << 6, split_rng(89, 0))
+        t = int(np.argmax(np.abs(psi)))
+        psi[t ^ 0b100101] = psi[t] * (1 - 1e-6) * 1j
+        psi /= np.linalg.norm(psi)
+        columns = np.abs(_pauli.unphased_table(psi, 6, True, 1.0 - st.NULLITY_TOL))
+        full = np.abs(phased_table(psi, 6, True))
+        assert columns.shape == (64, 2)
+        assert np.max(np.abs(columns - full[:, [0, 0b100101]])) <= 1e-15
+        assert same_nullity(psi, 6) == 6
 
 
 class TestEnumerationAndFidelity:
@@ -664,6 +812,45 @@ class TestPauliTables:
             (_pauli.pauli_conjugation_overlaps, False),
         ):
             assert np.max(np.abs(table(psi, n) - oracle_value_table(psi, conjugate_bra))) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_public_tables_keep_their_bits(self, n):
+        # the phase now multiplies the unphased core's output: the same bytes
+        from chiralkit.sampling import random_pure_state
+
+        psi = random_pure_state(1 << n, split_rng(75, n))
+        for table, conjugate_bra in (
+            (_pauli.pauli_expectations, True),
+            (_pauli.pauli_conjugation_overlaps, False),
+        ):
+            phased = phased_table(psi, n, conjugate_bra)
+            assert table(psi, n).tobytes() == phased.tobytes()
+            assert np.abs(_pauli.unphased_table(psi, n, conjugate_bra)).tobytes() == np.abs(phased).tobytes()
+
+    def test_quarter_turns_keep_the_modulus(self):
+        # a product by +-1 or +-i is exact, so |i^k v| is |v| bit for bit:
+        # 16,384 values with moduli from 1e-300 to 1e10 against the n = 7 phases
+        rng = split_rng(76, 0)
+        v = 10.0 ** rng.uniform(-300, 10, size=1 << 14) * np.exp(2j * np.pi * rng.uniform(size=1 << 14))
+        phases = _pauli._i_power_table(7).reshape(-1)
+        assert set(np.round(phases).tolist()) == {1, 1j, -1, -1j}
+        assert np.abs(v * phases).tobytes() == np.abs(v).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_pauli_log_distance_reads_the_phased_maximum(self, n):
+        # C_P and its argmax string from the unphased table are those of the
+        # phased one, float.hex and (z, x)
+        from chiralkit.sampling import random_pure_state
+
+        t_product = np.array([1.0], dtype=complex)
+        for _ in range(n):
+            t_product = np.kron(t_product, t_state_vector())
+        states = [random_pure_state(1 << n, split_rng(77, 10 * n + i)) for i in range(2 if n == 10 else 6)]
+        states += [t_product, ghz_vector(n), tableau_vector(st.random_stabilizer_group(n, split_rng(78, n), k=n))]
+        for psi in states:
+            value, (z, x) = pauli_log_distance_detail(psi, n)
+            expected, string = phased_pauli_log_distance(psi, n)
+            assert (value.hex(), (z, x)) == (expected.hex(), string)
 
     def test_held_index_is_narrow_and_read_only(self):
         index = _pauli._xor_index(10)

@@ -24,7 +24,9 @@ optimizer), of `chiralkit scan --n 200 --seed 3` (the scan's summary,
 which reads every sample) and of `chiralkit stabilizer` on a pure and a
 mixed tableau of 3 qubits and of 10 (each written once, so both sides
 print the same path),
-with one same/different flag per command and state or tableau, and one
+with one same/different flag per command and state or tableau, each such
+command's wall seconds per side (the median of three runs, the side that
+runs first alternating from run to run), and one
 flag per selftest criterion saying whether its verdict and detail are the
 same, seconds excluded (so the file shows whether the CLI bytes or a
 criterion's figures moved), and counts the Python lines of `src/` and of
@@ -50,6 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACE_SEEDS = (1, 2, 3)
+CLI_RUNS = 3  # runs per side of each CLI command, for its median wall seconds
 # the key each command's stdout is recorded under, and its arguments
 CLI_COMMANDS = {"measure": ["measure"], "qfi": ["qfi"], "qfi_party_B": ["qfi", "--party", "B"],
                 "logdist": ["logdist"]}
@@ -147,9 +150,19 @@ def _cli(checkout: Path, args: list[str]) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
-def _cli_stdout(checkout: Path, command: list[str]) -> dict:
-    return {name: _cli(checkout, [*command, "--state", f"src/chiralkit/data/{name}", "--split", "0|1"])
-            for name in CLI_STATES}
+def _cli_sides(dirs: dict, args: list[str], walls: dict, key: str) -> dict:
+    """Each side's stdout of one command, run CLI_RUNS times per side with the
+    side that runs first alternating; walls[key] gets each side's wall
+    seconds (median and runs) and the ratio of the medians."""
+    stdout, runs = {}, {side: [] for side in SIDES}
+    for k in range(CLI_RUNS):
+        for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+            start = time.perf_counter()
+            stdout[side] = _cli(dirs[side], args)
+            runs[side].append(time.perf_counter() - start)
+    walls[key] = {side: {"median": statistics.median(runs[side]), "runs": runs[side]} for side in SIDES}
+    walls[key]["change_over_parent_median"] = walls[key]["change"]["median"] / walls[key]["parent"]["median"]
+    return stdout
 
 
 def _lines(checkout: Path, tree: str) -> int:
@@ -218,26 +231,32 @@ def main(argv=None) -> int:
         key: all(selftest["parent"][key][k] == selftest["change"].get(key, {}).get(k) for k in ("verdict", "detail"))
         for key in selftest["parent"]
     }
+    walls = {}
     for key, command in CLI_COMMANDS.items():
-        stdout = {side: _cli_stdout(dirs[side], command) for side in SIDES}
+        per_state = {name: _cli_sides(dirs, [*command, "--state", f"src/chiralkit/data/{name}", "--split", "0|1"],
+                                      walls, f"{key} {name}")
+                     for name in CLI_STATES}
+        stdout = {side: {name: per_state[name][side] for name in CLI_STATES} for side in SIDES}
         doc[f"{key}_stdout"] = stdout
         doc[f"{key}_stdout_same"] = {
             name: stdout["parent"][name] == stdout["change"][name] for name in CLI_STATES
         }
-    bounds = {side: _cli(dirs[side], ["bounds", "--n", "10"]) for side in SIDES}
+    bounds = _cli_sides(dirs, ["bounds", "--n", "10"], walls, "bounds")
     doc["bounds_stdout"] = bounds
     doc["bounds_stdout_same"] = bounds["parent"] == bounds["change"]
     with tempfile.TemporaryDirectory() as tmp:
-        scan = {side: _cli(dirs[side], ["scan", "--n", "200", "--seed", "3", "--out", f"{tmp}/{side}.csv"])
-                for side in SIDES}
+        # both sides write the same path, so their stdout can be compared
+        scan = _cli_sides(dirs, ["scan", "--n", "200", "--seed", "3", "--out", f"{tmp}/scan.csv"], walls, "scan")
         for name, text in TABLEAUX.items():
             Path(tmp, name).write_text(text)
-        tableaux = {side: {name: _cli(dirs[side], ["stabilizer", "--tableau", f"{tmp}/{name}"]) for name in TABLEAUX}
-                    for side in SIDES}
+        per_tableau = {name: _cli_sides(dirs, ["stabilizer", "--tableau", f"{tmp}/{name}"], walls, f"stabilizer {name}")
+                       for name in TABLEAUX}
+        tableaux = {side: {name: per_tableau[name][side] for name in TABLEAUX} for side in SIDES}
     doc["scan_stdout"] = scan
     doc["scan_stdout_same"] = scan["parent"] == scan["change"]
     doc["stabilizer_stdout"] = tableaux
     doc["stabilizer_stdout_same"] = {name: tableaux["parent"][name] == tableaux["change"][name] for name in TABLEAUX}
+    doc["cli_wall_s"] = walls
     for tree in ("src", "tests"):
         doc[f"{tree}_lines"] = {side: _lines(dirs[side], tree) for side in SIDES}
     doc["machine"] = _machine(info)
