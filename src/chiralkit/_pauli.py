@@ -6,8 +6,10 @@ P(z, x) = i^{|z & x|} X^x Z^z, whose action on a basis state |b> is
 (-1)^{|z & b|} |b ^ x| up to that global i power. So the table of
 <bra|P(z, x)|psi> over z and x is the Walsh-Hadamard matrix applied to
 bra[b ^ x] psi[b]: one gather and one BLAS GEMM, O(8^n) flops and O(4^n)
-memory. This module alone holds the qubit-count rules: the state dimension
-is 2^n and the tables stop at PAULI_ENUM_MAX_QUBITS.
+memory. Readers of moduli take it without the i power (unphased_table),
+and the nullity only on the columns a bound keeps. This module alone holds
+the qubit-count rules: the state dimension is 2^n and the tables stop at
+PAULI_ENUM_MAX_QUBITS.
 """
 
 from __future__ import annotations
