@@ -57,12 +57,10 @@ from .qmat import (
 )
 from .stabilizer import (
     ConjugationSolutions,
-    F2System,
     PauliString,
     StabilizerGroup,
     conjugation_pauli,
     conjugation_pauli_set,
-    f2_solve,
     parse_tableau,
     pure_stabilizer_states,
     stabilizer_fidelity,

@@ -6,9 +6,10 @@ P(z, x) = i^{|z & x|} X^x Z^z, whose action on a basis state |b> is
 (-1)^{|z & b|} |b ^ x| up to that global i power. So the table of
 <bra|P(z, x)|psi> over z and x is the Walsh-Hadamard matrix applied to
 bra[b ^ x] psi[b]: one gather and one BLAS GEMM, O(8^n) flops and O(4^n)
-memory. Readers of moduli take it without the i power (unphased_table),
-and the nullity only on the columns a bound keeps. This module alone holds
-the qubit-count rules: the state dimension is 2^n and the tables stop at
+memory. The library reads only moduli of it, so its one table
+(unphased_table) leaves out the i power, a unit factor, and the nullity
+takes only the columns a bound keeps. This module alone holds the
+qubit-count rules: the state dimension is 2^n and the tables stop at
 PAULI_ENUM_MAX_QUBITS.
 """
 
@@ -32,13 +33,6 @@ def _walsh_hadamard(n: int) -> np.ndarray:
     for _ in range(n):
         h = np.kron(h, block)
     return h
-
-
-@lru_cache(maxsize=None)
-def _i_power_table(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.uint64)
-    ny = np.bitwise_count(idx[:, None] & idx[None, :])
-    return 1j ** (ny % 4)
 
 
 @lru_cache(maxsize=None)
@@ -98,22 +92,6 @@ def unphased_table(psi: np.ndarray, n: int, conjugate_bra: bool, floor: float | 
     # the real Hadamard matrix acts on rows, so one real GEMM covers both
     # the real and the imaginary parts of the interleaved complex columns
     return (_walsh_hadamard(n) @ bra.view(np.float64)).view(complex)
-
-
-def _value_table(psi: np.ndarray, n: int, conjugate_bra: bool) -> np.ndarray:
-    out = unphased_table(psi, n, conjugate_bra)
-    out *= _i_power_table(n)
-    return out
-
-
-def pauli_expectations(psi: np.ndarray, n: int) -> np.ndarray:
-    """<psi|P|psi> for every phase-free Pauli string on n qubits, indexed [z, x]."""
-    return _value_table(psi, n, conjugate_bra=True)
-
-
-def pauli_conjugation_overlaps(psi: np.ndarray, n: int) -> np.ndarray:
-    """<psi*|P|psi> for every phase-free Pauli string on n qubits, indexed [z, x]."""
-    return _value_table(psi, n, conjugate_bra=False)
 
 
 def column_phases(z: int, x: int, n: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Stabilizer-state machinery over GF(2): symplectic tableaux, the linear
 system whose solutions conjugate a stabilizer state onto its complex
 conjugate, nullity and fidelity monotones, and the chirality-vs-magic bound
-checks.
+checks. One GF(2) elimination serves them all: an XOR basis keyed by each
+row's leading bit (_xor_reduce), which f2_rank, the group sampler and the
+conjugation solve share.
 
 Conventions: a phase-free Pauli string is a pair of bit-vectors (z, x) with
 site encoding (0,0)=I, (0,1)=X, (1,0)=Z, (1,1)=Y. A stabilizer group is a
@@ -25,76 +27,6 @@ from .qmat import DensityMatrix
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra on bit-packed rows (one python int per row)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class F2System:
-    """Linear system M v = b over GF(2); rows bit-packed (bit c = column c)."""
-
-    rows: tuple[int, ...]
-    rhs: tuple[int, ...]
-    ncols: int
-
-    def __post_init__(self):
-        if len(self.rows) != len(self.rhs):
-            raise ValueError("one right-hand-side bit per row required")
-        if any(r < 0 or r >> self.ncols for r in self.rows):
-            raise ValueError("row bits outside the declared number of columns")
-        if any(b not in (0, 1) for b in self.rhs):
-            raise ValueError("right-hand side must be bits")
-
-
-@dataclass(frozen=True)
-class F2Solution:
-    feasible: bool
-    solution: int | None
-    nullspace: tuple[int, ...]
-    rank: int
-    ncols: int
-
-
-def f2_solve(system: F2System) -> F2Solution:
-    """Gaussian elimination to reduced row echelon form.
-
-    Returns one particular solution (free variables set to 0) plus a basis of
-    the nullspace, or an infeasible marker when a zero row meets rhs 1. For
-    rows that are linearly independent a solution always exists.
-    """
-    ncols = system.ncols
-    rows = list(system.rows)
-    rhs = list(system.rhs)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        hit = next((i for i in range(r, len(rows)) if (rows[i] >> col) & 1), None)
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        rhs[r], rhs[hit] = rhs[hit], rhs[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> col) & 1:
-                rows[i] ^= rows[r]
-                rhs[i] ^= rhs[r]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    rank = r
-    if any(rows[i] == 0 and rhs[i] for i in range(rank, len(rows))):
-        return F2Solution(False, None, (), rank, ncols)
-    solution = 0
-    for i, col in enumerate(pivots):
-        if rhs[i]:
-            solution |= 1 << col
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    nullspace = []
-    for f in free_cols:
-        v = 1 << f
-        for i, col in enumerate(pivots):
-            if (rows[i] >> f) & 1:
-                v |= 1 << col
-        nullspace.append(v)
-    return F2Solution(True, solution, tuple(nullspace), rank, ncols)
 
 
 def _xor_reduce(row: int, basis: dict[int, int]) -> int:
@@ -159,12 +91,17 @@ class PauliString:
     def basis_masks(self) -> tuple[int, int]:
         """(z, x) packed with qubit 0 as the most significant bit, matching
         the computational-basis index convention of dense state vectors."""
-        z, x = (sum(b << j for j, b in enumerate(bits)) for bits in (self.z_bits, self.x_bits))
+        z, x = self._rows()
         return _basis_mask(z, self.n), _basis_mask(x, self.n)
 
     def matrix(self) -> np.ndarray:
         z, x = self.basis_masks()
         return _pauli.pauli_matrix(z, x, self.n)
+
+    def _rows(self) -> tuple[int, int]:
+        """(z, x) as row ints, bit j = qubit j."""
+        z, x = (sum(b << j for j, b in enumerate(bits)) for bits in (self.z_bits, self.x_bits))
+        return z, x
 
     @classmethod
     def _from_rows(cls, z: int, x: int, n: int) -> PauliString:
@@ -232,17 +169,14 @@ class StabilizerGroup:
     def k(self) -> int:
         return len(self.z_rows)
 
-    def generator(self, i: int) -> PauliString:
-        return PauliString._from_rows(self.z_rows[i], self.x_rows[i], self.n)
-
 
 def group_from_labels(labels, signs=None) -> StabilizerGroup:
     paulis = [PauliString.from_label(lbl) for lbl in labels]
     n = paulis[0].n if paulis else 0
     if any(p.n != n for p in paulis):
         raise ValueError("generator labels have inconsistent lengths")
-    z_rows = tuple(sum(b << j for j, b in enumerate(p.z_bits)) for p in paulis)
-    x_rows = tuple(sum(b << j for j, b in enumerate(p.x_bits)) for p in paulis)
+    rows = [p._rows() for p in paulis]
+    z_rows, x_rows = tuple(z for z, _ in rows), tuple(x for _, x in rows)
     signs = tuple(int(s) for s in (signs or (0,) * len(paulis)))
     return StabilizerGroup(n, z_rows, x_rows, signs)
 
@@ -362,22 +296,13 @@ class ConjugationSolutions:
 
     def __iter__(self):
         n = self.base.n
-        for picks in itertools.product((0, 1), repeat=len(self.nullspace_basis)):
-            z = list(self.base.z_bits)
-            x = list(self.base.x_bits)
-            for take, basis in zip(picks, self.nullspace_basis):
+        (z0, x0), *basis = (p._rows() for p in (self.base, *self.nullspace_basis))
+        for picks in itertools.product((0, 1), repeat=len(basis)):
+            z, x = z0, x0
+            for take, (bz, bx) in zip(picks, basis):
                 if take:
-                    z = [a ^ b for a, b in zip(z, basis.z_bits)]
-                    x = [a ^ b for a, b in zip(x, basis.x_bits)]
-            yield PauliString(tuple(z), tuple(x))
-
-
-def _conjugation_system(group: StabilizerGroup) -> F2System:
-    # unknowns stacked as [v_X | v_Z]: columns 0..n-1 take M_Z, n..2n-1 take M_X
-    n = group.n
-    rows = tuple(group.z_rows[i] | (group.x_rows[i] << n) for i in range(group.k))
-    rhs = tuple((group.z_rows[i] & group.x_rows[i]).bit_count() % 2 for i in range(group.k))
-    return F2System(rows, rhs, 2 * n)
+                    z, x = z ^ bz, x ^ bx
+            yield PauliString._from_rows(z, x, n)
 
 
 def conjugation_pauli_set(group: StabilizerGroup) -> ConjugationSolutions:
@@ -386,16 +311,34 @@ def conjugation_pauli_set(group: StabilizerGroup) -> ConjugationSolutions:
     Any solution, read as a Pauli string via the (v_Z, v_X) site encoding,
     anticommutes with exactly the generators containing an odd number of Y
     sites, hence conjugates the stabilizer state onto its complex conjugate.
-    Row independence guarantees feasibility."""
-    sol = f2_solve(_conjugation_system(group))
-    if not sol.feasible:  # cannot happen for a valid group
-        raise AssertionError("conjugation system infeasible for independent generators")
-    n = group.n
-    low = (1 << n) - 1  # v = v_X | v_Z << n
 
+    Unknown c of v = v_X | v_Z << n, the column of bit c of the row
+    z | x << n, sits at bit 2n - c of an augmented row whose bit 0 is the
+    right-hand side, so a row's leading bit is its lowest column. The rows
+    go onto an XOR basis keyed by leading bit (_xor_reduce) and are
+    back-substituted to the reduced row echelon form, which is unique for a
+    fixed column order: its pivots are taken lowest column first. The base
+    solution sets the free unknowns to 0, and the null space has one vector
+    per free column, lowest first (DECISIONS.md). Independent rows never
+    reduce to the right-hand side alone, so a solution always exists."""
+    n, width = group.n, 2 * group.n
+    basis: dict[int, int] = {}
+    for z, x in zip(group.z_rows, group.x_rows):
+        row = _xor_reduce(_basis_mask(z | x << n, width) << 1 | (z & x).bit_count() & 1, basis)
+        basis[row.bit_length() - 1] = row
+    pivots = sorted(basis)
+    for i, lead in enumerate(pivots):  # lowest first, so each row used is already clear
+        for p in pivots[:i]:
+            if basis[lead] >> p & 1:
+                basis[lead] ^= basis[p]
+    rows = [(1 << width - lead, row) for lead, row in basis.items()]  # (the pivot's column bit, row)
+    base = sum(column for column, row in rows if row & 1)
+    nullspace = [1 << width - free | sum(column for column, row in rows if row >> free & 1)
+                 for free in range(width, 0, -1) if free not in basis]
+    low = (1 << n) - 1
     return ConjugationSolutions(
-        PauliString._from_rows(sol.solution >> n, sol.solution & low, n),
-        tuple(PauliString._from_rows(v >> n, v & low, n) for v in sol.nullspace),
+        PauliString._from_rows(base >> n, base & low, n),
+        tuple(PauliString._from_rows(v >> n, v & low, n) for v in nullspace),
     )
 
 

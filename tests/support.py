@@ -9,10 +9,15 @@ the ancilla dimension of purify), and J2, J3 and J3' from their
 commutator definitions at 50 digits (for the eigenbasis forms of the
 measures), the stabilizer fidelity with every support in its GEMM (for
 the bound-pruned loop), the group sampler with one draw per value (for
-the block draws), and the phased Pauli tables with the nullity and C_P
+the block draws), the phased Pauli tables with the nullity and C_P
 read from all 4^n entries of them (for the unphased, column-pruned
-tables). Plus two textbook states.
+tables), and Gaussian elimination over GF(2) lowest column first (for the
+conjugation solve on the XOR basis). Plus two textbook states and a
+group's generator as a Pauli string.
 """
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,6 +196,14 @@ def scalar_stabilizer_group(n, rng, k=None):
     return st.StabilizerGroup(n, tuple(z for z, _ in rows), tuple(x for _, x in rows), signs)
 
 
+@lru_cache(maxsize=None)
+def i_power_table(n):
+    """i^{|z & x|} over every [z, x]: the phase of P(z, x) = i^{|z & x|} X^x Z^z."""
+    idx = np.arange(1 << n, dtype=np.uint64)
+    ny = np.bitwise_count(idx[:, None] & idx[None, :])
+    return 1j ** (ny % 4)
+
+
 def phased_table(psi, n, conjugate_bra):
     """<psi|P(z,x)|psi> (or <psi*|P(z,x)|psi>) over every [z, x], the phase
     applied: one gather, one GEMM over all 4^n entries, then i^{|z & x|}."""
@@ -198,7 +211,7 @@ def phased_table(psi, n, conjugate_bra):
     bra = (psi.conj() if conjugate_bra else psi).take(_pauli._xor_index(n))
     bra *= psi[:, None]
     out = (_pauli._walsh_hadamard(n) @ bra.view(np.float64)).view(complex)
-    out *= _pauli._i_power_table(n)
+    out *= i_power_table(n)
     return out
 
 
@@ -222,3 +235,60 @@ def phased_pauli_log_distance(psi, n):
     z, x = np.unravel_index(int(np.argmax(table)), table.shape)
     best = float(table[z, x])
     return max(0.0, -float(np.log(max(best, 1e-300)))), (int(z), int(x))
+
+
+def generator(group, i):
+    """Generator i of a stabilizer group as a phase-free Pauli string."""
+    return st.PauliString._from_rows(group.z_rows[i], group.x_rows[i], group.n)
+
+
+class F2Solution(NamedTuple):
+    feasible: bool
+    solution: int | None
+    nullspace: tuple[int, ...]
+    rank: int
+
+
+def f2_solve(rows, rhs, ncols):
+    """Gaussian elimination of M v = b over GF(2) (bit c of a row = column
+    c) to reduced row echelon form, pivots taken lowest column first.
+
+    Returns one particular solution (free variables set to 0) plus a basis of
+    the nullspace, one vector per free column in ascending order, or an
+    infeasible marker when a zero row meets rhs 1."""
+    rows, rhs = list(rows), list(rhs)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        hit = next((i for i in range(r, len(rows)) if (rows[i] >> col) & 1), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        rhs[r], rhs[hit] = rhs[hit], rhs[r]
+        for i in range(len(rows)):
+            if i != r and (rows[i] >> col) & 1:
+                rows[i] ^= rows[r]
+                rhs[i] ^= rhs[r]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    if any(rows[i] == 0 and rhs[i] for i in range(r, len(rows))):
+        return F2Solution(False, None, (), r)
+    solution = sum(1 << col for i, col in enumerate(pivots) if rhs[i])
+    nullspace = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        nullspace.append((1 << f) | sum(1 << col for i, col in enumerate(pivots) if (rows[i] >> f) & 1))
+    return F2Solution(True, solution, tuple(nullspace), r)
+
+
+def conjugation_oracle(group):
+    """(base, nullspace) of the conjugation system solved by f2_solve, each
+    string as (z, x) row ints: unknowns v = v_X | v_Z << n, row i
+    z_i | x_i << n, right-hand side |z_i & x_i| mod 2."""
+    n = group.n
+    rows = [z | x << n for z, x in zip(group.z_rows, group.x_rows)]
+    rhs = [(z & x).bit_count() % 2 for z, x in zip(group.z_rows, group.x_rows)]
+    sol = f2_solve(rows, rhs, 2 * n)
+    low = (1 << n) - 1
+    return (sol.solution >> n, sol.solution & low), [(v >> n, v & low) for v in sol.nullspace]

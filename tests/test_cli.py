@@ -343,6 +343,17 @@ class TestStabilizerCommand:
         assert doc["stabilizer_fidelity"]["value"] == pytest.approx(1.0, abs=1e-9)
         assert doc["solution_set_log2"] == 3
 
+    def test_mixed_tableau_with_y_sites(self, tmp_path, capsys):
+        # +XYZ and -ZZI: one Y site, so the base solves a nonzero right-hand
+        # side, the first of the 2^4 solutions with every free unknown 0
+        path = tmp_path / "mixed.tab"
+        path.write_text("+XYZ\n-ZZI\n")
+        assert main(["stabilizer", "--tableau", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["conjugation_pauli"] == "XXI"
+        assert doc["solution_set_log2"] == 4
+        assert "nullity" not in doc
+
     def test_five_qubit_fidelity_without_eigh(self, tmp_path, capsys, monkeypatch):
         # psi is read off a column of the exact rho, not an eigendecomposition
         calls = []

@@ -1,6 +1,7 @@
 """Declared dependencies match what the package imports: every import in
 src/chiralkit is the standard library, relative, or a dependency that
-pyproject.toml declares."""
+pyproject.toml declares. And every public name of the package has a caller
+in the package or the benchmark, or a reason to stay public."""
 
 import ast
 import re
@@ -11,6 +12,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "chiralkit").glob("*.py"))
+BENCHMARK_MODULES = sorted((ROOT / "perfbench").glob("*.py"))
+# public names no code calls, each with why it stays (DECISIONS.md, "The
+# public surface the code uses")
+KEPT = {
+    "correlations.qfi": "the quantum Fisher information F(rho, H) of the paper's bound "
+                        "gamma^2 <= Tr(rho_P K_P^2) F",
+    "chirality.modular_commutator": "the paper's tripartite measure i Tr(rho [K_AB, K_BC])",
+    "qmat.uhlmann_fidelity": "the oracle of the reduced log-distance objective",
+    "io.write_state_file": "the inverse of parse_state_file, for users writing the state files the CLI reads",
+    "cli._Parser.error": "argparse calls it on a usage error",
+}
 
 
 def declared_dependencies() -> set[str]:
@@ -44,3 +56,63 @@ def test_reads_the_declared_list():
 def test_every_import_is_stdlib_relative_or_declared(path):
     allowed = set(sys.stdlib_module_names) | declared_dependencies()
     assert imported_packages(path) - allowed == set()
+
+
+def public_definitions() -> dict[str, str]:
+    """Qualified name -> bare name of every public module-level function,
+    class and constant of src/chiralkit, and of every public method of its
+    classes."""
+    names = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                found = []
+            names.update((f"{path.stem}.{name}", name) for name in found if not name.startswith("_"))
+            if isinstance(node, ast.ClassDef):
+                names.update(
+                    (f"{path.stem}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+    return names
+
+
+class _References(ast.NodeVisitor):
+    """Counts the Name and Attribute loads of each name, except those inside
+    a definition of that name (a recursive call is not a caller)."""
+
+    def __init__(self, counts: dict[str, int]):
+        self.counts = counts
+        self.inside: list[str] = []
+
+    def _definition(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def _count(self, name: str, node):
+        if isinstance(node.ctx, ast.Load) and name not in self.inside:
+            self.counts[name] = self.counts.get(name, 0) + 1
+
+    def visit_Name(self, node):
+        self._count(node.id, node)
+
+    def visit_Attribute(self, node):
+        self._count(node.attr, node)
+        self.generic_visit(node)
+
+
+def test_every_public_name_has_a_caller():
+    # references by name, not strings: the tracer's span names call nothing
+    counts: dict[str, int] = {}
+    for path in MODULES + BENCHMARK_MODULES:
+        _References(counts).visit(ast.parse(path.read_text(), filename=str(path)))
+    uncalled = {qualified for qualified, name in public_definitions().items() if not counts.get(name)}
+    assert uncalled == set(KEPT)

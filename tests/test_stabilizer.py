@@ -1,10 +1,12 @@
 """Stabilizer machinery tests: GF(2) solver against brute force, group
 construction, conjugation solutions, monotone enumeration, magic bounds."""
 
+import importlib.util
 import itertools
 import math
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +15,15 @@ from chiralkit import _pauli
 from chiralkit import stabilizer as st
 from chiralkit.chirality import chiral_log_distance, pauli_log_distance, pauli_log_distance_detail
 from chiralkit.qmat import Partition
-from chiralkit.sampling import split_rng
+from chiralkit.sampling import derive_seed, split_rng
 from chiralkit.states import t_state_vector
 from support import (
     bell_state,
+    conjugation_oracle,
+    f2_solve,
+    generator,
     ghz_vector,
+    i_power_table,
     phased_pauli_log_distance,
     phased_table,
     scalar_stabilizer_group,
@@ -156,23 +162,29 @@ def oracle_value_table(psi, conjugate_bra):
         if conjugate_bra:
             bra = bra.conj()
         out[:, x] = h @ (bra * psi)
-    return out * _pauli._i_power_table(n)
+    return out * i_power_table(n)
+
+
+def phased(psi, n, conjugate_bra):
+    """The phased Pauli table from the library's core: unphased_table times
+    i^{|z & x|}."""
+    return _pauli.unphased_table(psi, n, conjugate_bra) * i_power_table(n)
 
 
 class TestF2Solve:
     def test_single_equation_hand_case(self):
-        sol = st.f2_solve(st.F2System((0b11,), (1,), 2))
+        sol = f2_solve((0b11,), (1,), 2)
         assert sol.feasible and sol.solution == 0b01
         assert sol.nullspace == (0b11,)
         assert sol.rank == 1
 
     def test_zero_system(self):
-        sol = st.f2_solve(st.F2System((0, 0), (0, 0), 3))
+        sol = f2_solve((0, 0), (0, 0), 3)
         assert sol.feasible and sol.solution == 0
         assert len(sol.nullspace) == 3
 
     def test_infeasible(self):
-        sol = st.f2_solve(st.F2System((0b1, 0b1), (0, 1), 1))
+        sol = f2_solve((0b1, 0b1), (0, 1), 1)
         assert not sol.feasible and sol.solution is None
 
     def test_against_exhaustive_enumeration(self):
@@ -184,7 +196,7 @@ class TestF2Solve:
                 if st.f2_rank(rows + [cand], 6) == len(rows) + 1:
                     rows.append(cand)
             rhs = tuple(int(b) for b in rng.integers(0, 2, 3))
-            sol = st.f2_solve(st.F2System(tuple(rows), rhs, 6))
+            sol = f2_solve(rows, rhs, 6)
             brute = [
                 v
                 for v in range(64)
@@ -205,7 +217,7 @@ class TestF2Solve:
                 if st.f2_rank(rows + [cand], 8) == len(rows) + 1:
                     rows.append(cand)
             rhs = tuple(int(b) for b in rng.integers(0, 2, 4))
-            assert st.f2_solve(st.F2System(tuple(rows), rhs, 8)).feasible
+            assert f2_solve(rows, rhs, 8).feasible
 
     def test_rank_matches_elimination(self):
         # the XOR-basis rank against the full elimination, on row sets that
@@ -216,7 +228,7 @@ class TestF2Solve:
             rows = [int(r) for r in rng.integers(0, 1 << ncols, size=int(rng.integers(0, 8)))]
             if rows and t % 2:
                 rows += [rows[0], 0, rows[0] ^ rows[-1]]
-            assert st.f2_rank(rows, ncols) == st.f2_solve(st.F2System(tuple(rows), (0,) * len(rows), ncols)).rank
+            assert st.f2_rank(rows, ncols) == f2_solve(rows, (0,) * len(rows), ncols).rank
 
     def test_rank_refuses_rows_outside_the_columns(self):
         for rows in ([0b100], [1, -1]):
@@ -260,7 +272,7 @@ class TestStabilizerGroup:
     def test_tableau_round_trip(self):
         text = "+XX\n-ZZ"
         group = st.parse_tableau(text)
-        lines = [("-" if sign else "+") + group.generator(i).label for i, sign in enumerate(group.signs)]
+        lines = [("-" if sign else "+") + generator(group, i).label for i, sign in enumerate(group.signs)]
         assert "\n".join(lines) == text
         assert group.signs == (0, 1)
 
@@ -316,7 +328,7 @@ def dense_stabilizer_state(group):
     dim = 1 << group.n
     acc = np.eye(dim, dtype=complex)
     for i in range(group.k):
-        p = (-1) ** group.signs[i] * group.generator(i).matrix()
+        p = (-1) ** group.signs[i] * generator(group, i).matrix()
         acc = acc @ (np.eye(dim) + p) / 2.0
     return acc / 2 ** (group.n - group.k)
 
@@ -477,6 +489,64 @@ class TestConjugationPauli:
         group = st.group_from_labels(["XX", "ZZ"])
         sols = st.conjugation_pauli_set(group)
         assert sols.count == 2**2  # 2^n solutions when k = n
+
+
+def recorder_tableaux():
+    """The tableaux whose `chiralkit stabilizer` stdout tools/record_bench.py
+    records, by file name."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "record_bench.py"
+    spec = importlib.util.spec_from_file_location("record_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TABLEAUX
+
+
+def assert_solves_like_the_oracle(group):
+    """conjugation_pauli_set's base and null space are f2_solve's, bit for bit
+    and in order."""
+    sols = st.conjugation_pauli_set(group)
+    base, nullspace = conjugation_oracle(group)
+    assert sols.base == st.PauliString._from_rows(*base, group.n)
+    assert sols.nullspace_basis == tuple(st.PauliString._from_rows(z, x, group.n) for z, x in nullspace)
+
+
+class TestConjugationSolveOracle:
+    """The solve on the XOR basis against Gaussian elimination lowest column
+    first: a fixed column order has one reduced row echelon form."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_groups_of_every_size(self, n):
+        # 11 groups per (n, k): 484 over n = 1..8
+        for k in range(n + 1):
+            for t in range(11):
+                assert_solves_like_the_oracle(st.random_stabilizer_group(n, split_rng(91, 100 * n + 10 * k + t), k=k))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_pool_groups(self, seed):
+        # the stabilizer_tables pool: group i on 1 + i % 7 qubits, drawn from
+        # split_rng(derive_seed(seed, 11), i), for its 21 items
+        for i in range(21):
+            assert_solves_like_the_oracle(st.random_stabilizer_group(1 + i % 7, split_rng(derive_seed(seed, 11), i)))
+
+    def test_recorded_tableaux(self):
+        tableaux = recorder_tableaux()
+        assert {"ghz.tab", "mixed.tab", "ghz10.tab", "mixed10.tab"} <= set(tableaux)
+        for text in tableaux.values():
+            assert_solves_like_the_oracle(st.parse_tableau(text))
+
+    def test_iteration_spans_the_null_space_in_order(self):
+        # element j takes null vector l when bit l of j, counted from the
+        # last vector, is set
+        group = st.parse_tableau("+XYZ\n-ZZI\n")
+        sols = st.conjugation_pauli_set(group)
+        base, nullspace = conjugation_oracle(group)
+        expected = []
+        for picks in itertools.product((0, 1), repeat=len(nullspace)):
+            z, x = base
+            for take, (bz, bx) in zip(picks, nullspace):
+                z, x = (z ^ bz, x ^ bx) if take else (z, x)
+            expected.append(st.PauliString._from_rows(z, x, group.n))
+        assert list(sols) == expected and len(expected) == sols.count == 16
 
 
 class TestNullity:
@@ -807,32 +877,27 @@ class TestPauliTables:
         from chiralkit.sampling import random_pure_state
 
         psi = random_pure_state(1 << n, split_rng(73, n))
-        for table, conjugate_bra in (
-            (_pauli.pauli_expectations, True),
-            (_pauli.pauli_conjugation_overlaps, False),
-        ):
-            assert np.max(np.abs(table(psi, n) - oracle_value_table(psi, conjugate_bra))) <= 1e-14
+        for conjugate_bra in (True, False):
+            assert np.max(np.abs(phased(psi, n, conjugate_bra) - oracle_value_table(psi, conjugate_bra))) <= 1e-14
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_public_tables_keep_their_bits(self, n):
-        # the phase now multiplies the unphased core's output: the same bytes
+        # the core times the phase has the bytes of the phased oracle, and
+        # |core| those of |phased|: readers of moduli may skip the phase
         from chiralkit.sampling import random_pure_state
 
         psi = random_pure_state(1 << n, split_rng(75, n))
-        for table, conjugate_bra in (
-            (_pauli.pauli_expectations, True),
-            (_pauli.pauli_conjugation_overlaps, False),
-        ):
-            phased = phased_table(psi, n, conjugate_bra)
-            assert table(psi, n).tobytes() == phased.tobytes()
-            assert np.abs(_pauli.unphased_table(psi, n, conjugate_bra)).tobytes() == np.abs(phased).tobytes()
+        for conjugate_bra in (True, False):
+            oracle = phased_table(psi, n, conjugate_bra)
+            assert phased(psi, n, conjugate_bra).tobytes() == oracle.tobytes()
+            assert np.abs(_pauli.unphased_table(psi, n, conjugate_bra)).tobytes() == np.abs(oracle).tobytes()
 
     def test_quarter_turns_keep_the_modulus(self):
         # a product by +-1 or +-i is exact, so |i^k v| is |v| bit for bit:
         # 16,384 values with moduli from 1e-300 to 1e10 against the n = 7 phases
         rng = split_rng(76, 0)
         v = 10.0 ** rng.uniform(-300, 10, size=1 << 14) * np.exp(2j * np.pi * rng.uniform(size=1 << 14))
-        phases = _pauli._i_power_table(7).reshape(-1)
+        phases = i_power_table(7).reshape(-1)
         assert set(np.round(phases).tolist()) == {1, 1j, -1, -1j}
         assert np.abs(v * phases).tobytes() == np.abs(v).tobytes()
 
@@ -864,8 +929,8 @@ class TestPauliTables:
         from chiralkit.sampling import random_pure_state
 
         psi = random_pure_state(1 << n, split_rng(74, n))
-        expect = _pauli.pauli_expectations(psi, n)
-        overlap = _pauli.pauli_conjugation_overlaps(psi, n)
+        expect = phased(psi, n, True)
+        overlap = phased(psi, n, False)
         for z in range(1 << n):
             for x in range(1 << n):
                 p_psi = _pauli.pauli_matrix(z, x, n) @ psi
@@ -892,7 +957,7 @@ class TestQubitVector:
         psi = np.array([1, 0, 0, 0], dtype=complex)
         psi[1] = bad
         for call in (st.stabilizer_fidelity, st.stabilizer_nullity, pauli_log_distance,
-                     _pauli.pauli_expectations, _pauli.pauli_conjugation_overlaps):
+                     lambda psi, n: phased(psi, n, True), lambda psi, n: phased(psi, n, False)):
             with pytest.raises(ValueError, match=r"squared norm (nan|inf)"):
                 call(psi, 2)
 

@@ -22,8 +22,9 @@ keeps each side's stdout of `chiralkit measure`, `qfi` (for party A and for
 party B) and `logdist` on the bundled states, of `chiralkit bounds --n 10` (which runs the orbit
 optimizer), of `chiralkit scan --n 200 --seed 3` (the scan's summary,
 which reads every sample) and of `chiralkit stabilizer` on a pure and a
-mixed tableau of 3 qubits and of 10 (each written once, so both sides
-print the same path),
+mixed tableau of 3 qubits and of 10, and on the 10-qubit X product, whose
+run is mostly library time (each written once, so both sides print the
+same path),
 with one same/different flag per command and state or tableau, each such
 command's wall seconds per side (the median of three runs, the side that
 runs first alternating from run to run), and one
@@ -63,6 +64,9 @@ TABLEAUX = {
     # 10 qubits, where the state's 2^20 entries show whether its construction moved a byte
     "ghz10.tab": "".join(["+" + "X" * 10 + "\n"] + [f"+{'I' * i}ZZ{'I' * (8 - i)}\n" for i in range(9)]),
     "mixed10.tab": "+YYYYYYYYYY\n-XXIIIIIIII\n+IIZZIIIIII\n-IIIIYYIIII\n+IIIIIIXXZZ\n-ZZIIZZIIII\n",
+    # 10 qubits of X parts of rank 10: the state sets every entry and the nullity tabulates
+    # every column, so the command's wall time is mostly library time
+    "xprod10.tab": "".join(f"+{'I' * i}X{'I' * (9 - i)}\n" for i in range(10)),
 }
 SELFTEST = """
 import json
