@@ -83,11 +83,11 @@ def public_definitions() -> dict[str, str]:
 
 
 class _References(ast.NodeVisitor):
-    """Counts the Name and Attribute loads of each name, except those inside
-    a definition of that name (a recursive call is not a caller)."""
+    """Collects every name read as a Name or an Attribute, except inside a
+    definition of that name (a recursive call is not a caller)."""
 
-    def __init__(self, counts: dict[str, int]):
-        self.counts = counts
+    def __init__(self, called: set[str]):
+        self.called = called
         self.inside: list[str] = []
 
     def _definition(self, node):
@@ -97,22 +97,22 @@ class _References(ast.NodeVisitor):
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
 
-    def _count(self, name: str, node):
+    def _read(self, name: str, node):
         if isinstance(node.ctx, ast.Load) and name not in self.inside:
-            self.counts[name] = self.counts.get(name, 0) + 1
+            self.called.add(name)
 
     def visit_Name(self, node):
-        self._count(node.id, node)
+        self._read(node.id, node)
 
     def visit_Attribute(self, node):
-        self._count(node.attr, node)
+        self._read(node.attr, node)
         self.generic_visit(node)
 
 
 def test_every_public_name_has_a_caller():
     # references by name, not strings: the tracer's span names call nothing
-    counts: dict[str, int] = {}
+    called: set[str] = set()
     for path in MODULES + BENCHMARK_MODULES:
-        _References(counts).visit(ast.parse(path.read_text(), filename=str(path)))
-    uncalled = {qualified for qualified, name in public_definitions().items() if not counts.get(name)}
+        _References(called).visit(ast.parse(path.read_text(), filename=str(path)))
+    uncalled = {qualified for qualified, name in public_definitions().items() if name not in called}
     assert uncalled == set(KEPT)

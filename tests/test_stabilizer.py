@@ -519,7 +519,7 @@ class TestConjugationSolveOracle:
         # 11 groups per (n, k): 484 over n = 1..8
         for k in range(n + 1):
             for t in range(11):
-                assert_solves_like_the_oracle(st.random_stabilizer_group(n, split_rng(91, 100 * n + 10 * k + t), k=k))
+                assert_solves_like_the_oracle(st.random_stabilizer_group(n, split_rng(91, 100 * n + 11 * k + t), k=k))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_benchmark_pool_groups(self, seed):
@@ -535,8 +535,8 @@ class TestConjugationSolveOracle:
             assert_solves_like_the_oracle(st.parse_tableau(text))
 
     def test_iteration_spans_the_null_space_in_order(self):
-        # element j takes null vector l when bit l of j, counted from the
-        # last vector, is set
+        # the order of itertools.product over the null vectors: the last
+        # one flips fastest
         group = st.parse_tableau("+XYZ\n-ZZI\n")
         sols = st.conjugation_pauli_set(group)
         base, nullspace = conjugation_oracle(group)
