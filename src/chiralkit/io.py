@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qmat import DensityMatrix, ShapeMismatchError, require_single
+from .qmat import DensityMatrix, ShapeMismatchError, StateInvariantError, require_single
 
 
 class StateFileError(ValueError):
@@ -20,16 +20,22 @@ def parse_state_document(doc: dict, atol: float = 1e-8) -> DensityMatrix:
     """Validate a parsed JSON document and build the density matrix.
 
     Raises StateFileError for structural problems, ShapeMismatchError when
-    the matrix length disagrees with the dims, and StateInvariantError when
-    the matrix fails the density-matrix invariants at atol.
+    the matrix length disagrees with the dims, and StateInvariantError when a
+    dimension is below 1 or the matrix fails the density-matrix invariants
+    at atol.
     """
     if not isinstance(doc, dict):
         raise StateFileError("state file must be a JSON object")
     try:
-        dims = tuple(int(d) for d in doc["dims"])
-        entries = doc["matrix"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StateFileError(f"missing or malformed dims/matrix fields: {exc}") from exc
+        dims, entries = doc["dims"], doc["matrix"]
+    except KeyError as exc:
+        raise StateFileError(f"missing or malformed dims/matrix fields: no {exc}") from exc
+    # JSON numbers that are whole only: int() would read 2.5 and "2" as 2, and true as 1
+    if not isinstance(dims, list) or any(type(d) not in (int, float) or d % 1 for d in dims):
+        raise StateFileError(f"missing or malformed dims/matrix fields: dims {dims!r} are not whole numbers")
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):  # before the reshape, which would read -1 as an unknown size
+        raise StateInvariantError(f"subsystem dimensions must be positive, got {dims}")
     d = int(np.prod(dims)) if dims else 0
     if not isinstance(entries, list) or len(entries) != d * d:
         raise ShapeMismatchError(

@@ -146,6 +146,8 @@ class StabilizerGroup:
             raise ValueError(f"{k} generators on {n} qubits cannot be independent")
         if any(r < 0 or r >> n for r in self.z_rows + self.x_rows):
             raise ValueError("generator bits outside the qubit range")
+        if any(s not in (0, 1) for s in self.signs):
+            raise ValueError(f"signs must be bits (0 for +, 1 for -), got {self.signs}")
         for i in range(k):
             for j in range(i + 1, k):
                 if not _commute(self.z_rows[i], self.x_rows[i], self.z_rows[j], self.x_rows[j]):
@@ -159,7 +161,7 @@ class StabilizerGroup:
         cls, n: int, z_rows: tuple[int, ...], x_rows: tuple[int, ...], signs: tuple[int, ...]
     ) -> StabilizerGroup:
         """A group of rows the library has just checked (random_stabilizer_group
-        tests each row as it accepts it): taken as it is, not re-validated."""
+        tests each row it draws for independence): taken as it is, not re-validated."""
         group = object.__new__(cls)
         for name, value in (("n", n), ("z_rows", z_rows), ("x_rows", x_rows), ("signs", signs)):
             object.__setattr__(group, name, value)
@@ -177,7 +179,7 @@ def group_from_labels(labels, signs=None) -> StabilizerGroup:
         raise ValueError("generator labels have inconsistent lengths")
     rows = [p._rows() for p in paulis]
     z_rows, x_rows = tuple(z for z, _ in rows), tuple(x for _, x in rows)
-    signs = tuple(int(s) for s in (signs or (0,) * len(paulis)))
+    signs = tuple(int(s) for s in ((0,) * len(paulis) if signs is None else signs))
     return StabilizerGroup(n, z_rows, x_rows, signs)
 
 
@@ -598,50 +600,48 @@ def verify_magic_bounds(
 def random_stabilizer_group(
     n: int, rng: np.random.Generator, k: int | None = None
 ) -> StabilizerGroup:
-    """Uniform-ish random group: rejection-sample commuting independent rows
-    and random signs. k defaults to a random size in 0..n; a k outside 0..n
-    is refused before any draw.
+    """Uniformly random group of k independent commuting rows with random
+    signs. k defaults to a random size in 0..n; a k outside 0..n is refused
+    before any draw.
 
-    Each candidate row is two draws below 2^n, z then x, and the signs are
-    one draw of k bits after the rows. The candidates come in blocks, one
-    rng.integers call each: numpy's bounded draws consume the stream the
-    same way in bulk and one at a time, so a block holds the values one
-    draw per value would give. When the last row is accepted inside a block,
-    the generator goes back to its state before the block and re-draws the
-    values used, so the rows, the signs and the generator's state afterwards
-    are those of one draw per value (DECISIONS.md)."""
+    Each row is drawn from the commutant of the rows accepted so far, held as
+    a basis of rows z | x << n: with j rows accepted it has 2n - j vectors,
+    and a candidate is the combination of one draw of 2n - j bits. A
+    candidate in the span of the accepted rows (the identity included) is
+    drawn again, with probability 2^(2j - 2n) <= 1/4. So each row is uniform
+    on the commutant minus the span, the law of drawing z and x uniformly
+    and keeping the rows that commute and raise the rank (DECISIONS.md).
+    The signs are one draw of k bits after the rows."""
     if k is None:
         k = int(rng.integers(0, n + 1))
     elif not 0 <= k <= n:
         # an isotropic subspace of GF(2)^{2n} has dimension 0..n, so no draw could finish
         raise ValueError(f"k = {k} generators requested; a group on {n} qubits has 0..{n}")
-    z_rows: list[int] = []
-    x_rows: list[int] = []
-    basis: dict[int, int] = {}  # the accepted rows z | x << n, reduced
-    while left := k - len(z_rows):
-        # with j rows accepted, a candidate is accepted with probability
-        # 2^-j (1 - 4^(j-n)), so the rest take span to 4/3 span candidates on average
-        span = (1 << k) - (1 << len(z_rows))
-        if span <= 2 * left:  # a block of the rows left cannot overrun: no state to keep
-            size, state = left, None
-        else:  # at most 2^17 draws (1 MB) per block
-            size, state = min(2 * span, 1 << 16), rng.bit_generator.state
-        draws = iter(rng.integers(0, 1 << n, size=2 * size).tolist())
-        for used, (z, x) in enumerate(zip(draws, draws), 1):
-            row = _xor_reduce(z | (x << n), basis)  # 0 for the identity and for dependent rows
-            if not row or not all(_commute(z, x, zi, xi) for zi, xi in zip(z_rows, x_rows)):
-                continue
-            basis[row.bit_length() - 1] = row
-            z_rows.append(z)
-            x_rows.append(x)
-            if len(z_rows) == k:
-                if used < size:
-                    rng.bit_generator.state = state
-                    rng.integers(0, 1 << n, size=2 * used)
-                break
+    low = (1 << n) - 1
+    commutant = [1 << i for i in range(2 * n)]  # a basis of the rows that commute with every accepted row
+    basis: dict[int, int] = {}  # the accepted rows, reduced
+    rows: list[int] = []
+    while len(rows) < k:
+        bits = 0
+        for shift in range(0, len(commutant), 63):  # one int64 draw holds at most 63 bits
+            bits |= int(rng.integers(0, 1 << min(63, len(commutant) - shift))) << shift
+        row = 0
+        for v in commutant:
+            if bits & 1:
+                row ^= v
+            bits >>= 1
+        if not (reduced := _xor_reduce(row, basis)):
+            continue
+        basis[reduced.bit_length() - 1] = reduced
+        rows.append(row)
+        # v & swapped has odd parity exactly when v anticommutes with row: keep
+        # the vectors that commute, one anticommuting pivot folded into the others
+        swapped = (row >> n) | ((row & low) << n)
+        pivot = commutant.pop(next(i for i, v in enumerate(commutant) if (v & swapped).bit_count() & 1))
+        commutant = [v ^ pivot if (v & swapped).bit_count() & 1 else v for v in commutant]
     # a sized draw costs 4.4 us even when empty, and an empty one consumes nothing
     signs = tuple(int(b) for b in rng.integers(0, 2, size=k)) if k else ()
-    return StabilizerGroup._checked(n, tuple(z_rows), tuple(x_rows), signs)
+    return StabilizerGroup._checked(n, tuple(r & low for r in rows), tuple(r >> n for r in rows), signs)
 
 
 def random_stabilizer_vector(n: int, rng: np.random.Generator) -> np.ndarray:

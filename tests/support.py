@@ -179,10 +179,11 @@ def unpruned_stabilizer_fidelity(psi, n):
 
 
 def scalar_stabilizer_group(n, rng, k=None):
-    """random_stabilizer_group with one rng.integers call per value: z, then
-    x, per candidate, a candidate kept when it commutes with every kept row
-    and raises the GF(2) rank, then k sign bits in one call. The group goes
-    through the public, validating constructor."""
+    """The rejection sampler, the law random_stabilizer_group keeps: z, then
+    x, drawn uniformly per candidate, one rng.integers call per value, a
+    candidate kept when it commutes with every kept row and raises the GF(2)
+    rank, then k sign bits in one call. The group goes through the public,
+    validating constructor."""
     if k is None:
         k = int(rng.integers(0, n + 1))
     rows = []

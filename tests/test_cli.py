@@ -75,6 +75,22 @@ class TestStateFileErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: unreadable input: state file is not UTF-8 text:")
 
+    @pytest.mark.parametrize("dims,d", [([2.5, 2], 4), (["2", 2], 4), ([True, 2], 2)])
+    def test_dims_that_are_not_whole_numbers_exit_2(self, tmp_path, capsys, dims, d):
+        # int() reads these as (2, 2), (2, 2) and (1, 2), and the matrix, I/d, fits that reading
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps({"dims": dims, "matrix": [[float(i % (d + 1) == 0) / d, 0.0] for i in range(d * d)]}))
+        assert main(["measure", "--state", str(path), "--split", "0|1"]) == 2
+        assert "malformed dims/matrix fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", [[-2], [2, -2], [0, 2]])
+    def test_dims_below_one_exit_4(self, tmp_path, capsys, dims):
+        # refused before the reshape, which reads a negative size as an unknown one
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps({"dims": dims, "matrix": [[1.0, 0.0]] * int(np.prod(dims)) ** 2}))
+        assert main(["measure", "--state", str(path), "--split", "0|1"]) == 4
+        assert "subsystem dimensions must be positive" in capsys.readouterr().err
+
     def test_unknown_flag_exit_64(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["measure", "--nope"])

@@ -4,10 +4,12 @@ construction, conjugation solutions, monotone enumeration, magic bounds."""
 import importlib.util
 import itertools
 import math
+from collections import Counter
 import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -280,6 +282,12 @@ class TestStabilizerGroup:
         group = st.parse_tableau("−ZZ\n+XX")
         assert group.signs == (1, 0)
 
+    def test_label_signs_are_bits(self):
+        # an X part would take a sign of -1 into _orbit's quarter turns
+        with pytest.raises(ValueError, match="signs must be bits"):
+            st.group_from_labels(["X"], signs=[-1])
+        assert st.group_from_labels(["ZZ", "XX"], signs=np.array([0, 1])).signs == (0, 1)
+
 
     @pytest.mark.parametrize("n,z_rows,x_rows,signs,match", [
         (2, (1, 0), (0, 1), (0, 0), "anticommute"),
@@ -287,6 +295,9 @@ class TestStabilizerGroup:
         (2, (3, 0, 3), (0, 3, 3)[:2], (0, 0), "equal length"),
         (3, (1, 1), (0, 0), (0, 1), "dependent"),
         (2, (4,), (0,), (0,), "outside the qubit range"),
+        (1, (1,), (0,), (-1,), "signs must be bits"),
+        (1, (1,), (0,), (2,), "signs must be bits"),
+        (1, (0,), (1,), (3,), "signs must be bits"),
     ])
     def test_direct_construction_keeps_every_check(self, n, z_rows, x_rows, signs, match):
         with pytest.raises(ValueError, match=match):
@@ -385,44 +396,47 @@ class TestStabilizerStateGathers:
             assert np.count_nonzero(m) == 1 << n
 
 
+def chi2_p_value(a: Counter, b: Counter) -> float:
+    """The p-value of the two-sample chi-squared test that equal-sized
+    samples a and b (counts per cell) come from one law, with one degree of
+    freedom fewer than the cells either sample reaches."""
+    cells = a.keys() | b.keys()
+    chi2 = sum((a[c] - b[c]) ** 2 / (a[c] + b[c]) for c in cells)
+    return float(mpmath.gammainc((len(cells) - 1) / 2, chi2 / 2, mpmath.inf, regularized=True))
+
+
 class TestRandomGroup:
-    # rows and signs drawn before the XOR-basis independence test: the
-    # draws and the accept/reject decisions of each group stay as they were
     @pytest.mark.parametrize("n,k,expected", [
-        (3, None, ((4, 0), (7, 1), (0, 0))),
-        (5, None, ((1, 28, 24, 14), (10, 7, 27, 2), (1, 1, 1, 0))),
-        (6, 6, ((57, 6, 55, 4, 8, 56), (61, 29, 59, 20, 43, 38), (0, 1, 0, 0, 1, 0))),
-        (7, None, ((0, 38, 101, 98, 105), (51, 79, 67, 114, 67), (1, 1, 0, 1, 0))),
-        (8, 8, ((141, 142, 175, 111, 7, 153, 195, 141), (144, 84, 240, 239, 73, 157, 19, 115),
-                (0, 0, 1, 1, 0, 0, 0, 1))),
+        (3, None, ((4, 6), (4, 7), (0, 0))),
+        (5, None, ((18, 15, 5, 3), (1, 10, 28, 7), (0, 1, 1, 0))),
+        (6, 6, ((18, 27, 22, 35, 16, 3), (57, 61, 39, 54, 6, 29), (0, 0, 0, 1, 1, 1))),
+        (7, None, ((107, 97, 10, 117, 31), (0, 50, 38, 79, 85), (1, 0, 0, 1, 0))),
+        (8, 8, ((238, 252, 124, 121, 179, 219, 252, 15), (141, 144, 142, 84, 36, 212, 175, 240),
+                (0, 0, 1, 1, 1, 1, 1, 0))),
     ])
     def test_pinned_groups(self, n, k, expected):
         group = st.random_stabilizer_group(n, split_rng(64, n), k=k)
         assert (group.z_rows, group.x_rows, group.signs) == expected
 
-    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64, np.random.MT19937])
-    def test_block_draws_match_one_draw_per_value(self, bit_generator):
-        # every k at n = 1..11: the rows, the signs and the generator's state
-        # afterwards are those of the sampler that draws one value per call
-        for n in range(1, 12):
-            for k in (None, *range(n + 1)):
-                seed = 100 * n + (n + 1 if k is None else k)
-                rng, twin = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
-                group, oracle = st.random_stabilizer_group(n, rng, k), scalar_stabilizer_group(n, twin, k)
-                assert (group.z_rows, group.x_rows, group.signs) == (oracle.z_rows, oracle.x_rows, oracle.signs)
-                assert same_state(rng.bit_generator.state, twin.bit_generator.state)
+    @pytest.mark.parametrize("n,k,cells,draws", [(2, 2, 60, 6000), (3, 1, 126, 6300), (3, 3, 1080, 10800)])
+    def test_law_of_the_rejection_sampler(self, n, k, cells, draws):
+        # keyed on the signed group, as its state, not on the generator order:
+        # every one of the cells (signed groups) is reached, and the counts of
+        # the commutant sampler and of scalar_stabilizer_group (which draws z
+        # and x uniformly and keeps the commuting, independent rows) agree
+        counts = []
+        for sampler, key in ((st.random_stabilizer_group, 72), (scalar_stabilizer_group, 73)):
+            rng = split_rng(key, 10 * n + k)
+            counts.append(Counter(st.stabilizer_state(sampler(n, rng, k)).data.tobytes() for _ in range(draws)))
+        assert len(counts[0]) == len(counts[1]) == cells
+        assert chi2_p_value(*counts) > 1e-3
 
-    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64, np.random.MT19937])
-    def test_numpy_bulk_draws_equal_one_draw_per_value(self, bit_generator):
-        # the block draws rest on this property of Generator.integers, over
-        # every range 2^1..2^62 and whatever half-word the generator holds
-        # from the last call: a numpy that changes it fails here first
-        rng, twin = np.random.Generator(bit_generator(70)), np.random.Generator(bit_generator(70))
-        for bits in range(1, 63):
-            for size in (1, 2, 7):
-                bulk = rng.integers(0, 1 << bits, size=size).tolist()
-                assert bulk == [int(twin.integers(0, 1 << bits)) for _ in range(size)]
-                assert same_state(rng.bit_generator.state, twin.bit_generator.state)
+    def test_wide_groups(self):
+        # 2n - j bits past one int64 draw; a rejection sampler would accept the
+        # last of these rows with probability about 2^-39
+        group = st.random_stabilizer_group(40, split_rng(74, 0), k=40)
+        assert st.StabilizerGroup(group.n, group.z_rows, group.x_rows, group.signs) == group
+        assert_solves_like_the_oracle(group)
 
     def test_empty_group_calls_no_draw(self):
         # k = 0 has no signs: the sampler makes no rng.integers call, sized or
@@ -445,7 +459,7 @@ class TestRandomGroup:
         # the sampler skips re-validation (StabilizerGroup._checked); the
         # validating constructor accepts each group it returns
         rng = split_rng(69, 0)
-        for n in range(1, 9):
+        for n in range(1, 12):
             for k in (None,) * 20 + tuple(range(n + 1)):
                 group = st.random_stabilizer_group(n, rng, k)
                 assert st.StabilizerGroup(group.n, group.z_rows, group.x_rows, group.signs) == group

@@ -12,8 +12,10 @@ both sides' runs, medians and quartiles, the ratio of the medians and the
 number of pairs the change won, counting a win in the direction
 `BENCHMARK.json` names. A metric shows a gain when the change won at least
 nine in ten of at least ten pairs and its median beats the parent's by more
-than the parent's interquartile range; the `claim` block lists every such
-metric. Each workload also gets three traced runs per side (seeds 1-3), the
+than the parent's interquartile range (its `gain_met`). The `claim` block
+lists the metrics the change claims (`--claim WORKLOAD:METRIC ...`), each
+with its gain test, and is null when it claims none, so a metric that moved
+because its workload's inputs moved is not read as a claim. Each workload also gets three traced runs per side (seeds 1-3), the
 side that runs first alternating from seed to seed as in the paired runs, and
 each per-layer metric is recorded as their median, so one noisy traced run
 does not read as a layer that moved. The recorder then runs the tier-1 test suite once per
@@ -30,8 +32,12 @@ command's wall seconds per side (the median of three runs, the side that
 runs first alternating from run to run), and one
 flag per selftest criterion saying whether its verdict and detail are the
 same, seconds excluded (so the file shows whether the CLI bytes or a
-criterion's figures moved), and counts the Python lines of `src/` and of
-`tests/` (so a file shows code moved from one to the other).
+criterion's figures moved). It draws the `stabilizer_tables` pool's groups
+of seeds 1-3 in each checkout through perfbench's own tableau chain and
+records a digest per side and a `stabilizer_pool_same` flag (so a file
+shows whether that workload's inputs moved, and a change in its numbers
+then reads as a workload shift), and counts the Python lines of `src/` and
+of `tests/` (so a file shows code moved from one to the other).
 Runs are sequential, so nothing else competes for the CPUs while one is
 timed.
 """
@@ -76,6 +82,15 @@ for key, _, _ in selftest.CRITERIA:
     r = selftest.run_criterion(key)
     out[key] = {"verdict": "PASS" if r.passed else "FAIL", "seconds": round(r.seconds, 2), "detail": r.detail}
 print(json.dumps(out))
+"""
+
+# the stabilizer_tables pool's groups of seeds 1-3, drawn by perfbench's own chain, as one digest
+STABILIZER_POOL = """
+import hashlib, sys
+sys.path.insert(0, "perfbench")
+import workloads
+groups = [workloads._tableau_chain(item)[0] for seed in (1, 2, 3) for item in workloads._stabilizer_setup(seed)]
+print(hashlib.sha256(repr([(g.n, g.z_rows, g.x_rows, g.signs) for g in groups]).encode()).hexdigest())
 """
 
 
@@ -149,6 +164,11 @@ def _tier1(checkout: Path) -> dict:
     return {"summary": summary, "wall_s": wall, "selftest": json.loads(selftest.stdout.strip().splitlines()[-1])}
 
 
+def _stabilizer_pool(checkout: Path) -> str:
+    return subprocess.run([sys.executable, "-c", STABILIZER_POOL], cwd=checkout, env=_env(checkout),
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def _cli(checkout: Path, args: list[str]) -> str:
     return subprocess.run([sys.executable, "-m", "chiralkit", *args], cwd=checkout, env=_env(checkout),
                           capture_output=True, text=True, check=True).stdout
@@ -190,6 +210,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--what", required=True, help="one line: what the change does and what it claims")
+    ap.add_argument("--claim", nargs="+", default=[], metavar="WORKLOAD:METRIC",
+                    help="the metrics the change claims a gain on (none by default)")
     ap.add_argument("--pairs", nargs="+", default=["ensemble_d4=10", "spectral_d256=4",
                                                     "orbit_magic=4", "stabilizer_tables=4"])
     args = ap.parse_args(argv)
@@ -197,10 +219,14 @@ def main(argv=None) -> int:
     odd = [f"{workload}={n}" for workload, n in pairs.items() if n % 2]
     if odd:
         ap.error(f"pair counts must be even, so each side runs first in half the pairs: {' '.join(odd)}")
+    claims = [tuple(c.split(":", 1)) for c in args.claim]
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    unknown = [":".join(c) for c in claims if len(c) != 2 or c[0] not in pairs or c[1] not in better]
+    if unknown:
+        ap.error(f"a claim names a workload of --pairs and an end-to-end metric: {' '.join(unknown)}")
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {
         "what": args.what,
@@ -212,12 +238,11 @@ def main(argv=None) -> int:
     for workload, n in pairs.items():
         doc["workloads"][workload] = _workload(dirs, workload, n, seconds, better)
     doc["claim"] = [
-        {"workload": workload, "metric": metric, **{k: entry[metric][k] for k in (
-            "pairs_change_better", "median_improvement", "parent_interquartile_range")},
-         "pairs": entry["pairs"]}
-        for workload, entry in doc["workloads"].items()
-        for metric in better if entry[metric]["gain_met"]
-    ]
+        {"workload": workload, "metric": metric, **{k: doc["workloads"][workload][metric][k] for k in (
+            "pairs_change_better", "median_improvement", "parent_interquartile_range", "gain_met")},
+         "pairs": doc["workloads"][workload]["pairs"]}
+        for workload, metric in claims
+    ] or None
     doc["per_layer_traced_median"] = {"seeds": list(TRACE_SEEDS)}
     for workload in doc["workloads"]:
         runs = {side: [] for side in SIDES}
@@ -261,6 +286,9 @@ def main(argv=None) -> int:
     doc["stabilizer_stdout"] = tableaux
     doc["stabilizer_stdout_same"] = {name: tableaux["parent"][name] == tableaux["change"][name] for name in TABLEAUX}
     doc["cli_wall_s"] = walls
+    pool = {side: _stabilizer_pool(dirs[side]) for side in SIDES}
+    doc["stabilizer_pool_digest"] = pool
+    doc["stabilizer_pool_same"] = pool["parent"] == pool["change"]
     for tree in ("src", "tests"):
         doc[f"{tree}_lines"] = {side: _lines(dirs[side], tree) for side in SIDES}
     doc["machine"] = _machine(info)
