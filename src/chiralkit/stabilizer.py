@@ -148,6 +148,7 @@ class StabilizerGroup:
             raise ValueError("generator bits outside the qubit range")
         if any(s not in (0, 1) for s in self.signs):
             raise ValueError(f"signs must be bits (0 for +, 1 for -), got {self.signs}")
+        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))  # 1.0, True, np.int64(1): 1
         for i in range(k):
             for j in range(i + 1, k):
                 if not _commute(self.z_rows[i], self.x_rows[i], self.z_rows[j], self.x_rows[j]):
@@ -179,7 +180,7 @@ def group_from_labels(labels, signs=None) -> StabilizerGroup:
         raise ValueError("generator labels have inconsistent lengths")
     rows = [p._rows() for p in paulis]
     z_rows, x_rows = tuple(z for z, _ in rows), tuple(x for _, x in rows)
-    signs = tuple(int(s) for s in ((0,) * len(paulis) if signs is None else signs))
+    signs = (0,) * len(paulis) if signs is None else tuple(signs)
     return StabilizerGroup(n, z_rows, x_rows, signs)
 
 

@@ -4,8 +4,8 @@ construction, conjugation solutions, monotone enumeration, magic bounds."""
 import importlib.util
 import itertools
 import math
-from collections import Counter
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -284,9 +284,11 @@ class TestStabilizerGroup:
 
     def test_label_signs_are_bits(self):
         # an X part would take a sign of -1 into _orbit's quarter turns
-        with pytest.raises(ValueError, match="signs must be bits"):
-            st.group_from_labels(["X"], signs=[-1])
-        assert st.group_from_labels(["ZZ", "XX"], signs=np.array([0, 1])).signs == (0, 1)
+        for signs in ([-1], [0.5], [1.9]):  # int() would read 0.5 as 0 and 1.9 as 1
+            with pytest.raises(ValueError, match="signs must be bits"):
+                st.group_from_labels(["X"], signs=signs)
+        signs = st.group_from_labels(["ZZ", "XX"], signs=np.array([0, 1])).signs
+        assert signs == (0, 1) and all(type(s) is int for s in signs)
 
 
     @pytest.mark.parametrize("n,z_rows,x_rows,signs,match", [

@@ -15,10 +15,11 @@ nine in ten of at least ten pairs and its median beats the parent's by more
 than the parent's interquartile range (its `gain_met`). The `claim` block
 lists the metrics the change claims (`--claim WORKLOAD:METRIC ...`), each
 with its gain test, and is null when it claims none, so a metric that moved
-because its workload's inputs moved is not read as a claim. Each workload also gets three traced runs per side (seeds 1-3), the
-side that runs first alternating from seed to seed as in the paired runs, and
-each per-layer metric is recorded as their median, so one noisy traced run
-does not read as a layer that moved. The recorder then runs the tier-1 test suite once per
+because its workload's inputs moved is not read as a claim. Each workload
+also gets three traced runs per side (seeds 1-3), the side that runs first
+alternating from seed to seed as in the paired runs, and each per-layer
+metric is recorded as their median, so one noisy traced run does not read
+as a layer that moved. The recorder then runs the tier-1 test suite once per
 side and every selftest criterion once per side in a fresh interpreter,
 keeps each side's stdout of `chiralkit measure`, `qfi` (for party A and for
 party B) and `logdist` on the bundled states, of `chiralkit bounds --n 10` (which runs the orbit
