@@ -4,6 +4,7 @@ complex matrix as row-major [re, im] pairs."""
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ def parse_state_document(doc: dict, atol: float = 1e-8) -> DensityMatrix:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):  # before the reshape, which would read -1 as an unknown size
         raise StateInvariantError(f"subsystem dimensions must be positive, got {dims}")
-    d = int(np.prod(dims)) if dims else 0
+    d = math.prod(dims) if dims else 0  # exact: np.prod wraps at 2^64 and would expect 0 entries
     if not isinstance(entries, list) or len(entries) != d * d:
         raise ShapeMismatchError(
             f"matrix has {len(entries) if isinstance(entries, list) else 'no'} entries, "

@@ -59,6 +59,9 @@ class TestStateFileErrors:
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(doc))
         assert main(["measure", "--state", str(path), "--split", "0|1"]) == 3
+        # a product of dims that wraps an int64 to 0 must not expect an empty matrix
+        path.write_text(json.dumps({"dims": [2**32, 2**32], "matrix": []}))
+        assert main(["measure", "--state", str(path), "--split", "0|1"]) == 3
 
     def test_invariant_violation_exit_4(self, tmp_path):
         matrix = [[0.0, 0.0]] * 16
