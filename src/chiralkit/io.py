@@ -32,12 +32,12 @@ def parse_state_document(doc: dict, atol: float = 1e-8) -> DensityMatrix:
     except KeyError as exc:
         raise StateFileError(f"missing or malformed dims/matrix fields: no {exc}") from exc
     # JSON numbers that are whole only: int() would read 2.5 and "2" as 2, and true as 1
-    if not isinstance(dims, list) or any(type(d) not in (int, float) or d % 1 for d in dims):
-        raise StateFileError(f"missing or malformed dims/matrix fields: dims {dims!r} are not whole numbers")
+    if not isinstance(dims, list) or not dims or any(type(d) not in (int, float) or d % 1 for d in dims):
+        raise StateFileError(f"missing or malformed dims/matrix fields: dims {dims!r} are not a list of whole numbers")
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):  # before the reshape, which would read -1 as an unknown size
         raise StateInvariantError(f"subsystem dimensions must be positive, got {dims}")
-    d = math.prod(dims) if dims else 0  # exact: np.prod wraps at 2^64 and would expect 0 entries
+    d = math.prod(dims)  # exact: np.prod wraps at 2^64 and would expect 0 entries
     if not isinstance(entries, list) or len(entries) != d * d:
         raise ShapeMismatchError(
             f"matrix has {len(entries) if isinstance(entries, list) else 'no'} entries, "

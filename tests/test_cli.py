@@ -78,9 +78,10 @@ class TestStateFileErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: unreadable input: state file is not UTF-8 text:")
 
-    @pytest.mark.parametrize("dims,d", [([2.5, 2], 4), (["2", 2], 4), ([True, 2], 2)])
+    @pytest.mark.parametrize("dims,d", [([2.5, 2], 4), (["2", 2], 4), ([True, 2], 2), ([], 0)])
     def test_dims_that_are_not_whole_numbers_exit_2(self, tmp_path, capsys, dims, d):
-        # int() reads these as (2, 2), (2, 2) and (1, 2), and the matrix, I/d, fits that reading
+        # int() reads these as (2, 2), (2, 2) and (1, 2), and the matrix, I/d, fits that reading;
+        # no dims at all expected 0 entries
         path = tmp_path / "dims.json"
         path.write_text(json.dumps({"dims": dims, "matrix": [[float(i % (d + 1) == 0) / d, 0.0] for i in range(d * d)]}))
         assert main(["measure", "--state", str(path), "--split", "0|1"]) == 2
