@@ -618,6 +618,8 @@ def random_stabilizer_group(
     elif not 0 <= k <= n:
         # an isotropic subspace of GF(2)^{2n} has dimension 0..n, so no draw could finish
         raise ValueError(f"k = {k} generators requested; a group on {n} qubits has 0..{n}")
+    if not k:  # no rows and no signs: no basis, and no sign draw (4.4 us even when empty)
+        return StabilizerGroup._checked(n, (), (), ())
     low = (1 << n) - 1
     commutant = [1 << i for i in range(2 * n)]  # a basis of the rows that commute with every accepted row
     basis: dict[int, int] = {}  # the accepted rows, reduced
@@ -640,8 +642,7 @@ def random_stabilizer_group(
         swapped = (row >> n) | ((row & low) << n)
         pivot = commutant.pop(next(i for i, v in enumerate(commutant) if (v & swapped).bit_count() & 1))
         commutant = [v ^ pivot if (v & swapped).bit_count() & 1 else v for v in commutant]
-    # a sized draw costs 4.4 us even when empty, and an empty one consumes nothing
-    signs = tuple(int(b) for b in rng.integers(0, 2, size=k)) if k else ()
+    signs = tuple(int(b) for b in rng.integers(0, 2, size=k))
     return StabilizerGroup._checked(n, tuple(r & low for r in rows), tuple(r >> n for r in rows), signs)
 
 

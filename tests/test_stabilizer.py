@@ -9,7 +9,6 @@ from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -402,6 +401,7 @@ def chi2_p_value(a: Counter, b: Counter) -> float:
     """The p-value of the two-sample chi-squared test that equal-sized
     samples a and b (counts per cell) come from one law, with one degree of
     freedom fewer than the cells either sample reaches."""
+    mpmath = pytest.importorskip("mpmath")
     cells = a.keys() | b.keys()
     chi2 = sum((a[c] - b[c]) ** 2 / (a[c] + b[c]) for c in cells)
     return float(mpmath.gammainc((len(cells) - 1) / 2, chi2 / 2, mpmath.inf, regularized=True))

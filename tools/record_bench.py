@@ -13,13 +13,14 @@ number of pairs the change won, counting a win in the direction
 `BENCHMARK.json` names. A metric shows a gain when the change won at least
 nine in ten of at least ten pairs and its median beats the parent's by more
 than the parent's interquartile range (its `gain_met`). The `claim` block
-lists the metrics the change claims (`--claim WORKLOAD:METRIC ...`), each
-with its gain test, and is null when it claims none, so a metric that moved
-because its workload's inputs moved is not read as a claim. Each workload
-also gets three traced runs per side (seeds 1-3), the side that runs first
-alternating from seed to seed as in the paired runs, and each per-layer
-metric is recorded as their median, so one noisy traced run does not read
-as a layer that moved. The recorder then runs the tier-1 test suite once per
+lists every such metric, and is null when there is none; it leaves out
+`stabilizer_tables` when `stabilizer_pool_same` (below) is false, since a
+metric that moved because its workload's inputs moved is a workload shift,
+not a gain. Each workload also gets three traced runs per side (seeds 1-3),
+the side that runs first alternating from seed to seed as in the paired
+runs, and each per-layer metric is recorded as their median, so one noisy
+traced run does not read as a layer that moved. The recorder then runs the
+tier-1 test suite once per
 side and every selftest criterion once per side in a fresh interpreter,
 keeps each side's stdout of `chiralkit measure`, `qfi` (for party A and for
 party B) and `logdist` on the bundled states, of `chiralkit bounds --n 10` (which runs the orbit
@@ -211,8 +212,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--what", required=True, help="one line: what the change does and what it claims")
-    ap.add_argument("--claim", nargs="+", default=[], metavar="WORKLOAD:METRIC",
-                    help="the metrics the change claims a gain on (none by default)")
     ap.add_argument("--pairs", nargs="+", default=["ensemble_d4=10", "spectral_d256=4",
                                                     "orbit_magic=4", "stabilizer_tables=4"])
     args = ap.parse_args(argv)
@@ -220,14 +219,10 @@ def main(argv=None) -> int:
     odd = [f"{workload}={n}" for workload, n in pairs.items() if n % 2]
     if odd:
         ap.error(f"pair counts must be even, so each side runs first in half the pairs: {' '.join(odd)}")
-    claims = [tuple(c.split(":", 1)) for c in args.claim]
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    unknown = [":".join(c) for c in claims if len(c) != 2 or c[0] not in pairs or c[1] not in better]
-    if unknown:
-        ap.error(f"a claim names a workload of --pairs and an end-to-end metric: {' '.join(unknown)}")
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {
         "what": args.what,
@@ -238,11 +233,16 @@ def main(argv=None) -> int:
     }
     for workload, n in pairs.items():
         doc["workloads"][workload] = _workload(dirs, workload, n, seconds, better)
+    pool = {side: _stabilizer_pool(dirs[side]) for side in SIDES}
+    doc["stabilizer_pool_digest"] = pool
+    doc["stabilizer_pool_same"] = pool["parent"] == pool["change"]
+    shifted = set() if doc["stabilizer_pool_same"] else {"stabilizer_tables"}
     doc["claim"] = [
-        {"workload": workload, "metric": metric, **{k: doc["workloads"][workload][metric][k] for k in (
-            "pairs_change_better", "median_improvement", "parent_interquartile_range", "gain_met")},
-         "pairs": doc["workloads"][workload]["pairs"]}
-        for workload, metric in claims
+        {"workload": workload, "metric": metric, **{k: entry[metric][k] for k in (
+            "pairs_change_better", "median_improvement", "parent_interquartile_range")},
+         "pairs": entry["pairs"]}
+        for workload, entry in doc["workloads"].items() if workload not in shifted
+        for metric in better if entry[metric]["gain_met"]
     ] or None
     doc["per_layer_traced_median"] = {"seeds": list(TRACE_SEEDS)}
     for workload in doc["workloads"]:
@@ -287,9 +287,6 @@ def main(argv=None) -> int:
     doc["stabilizer_stdout"] = tableaux
     doc["stabilizer_stdout_same"] = {name: tableaux["parent"][name] == tableaux["change"][name] for name in TABLEAUX}
     doc["cli_wall_s"] = walls
-    pool = {side: _stabilizer_pool(dirs[side]) for side in SIDES}
-    doc["stabilizer_pool_digest"] = pool
-    doc["stabilizer_pool_same"] = pool["parent"] == pool["change"]
     for tree in ("src", "tests"):
         doc[f"{tree}_lines"] = {side: _lines(dirs[side], tree) for side in SIDES}
     doc["machine"] = _machine(info)
